@@ -18,15 +18,12 @@ same run.  A leg is regressed when::
     new.seconds / new.calibration > tolerance * (old.seconds / old.calibration)
 
 ``--write-baseline`` regenerates the baseline after an intentional
-change.  ``--compare-fastpath`` additionally times every leg with the
-fast path disabled and records the measured speedups — the numbers
-EXPERIMENTS.md reports.
+change.
 
 Usage::
 
     python benchmarks/bench_wallclock.py                  # score + gate
     python benchmarks/bench_wallclock.py --write-baseline
-    python benchmarks/bench_wallclock.py --compare-fastpath
 """
 
 from __future__ import annotations
@@ -115,9 +112,8 @@ def time_leg(runner: Callable[[int], object], scale: int) -> float:
 def build_scorecard(
     scales: Tuple[int, ...] = DEFAULT_SCALES,
     legs: Optional[List[str]] = None,
-    compare_fastpath: bool = False,
 ) -> Dict[str, object]:
-    """Time every leg at every scale; optionally both fast-path modes."""
+    """Time every leg at every scale."""
     runners = _leg_runners()
     if legs:
         unknown = sorted(set(legs) - set(runners))
@@ -132,31 +128,17 @@ def build_scorecard(
     calibration = calibration_seconds()
     card: Dict[str, object] = {
         "calibration_seconds": calibration,
-        "fastpath": fastpath.enabled(),
         "legs": {},
     }
     for name, runner in runners.items():
         for scale in scales:
             key = f"{name}@{scale}x"
             seconds = time_leg(runner, scale)
-            entry: Dict[str, object] = {
+            card["legs"][key] = {  # type: ignore[index]
                 "seconds": seconds,
                 "normalized": seconds / calibration,
             }
-            if compare_fastpath:
-                with fastpath.override(False):
-                    off_seconds = time_leg(runner, scale)
-                entry["fastpath_off_seconds"] = off_seconds
-                entry["speedup"] = off_seconds / seconds if seconds else 1.0
-            card["legs"][key] = entry  # type: ignore[index]
-            print(f"  {key:24s} {seconds:8.3f}s", end="")
-            if compare_fastpath:
-                print(
-                    f"  (off {entry['fastpath_off_seconds']:8.3f}s,"
-                    f" {entry['speedup']:.2f}x)",
-                    end="",
-                )
-            print(flush=True)
+            print(f"  {key:24s} {seconds:8.3f}s", flush=True)
     return card
 
 
@@ -210,19 +192,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--write-baseline", action="store_true",
         help="write the measured scorecard as the new baseline",
     )
-    parser.add_argument(
-        "--compare-fastpath", action="store_true",
-        help="also time every leg with REPRO_FASTPATH off",
-    )
     args = parser.parse_args(argv)
 
     scales = tuple(int(s) for s in args.scales.split(",") if s)
     legs = args.legs.split(",") if args.legs else None
-    print("timing legs (fastpath "
-          f"{'on' if fastpath.enabled() else 'off'}):")
-    card = build_scorecard(
-        scales=scales, legs=legs, compare_fastpath=args.compare_fastpath
-    )
+    print("timing legs:")
+    card = build_scorecard(scales=scales, legs=legs)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(card, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")

@@ -13,21 +13,20 @@ the tenancy scorecard (multi-tenant production day: per-tenant
 p99/goodput/SLO attainment, autoscaler action log, noisy-neighbor
 isolation ratios) — and compares
 it leaf by leaf against the checked-in baseline
-``benchmarks/results/baseline_scorecard.json`` within a relative
-tolerance (default +/-10%).
+``benchmarks/results/baseline_scorecard.json``, exactly: every numeric
+leaf must compare equal, every other leaf must match.
 
 Every leaf is simulated time or a count, a deterministic function of
 the code: drift means the model changed.  If it changed on purpose,
 regenerate the baseline with ``--write-baseline`` and commit it; if
 not, the gate just caught a regression.
 
-Exit codes: 0 = within tolerance, 1 = drifted (the diff is also
-written to ``--out`` for CI to upload as an artifact).
+Exit codes: 0 = identical, 1 = drifted (the diff is also written to
+``--out`` for CI to upload as an artifact).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_gate.py
-    PYTHONPATH=src python benchmarks/perf_gate.py --tolerance 0.10
     PYTHONPATH=src python benchmarks/perf_gate.py --write-baseline
 """
 
@@ -71,10 +70,6 @@ def main(argv=None) -> int:
         help="checked-in baseline scorecard JSON",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="relative drift tolerance per numeric leaf",
-    )
-    parser.add_argument(
         "--out", type=pathlib.Path,
         default=RESULTS_DIR / "perf_gate_diff.json",
         help="where to write the diff artifact",
@@ -102,11 +97,10 @@ def main(argv=None) -> int:
               f"--write-baseline first", file=sys.stderr)
         return 2
     baseline = json.loads(args.baseline.read_text())
-    drifts = compare_scorecards(baseline, current, tolerance=args.tolerance)
+    drifts = compare_scorecards(baseline, current)
 
     args.out.parent.mkdir(exist_ok=True)
     args.out.write_text(json.dumps({
-        "tolerance": args.tolerance,
         "leaves_checked": len(flatten(baseline)),
         "drift_count": len(drifts),
         "drifts": [d.to_dict() for d in drifts],
@@ -114,12 +108,10 @@ def main(argv=None) -> int:
 
     checked = len(flatten(baseline))
     if not drifts:
-        print(f"perf gate OK: {checked} leaves within "
-              f"+/-{args.tolerance * 100:.0f}% of baseline")
+        print(f"perf gate OK: {checked} leaves identical to baseline")
         return 0
     print(f"perf gate FAILED: {len(drifts)} of {checked} leaves drifted "
-          f"beyond +/-{args.tolerance * 100:.0f}% "
-          f"(diff: {args.out})", file=sys.stderr)
+          f"from baseline (diff: {args.out})", file=sys.stderr)
     for d in drifts[:20]:
         ratio = f"{d.ratio:.3f}x" if d.ratio is not None else "-"
         print(f"  {d.status:10s} {d.key}: "

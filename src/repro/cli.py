@@ -320,12 +320,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
-    """Host-CPU hotspots of one query: cProfile over the fast path.
+    """Host-CPU hotspots of one query: cProfile over the simulator.
 
     Unlike the resource profile (simulated time), this measures where
-    the *simulator itself* burns wall-clock — the numbers the fastpath
-    refactor optimizes.  Runs untraced so the inlined drain loop (the
-    production configuration) is what gets measured.
+    the *simulator itself* burns wall-clock.  Runs untraced so the
+    inlined drain loop (the production configuration) is what gets
+    measured.
     """
     import cProfile
     import json
@@ -361,15 +361,13 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
             })
         print(json.dumps({
             "app": app.name,
-            "fastpath": fastpath.enabled(),
             "fastpath_stats": dict(fastpath.stats),
             "scan_seconds": result.scan_seconds,
             "hotspots": rows,
         }, indent=2, sort_keys=True))
         return 0
     print(
-        f"host-CPU hotspots ({app.name}, fastpath "
-        f"{'on' if fastpath.enabled() else 'off'}, "
+        f"host-CPU hotspots ({app.name}, "
         f"simulated scan {result.scan_seconds:.6f}s)"
     )
     stats.print_stats(args.top)

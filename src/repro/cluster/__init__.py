@@ -42,10 +42,6 @@ from repro.cluster.ingest import (
     ShardIngestTracker,
 )
 from repro.cluster.model import ClusterEstimate, ClusterModel
-from repro.cluster.parallel import (
-    ParallelGatherResult,
-    scatter_gather_topk,
-)
 from repro.cluster.placement import (
     ShardPlacement,
     hash_placement,
@@ -75,7 +71,6 @@ __all__ = [
     "BrownoutController",
     "CircuitBreaker",
     "PLACEMENT_STRATEGIES",
-    "ParallelGatherResult",
     "ClusterBatchCostModel",
     "ClusterConfig",
     "ClusterError",
@@ -103,5 +98,4 @@ __all__ = [
     "normalize_fail_shards",
     "range_placement",
     "run_scatter",
-    "scatter_gather_topk",
 ]

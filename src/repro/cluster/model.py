@@ -136,7 +136,7 @@ class ClusterModel:
         if k <= 0:
             raise ClusterError("K must be positive")
         cfg = self.config
-        if fastpath.enabled() and cfg.placement == "range":
+        if cfg.placement == "range":
             # the analytic model consumes only shard *sizes*; skip
             # materializing one arange of ids per shard (hundreds of MB
             # at sweep scale) and take the counts straight off the cuts

@@ -34,11 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Tracer
 from repro.core.placement import AcceleratorPlacement, CHANNEL_LEVEL
 from repro.nn.graph import Graph
-from repro.sim import BoundedQueue, Simulator, fastpath
+from repro.sim import BoundedQueue, Simulator
 from repro.ssd.controller import ChannelController
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.timing import SsdConfig
-from repro.ssd.trace import scan_trace, scan_trace_bulk, scan_traces_by_channel
+from repro.ssd.trace import scan_trace_bulk, scan_traces_by_channel
 from repro.workloads.apps import AppSpec
 
 
@@ -152,21 +152,11 @@ class EventQuerySimulator:
             compute_per_page = spf * meta.features_per_page
 
         per_channel_done: Dict[int, float] = {}
-        if fastpath.enabled():
-            # one enumeration + group-by instead of `channels` full
-            # re-enumerations; produces identical PageAccess lists
-            traces = scan_traces_by_channel(
-                meta, geo, max_pages_per_channel=max_pages_per_channel
-            )
-        else:
-            traces = {
-                ch: list(
-                    scan_trace(
-                        meta, geo, channel=ch, max_pages=max_pages_per_channel
-                    )
-                )
-                for ch in range(geo.channels)
-            }
+        # one enumeration + group-by instead of `channels` full
+        # re-enumerations; produces identical PageAccess lists
+        traces = scan_traces_by_channel(
+            meta, geo, max_pages_per_channel=max_pages_per_channel
+        )
         if page_offsets is not None:
             wanted = set(int(o) for o in page_offsets)
             traces = {
@@ -402,10 +392,7 @@ def simulate_chip_channel(
     features_per_round = window * geo.chips_per_channel
     weight_bytes = graph.weight_bytes()
 
-    if fastpath.enabled():
-        trace = scan_trace_bulk(meta, geo, channel=channel, max_pages=max_pages)
-    else:
-        trace = list(scan_trace(meta, geo, channel=channel, max_pages=max_pages))
+    trace = scan_trace_bulk(meta, geo, channel=channel, max_pages=max_pages)
     if page_offsets is not None:
         wanted = set(int(o) for o in page_offsets)
         trace = [a for a in trace if a.db_page_offset in wanted]

@@ -7,8 +7,8 @@ the model changed on purpose (update the baseline) or something broke.
 :func:`build_serving_scorecard` runs a small canonical scenario matrix
 — a load sweep, a cache-fronted point, a degraded-mode point — and
 returns a nested JSON-ready dict; :func:`compare_scorecards` diffs two
-such dicts leaf by leaf within a relative tolerance, which is exactly
-what ``benchmarks/perf_gate.py`` gates CI on against the checked-in
+such dicts leaf by leaf, exactly, which is what
+``benchmarks/perf_gate.py`` gates CI on against the checked-in
 ``benchmarks/results/baseline_scorecard.json``.
 """
 
@@ -141,7 +141,7 @@ Leaf = Union[int, float, bool, str, None]
 
 @dataclass(frozen=True)
 class Drift:
-    """One leaf that moved outside tolerance (or went missing)."""
+    """One leaf that differs from the baseline (or went missing)."""
 
     key: str
     baseline: Leaf
@@ -187,18 +187,16 @@ def flatten(value: object, prefix: str = "") -> Dict[str, Leaf]:
 def compare_scorecards(
     baseline: Dict[str, object],
     current: Dict[str, object],
-    tolerance: float = 0.10,
-    atol: float = 1e-9,
 ) -> List[Drift]:
-    """Leaf-by-leaf diff of two scorecards.
+    """Exact leaf-by-leaf diff of two scorecards.
 
-    Numeric leaves must satisfy ``|cur - base| <= atol`` **or**
-    ``|cur - base| <= tolerance * |base|`` (the +/-10% CI band);
-    non-numeric leaves must match exactly; keys must be identical in
-    both directions.  Returns the drifted leaves, worst first.
+    Every leaf is a deterministic function of the code, so any change
+    is drift: finite numeric leaves must compare ``==`` (a one-ulp move
+    is ``regressed``), non-finite ones must match by ``repr``,
+    non-numeric leaves must be equal (else ``changed``), and keys must
+    be identical in both directions.  Returns the drifted leaves, worst
+    first.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance cannot be negative")
     base_flat = flatten(baseline)
     cur_flat = flatten(current)
     drifts: List[Drift] = []
@@ -213,12 +211,11 @@ def compare_scorecards(
         )
         if numeric:
             assert isinstance(b, (int, float)) and isinstance(c, (int, float))
-            if not (math.isfinite(b) and math.isfinite(c)):
-                if repr(b) != repr(c):
-                    drifts.append(Drift(key, b, c, "regressed"))
-                continue
-            delta = abs(c - b)
-            if delta > atol and delta > tolerance * abs(b):
+            if math.isfinite(b) and math.isfinite(c):
+                drifted = b != c
+            else:  # nan != nan: compare non-finite leaves by spelling
+                drifted = repr(b) != repr(c)
+            if drifted:
                 drifts.append(Drift(key, b, c, "regressed"))
         elif b != c:
             drifts.append(Drift(key, b, c, "changed"))

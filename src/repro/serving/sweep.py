@@ -24,30 +24,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.server import QueryServer, ServingConfig, ServingResult
-from repro.sim import fastpath, forkmap
+from repro.sim import forkmap
 from repro.workloads.queries import QueryStream
 
 #: default sweep ladder, as fractions of saturation throughput —
 #: three points below the knee, one at it, two past it
 DEFAULT_LOAD_FRACTIONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-
-#: worker count for the fork-parallel sweep: unset ⇒ CPU count,
-#: ``0``/``1`` ⇒ sequential
-ENV_PARALLEL = "REPRO_PARALLEL_SWEEP"
-
-
-def _sweep_workers(n_points: int) -> int:
-    """Concurrent sweep workers (capped at the point count)."""
-    raw = os.environ.get(ENV_PARALLEL, "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 1
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_points))
-
 
 @dataclass
 class ServingCurve:
@@ -127,14 +109,11 @@ def sweep_offered_load(
     if not qps_points:
         raise ValueError("empty qps sweep")
     curve = ServingCurve(app=config.app, saturation_qps=saturation)
+    # fork only when nothing but the results has to come back: a
+    # metrics registry or tracer written in a child is lost with it
     workers = (
-        _sweep_workers(len(qps_points))
-        if (
-            fastpath.enabled()
-            and metrics is None
-            and tracer is None
-            and forkmap.available()
-        )
+        min(os.cpu_count() or 1, len(qps_points))
+        if metrics is None and tracer is None and forkmap.available()
         else 1
     )
     if workers > 1:

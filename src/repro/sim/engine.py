@@ -4,17 +4,15 @@ A :class:`Simulator` owns a priority queue of :class:`Event` records and a
 monotonically advancing clock.  Time is a float in **seconds**; all SSD and
 accelerator models convert cycles/latencies to seconds before scheduling.
 
-Two heap representations back the queue.  The classic one stores
-:class:`Event` dataclasses directly and orders them via the generated
-``(time, seq)`` comparison — simple, but every sift comparison runs
-python-level ``__lt__``.  The **array-backed fast path** (see
-:mod:`repro.sim.fastpath`) stores plain ``(time, seq, event)`` tuples so
-heap sifts compare in C, adds :meth:`Simulator.schedule_bulk` for
-homogeneous event batches, and drains via an inlined run loop.  Both
-representations order events by exactly the same ``(time, seq)`` key and
-share the cancellation/compaction accounting, so every simulation is
-bit-identical under either — the differential and oracle suites in
-``tests/test_sim_fastpath.py`` enforce it.
+The heap stores plain ``(time, seq, event)`` tuples rather than the
+:class:`Event` dataclasses themselves, so every sift comparison runs in
+C on the leading float/int pair (``seq`` is unique, so the event is
+never compared).  :meth:`Simulator.schedule_bulk` adds homogeneous
+event batches with one heapify, and an inlined loop drains the heap
+when no tracer is attached.  Cancelled events stay in the heap as
+corpses until popped or compacted away.  ``tests/test_sim_fastpath.py``
+checks fire order, clock and cancellation/compaction accounting
+against an in-test reference heap of :class:`Event` dataclasses.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
-
-from repro.sim import fastpath  # no cycle: fastpath imports nothing from sim
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -74,9 +70,9 @@ class Event:
             sim._note_cancelled()
 
 
-#: one array-backed heap entry: (time, seq, event) — ordering compares
-#: the leading floats/ints in C and never reaches the event (seq is
-#: unique), which is the entire point of the representation
+#: one heap entry: (time, seq, event) — ordering compares the leading
+#: floats/ints in C and never reaches the event (seq is unique), which
+#: is the entire point of the representation
 HeapEntry = Tuple[float, int, "Event"]
 
 
@@ -98,15 +94,8 @@ class Simulator:
     #: cheap to scan lazily and not worth a rebuild
     COMPACT_MIN_HEAP = 8
 
-    def __init__(
-        self,
-        tracer: Optional["Tracer"] = None,
-        fast: Optional[bool] = None,
-    ) -> None:
-        #: ``fast=None`` defers to the global fastpath switch; both
-        #: representations dispatch events in identical (time, seq) order
-        self._fast = fastpath.enabled() if fast is None else fast
-        self._heap: List[Union[Event, HeapEntry]] = []
+    def __init__(self, tracer: Optional["Tracer"] = None) -> None:
+        self._heap: List[HeapEntry] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -164,18 +153,11 @@ class Simulator:
             len(self._heap) > self.COMPACT_MIN_HEAP
             and self._cancelled_pending * 2 > len(self._heap)
         ):
-            # in-place slice assignment: the fast drain loop holds a
+            # in-place slice assignment: the drain loop holds a
             # reference to this exact list across callbacks
-            if self._fast:
-                self._heap[:] = [
-                    entry for entry in self._heap
-                    if not entry[2].cancelled  # type: ignore[index]
-                ]
-            else:
-                self._heap[:] = [
-                    e for e in self._heap
-                    if not e.cancelled  # type: ignore[union-attr]
-                ]
+            self._heap[:] = [
+                entry for entry in self._heap if not entry[2].cancelled
+            ]
             heapq.heapify(self._heap)
             self._cancelled_pending = 0
             self._compactions += 1
@@ -192,10 +174,7 @@ class Simulator:
             time=time, seq=next(self._counter), callback=callback,
             label=label, sim=self,
         )
-        if self._fast:
-            heapq.heappush(self._heap, (time, event.seq, event))
-        else:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def schedule_bulk(
@@ -207,8 +186,8 @@ class Simulator:
         """Schedule a homogeneous batch; identical to N :meth:`schedule` calls.
 
         Events get consecutive sequence numbers in input order, so ties
-        resolve exactly as the equivalent loop would.  On the fast path a
-        batch landing in an empty heap skips per-event sifting: an
+        resolve exactly as the equivalent loop would.  A batch landing
+        in an empty heap skips per-event sifting: an
         already-sorted batch (e.g. an arrival schedule) *is* a valid
         heap, and an unsorted one needs one O(n) heapify instead of n
         O(log n) pushes.
@@ -226,21 +205,17 @@ class Simulator:
                   label=label, sim=self)
             for time, callback in zip(times, callbacks)
         ]
-        if self._fast:
-            entries: List[HeapEntry] = [
-                (event.time, event.seq, event) for event in events
-            ]
-            was_empty = not self._heap
-            # extend in place: the fast drain loop aliases this list
-            self._heap.extend(entries)
-            if not was_empty or any(
-                entries[i][0] > entries[i + 1][0]
-                for i in range(len(entries) - 1)
-            ):
-                heapq.heapify(self._heap)
-        else:
-            for event in events:
-                heapq.heappush(self._heap, event)
+        entries: List[HeapEntry] = [
+            (event.time, event.seq, event) for event in events
+        ]
+        was_empty = not self._heap
+        # extend in place: the drain loop aliases this list
+        self._heap.extend(entries)
+        if not was_empty or any(
+            entries[i][0] > entries[i + 1][0]
+            for i in range(len(entries) - 1)
+        ):
+            heapq.heapify(self._heap)
         return events
 
     def schedule_after(
@@ -254,15 +229,10 @@ class Simulator:
     def _head(self) -> Optional[Event]:
         """Event at the heap head with cancelled corpses drained."""
         heap = self._heap
-        if self._fast:
-            while heap and heap[0][2].cancelled:  # type: ignore[index]
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
-            return heap[0][2] if heap else None  # type: ignore[index]
-        while heap and heap[0].cancelled:  # type: ignore[union-attr]
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled_pending -= 1
-        return heap[0] if heap else None  # type: ignore[return-value]
+        return heap[0][2] if heap else None
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
@@ -272,8 +242,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the single next event.  Returns False when none remain."""
         while self._heap:
-            popped = heapq.heappop(self._heap)
-            event: Event = popped[2] if self._fast else popped  # type: ignore[assignment, index]
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
@@ -313,8 +282,8 @@ class Simulator:
         ``stop_when`` is checked after every event; it allows callers to
         stop a steady-state window simulation once enough work finished.
         """
-        if self._fast and self.tracer is None:
-            self._run_fast(until, max_events, stop_when)
+        if self.tracer is None:
+            self._run_untraced(until, max_events, stop_when)
             return
         executed = 0
         while True:
@@ -331,7 +300,7 @@ class Simulator:
             if max_events is not None and executed >= max_events:
                 return
 
-    def _run_fast(
+    def _run_untraced(
         self,
         until: Optional[float],
         max_events: Optional[int],
@@ -349,13 +318,11 @@ class Simulator:
         pop = heapq.heappop
         executed = 0
         while heap:
-            entry = heap[0]
-            event: Event = entry[2]  # type: ignore[index]
+            time, _, event = heap[0]
             if event.cancelled:
                 pop(heap)
                 self._cancelled_pending -= 1
                 continue
-            time: float = entry[0]  # type: ignore[index]
             if until is not None and time > until:
                 self._now = until
                 return

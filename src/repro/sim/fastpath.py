@@ -1,98 +1,36 @@
-"""Simulator-core fast path: switches and precomputed tables.
+"""Simulator-core precomputed tables.
 
 The discrete-event hot loops — event heap dispatch, per-event scan
 costing, trace enumeration — are pure python; at bench scale they
-dominate wall-clock.  This module is the control point for the *speed*
-refactor that vectorizes them:
+dominate wall-clock.  The kernel vectorizes them where it can
+(tuple-backed event heap in :class:`~repro.sim.engine.Simulator`,
+numpy-bulk scan traces in :mod:`repro.ssd.trace`); this module holds
+the memoized tables the call sites share:
 
-* a global **switch** (:func:`enabled`, ``REPRO_FASTPATH`` env var)
-  that the refactored call sites consult.  On: array-backed event heap
-  entries (:class:`~repro.sim.engine.Simulator`), numpy-bulk scan
-  traces (:mod:`repro.ssd.trace`), and memoized per-layer cycle/energy
-  tables (below).  Off: the original per-event code paths, kept intact
-  so the differential suite can assert bit-identical outputs;
 * **cycle tables**: accelerator graph profiles (per-layer systolic
   cycles) and top-K maintenance costs are pure functions of hashable
-  configuration, recomputed today once per accelerator instance —
+  configuration, otherwise recomputed once per accelerator instance —
   which serving sweeps and cluster fleets construct per query leg.
   :func:`profile_table` / :func:`expected_topk_cycles` memoize them so
-  the N-th identical construction costs a dict lookup.
+  the N-th identical construction costs a dict lookup;
+* **shared SCN graphs**: :func:`scn_graph` builds each deterministic
+  ``(app, seed)`` model once.
 
-Everything here is a *caching/representation* change only: cached
-values are the same float objects the uncached path would compute, so
-every scorecard leaf stays byte-identical with the fast path on or
-off.  ``tests/test_fastpath_differential.py`` enforces exactly that.
+Everything here is a *caching* change only: cached values are the
+same float objects an uncached computation would produce, so every
+scorecard leaf is byte-identical to the checked-in baseline
+(``tests/test_perf_gate.py`` enforces exactly that).
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from contextlib import contextmanager
 from math import ceil, log, log2
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.graph import Graph
     from repro.systolic import GraphProfile
-
-#: environment variable consulted when no explicit override is active
-ENV_VAR = "REPRO_FASTPATH"
-
-#: explicit process-wide override; None defers to the environment
-_forced: Optional[bool] = None
-
-#: lazily cached environment resolution — :func:`enabled` sits on the
-#: per-event hot path, so it cannot afford an ``os.environ`` read per
-#: call.  ``set_enabled(None)`` drops the cache, re-reading the
-#: environment on the next query.
-_env_cached: Optional[bool] = None
-
-
-def _from_env() -> bool:
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
-def enabled() -> bool:
-    """Whether the fast path is active (default: on).
-
-    Resolution order: :func:`set_enabled` override, then the
-    ``REPRO_FASTPATH`` environment variable (``0``/``false``/``off``
-    disable, read once and cached), then on.
-    """
-    if _forced is not None:
-        return _forced
-    global _env_cached
-    if _env_cached is None:
-        _env_cached = _from_env()
-    return _env_cached
-
-
-def set_enabled(on: Optional[bool]) -> Optional[bool]:
-    """Force the fast path on/off (``None`` restores env resolution).
-
-    Returns the previous override so callers can restore it.  Passing
-    ``None`` also invalidates the cached environment lookup, so tests
-    that mutate ``REPRO_FASTPATH`` see the new value.
-    """
-    global _forced, _env_cached
-    previous = _forced
-    _forced = on
-    if on is None:
-        _env_cached = None
-    return previous
-
-
-@contextmanager
-def override(on: Optional[bool]) -> Iterator[None]:
-    """Context manager: run a block with the fast path forced on/off."""
-    previous = set_enabled(on)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +109,8 @@ def scn_graph(app: Any, seed: int = 0) -> "Graph":
     call sites (serving sweeps, cluster fleets) treat the graph as
     read-only.  Sharing one instance both skips the rebuild and keys
     :func:`profile_table` on the same object, so downstream profiles
-    memoize across server constructions.  Off the fast path this is a
-    plain fresh build.
+    memoize across server constructions.
     """
-    if not enabled():
-        return app.build_scn(seed=seed)
     key = (app.name, seed)
     graph = _scn_graphs.get(key)
     if graph is None:

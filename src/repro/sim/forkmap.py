@@ -1,12 +1,10 @@
 """Bounded fork-map: run pure index-functions in child processes.
 
-The wall-clock fast path has two embarrassingly parallel loops — the
-cluster scatter legs (:mod:`repro.cluster.parallel`) and the serving
-offered-load sweep (:mod:`repro.serving.sweep`).  Both share the same
-execution shape: every item is a pure function of its index, results
-must come back in index order, and the work closes over live objects
-(devices, servers) that only ``fork`` can ship to a worker.  This
-module is that shape, factored out.
+The serving offered-load sweep (:mod:`repro.serving.sweep`) is an
+embarrassingly parallel loop: every point is a pure function of its
+index, results must come back in index order, and the work closes over
+a live server that only ``fork`` can ship to a worker.  This module is
+that execution shape, factored out.
 
 ``fork_map(fn, n, processes)`` returns ``[fn(0), ..., fn(n-1)]``
 computed by up to ``processes`` forked children at a time.  Each child

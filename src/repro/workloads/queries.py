@@ -18,8 +18,6 @@ from typing import Iterator, List
 
 import numpy as np
 
-from repro.sim import fastpath
-
 
 class ZipfSampler:
     """Bounded Zipf(alpha) over ranks ``0..n-1`` (rank 0 most popular)."""
@@ -106,7 +104,7 @@ class QueryStream:
         else:
             intents = rng.integers(0, self.n_intents, n_queries)
         centroids = self.centroids()
-        if not self.noise_spread and fastpath.enabled():
+        if not self.noise_spread:
             # one batched draw: Generator.normal fills an (n, dim)
             # array from the same variate stream as n sequential
             # (dim,) draws, so every row is bit-equal to the loop below

@@ -1,6 +1,7 @@
-"""Perf-gate comparator tests: flatten, tolerance band, drift detection."""
+"""Perf-gate comparator tests: flatten, exact comparison, drift detection."""
 
 import copy
+import math
 
 import pytest
 
@@ -39,29 +40,44 @@ class TestCompare:
     def test_identical_passes(self):
         assert compare_scorecards(SAMPLE, copy.deepcopy(SAMPLE)) == []
 
-    def test_within_tolerance_passes(self):
+    def _single_regression(self, base, current, key):
+        drifts = compare_scorecards(base, current)
+        assert [(d.key, d.status) for d in drifts] == [(key, "regressed")]
+        return drifts[0]
+
+    def test_nine_percent_change_regresses(self):
         current = copy.deepcopy(SAMPLE)
-        current["saturation_qps"] = 25.0 * 1.09   # +9% < 10%
-        assert compare_scorecards(SAMPLE, current, tolerance=0.10) == []
+        current["saturation_qps"] = 25.0 * 1.09   # inside the old +/-10%
+        drift = self._single_regression(SAMPLE, current, "saturation_qps")
+        assert drift.ratio == pytest.approx(1.09)
 
     def test_beyond_tolerance_fails(self):
         current = copy.deepcopy(SAMPLE)
-        current["saturation_qps"] = 25.0 * 1.2    # +20% > 10%
-        drifts = compare_scorecards(SAMPLE, current, tolerance=0.10)
-        assert [d.key for d in drifts] == ["saturation_qps"]
-        assert drifts[0].status == "regressed"
-        assert drifts[0].ratio == pytest.approx(1.2)
+        current["saturation_qps"] = 25.0 * 1.2
+        drift = self._single_regression(SAMPLE, current, "saturation_qps")
+        assert drift.ratio == pytest.approx(1.2)
+
+    def test_one_ulp_change_regresses(self):
+        current = copy.deepcopy(SAMPLE)
+        current["points"][0]["p99_ms"] = math.nextafter(40.0, math.inf)
+        self._single_regression(SAMPLE, current, "points[0].p99_ms")
+
+    def test_zero_to_tiny_regresses(self):
+        # no absolute floor shields near-zero leaves any more
+        self._single_regression(
+            {"shed_rate": 0.0}, {"shed_rate": 1e-12}, "shed_rate"
+        )
+
+    def test_non_finite_leaves_compare_by_spelling(self):
+        nan = float("nan")
+        assert compare_scorecards({"x": nan}, {"x": nan}) == []
+        self._single_regression({"x": math.inf}, {"x": nan}, "x")
 
     def test_nested_leaf_drift_detected(self):
         current = copy.deepcopy(SAMPLE)
         current["points"][1]["p99_ms"] = 55.0 * 0.8   # -20%
         drifts = compare_scorecards(SAMPLE, current)
         assert [d.key for d in drifts] == ["points[1].p99_ms"]
-
-    def test_atol_shields_near_zero_leaves(self):
-        base = {"shed_rate": 0.0}
-        current = {"shed_rate": 1e-12}   # infinite relative drift
-        assert compare_scorecards(base, current) == []
 
     def test_non_numeric_must_match_exactly(self):
         current = copy.deepcopy(SAMPLE)
@@ -84,10 +100,6 @@ class TestCompare:
         current["points"][0]["p99_ms"] = 40.0 * 3.0  # 3x
         drifts = compare_scorecards(SAMPLE, current)
         assert drifts[0].key == "points[0].p99_ms"
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            compare_scorecards(SAMPLE, SAMPLE, tolerance=-0.1)
 
     def test_drift_to_dict_roundtrip(self):
         d = Drift("k", 2.0, 3.0, "regressed")

@@ -1,5 +1,8 @@
 """End-to-end server tests: determinism, conservation, cache, faults."""
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.obs import MetricsRegistry, Tracer
@@ -9,6 +12,7 @@ from repro.serving import (
     poisson_arrivals,
     sweep_offered_load,
 )
+from repro.sim import forkmap
 from repro.workloads import QueryStream
 
 FEATURES = 50_000   # small database: fast scans, fast tests
@@ -42,6 +46,32 @@ class TestDeterminism:
         a = sweep_offered_load(small_config(), **kw)
         b = sweep_offered_load(small_config(), **kw)
         assert a.as_dict() == b.as_dict()
+
+    @pytest.mark.skipif(not forkmap.available(), reason="no os.fork")
+    def test_forked_sweep_equals_sequential(self, monkeypatch):
+        """Three forked workers return the sequential points exactly."""
+        stream = QueryStream(dim=32, n_intents=10, distribution="zipf",
+                             alpha=0.9, paraphrase_noise=0.05, seed=2)
+        kw = dict(n_queries=60, seed=3, stream=stream,
+                  load_fractions=(0.5, 1.0, 1.5, 2.0))
+        config = small_config(cache_entries=32)
+        forks = []
+        real_fork_map = forkmap.fork_map
+
+        def spy(fn, n, processes=None):
+            forks.append(processes)
+            return real_fork_map(fn, n, processes)
+
+        monkeypatch.setattr(forkmap, "fork_map", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        sequential = sweep_offered_load(config, **kw)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        forked = sweep_offered_load(config, **kw)
+        assert forks == [3]
+        assert len(forked.points) == len(sequential.points) == 4
+        for got, want in zip(forked.points, sequential.points):
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestConservation:
