@@ -18,10 +18,12 @@ holds the layer to this bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.core.engine import DispatchPolicy
+from repro.core.placement import LEVELS
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # imported lazily to avoid a module cycle
@@ -137,10 +139,22 @@ class ClusterConfig:
                 f"unknown placement {self.placement!r}; "
                 f"choose from {PLACEMENT_STRATEGIES}"
             )
-        if self.hedge_fraction is not None and self.hedge_fraction <= 0:
-            raise ClusterError("hedge_fraction must be positive (or None)")
-        if self.straggler_spread < 0:
-            raise ClusterError("straggler_spread cannot be negative")
+        if self.level not in LEVELS:
+            raise ClusterError(
+                f"unknown level {self.level!r}; choose from {tuple(LEVELS)}"
+            )
+        if self.hedge_fraction is not None and not (
+            math.isfinite(self.hedge_fraction) and self.hedge_fraction > 0
+        ):
+            raise ClusterError(
+                "hedge_fraction must be a finite positive number (or None)"
+            )
+        if not (
+            math.isfinite(self.straggler_spread) and self.straggler_spread >= 0
+        ):
+            raise ClusterError(
+                "straggler_spread must be a finite non-negative number"
+            )
         object.__setattr__(
             self, "fail_shards", normalize_fail_shards(tuple(self.fail_shards))
         )

@@ -21,15 +21,17 @@ Method names follow Python conventions; each maps 1:1 to a Table-2 call
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.deepstore import DeepStoreSystem, QueryLatency
 from repro.core.placement import LEVELS
 from repro.core.query_cache import EmbeddingComparator, QueryCache
+from repro.core.topk import topk_order
 from repro.nn import Graph, graph_from_bytes
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.ssd import Ssd
@@ -90,6 +92,37 @@ class QueryResult:
         }
 
 
+#: a full scan's identity within one query: (graph, db_start, db_end, k)
+ScanKey = Tuple[Graph, int, int, int]
+
+
+class ScanMemo:
+    """One query's full-scan top-K, shared by replicas of one shard.
+
+    A cluster creates one per (query, shard) and lends it to every
+    replica it runs for that shard (:meth:`DeepStoreDevice._sharing_scans`
+    around the replica's ``query``): the first replica to scan stores its
+    ``(ids, scores)``, and a later replica scanning the same graph, row
+    range and K reuses them instead of scoring byte-identical rows
+    again.  Devices consult it only while their database is at epoch 0,
+    i.e. still exactly the slice the cluster wrote to every replica.
+    """
+
+    def __init__(self) -> None:
+        self._scans: Dict[ScanKey, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def lookup(self, key: ScanKey) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Copies of the stored ``(ids, scores)`` for ``key``, if any."""
+        hit = self._scans.get(key)
+        if hit is None:
+            return None
+        return hit[0].copy(), hit[1].copy()
+
+    def store(self, key: ScanKey, ids: np.ndarray, scores: np.ndarray) -> None:
+        """Remember one scan's top-K under ``(graph, start, end, k)``."""
+        self._scans[key] = (ids.copy(), scores.copy())
+
+
 class DeepStoreDevice:
     """A DeepStore-enabled SSD, functional + timed."""
 
@@ -121,6 +154,9 @@ class DeepStoreDevice:
         self._db_epochs: Dict[int, int] = {}
         self._failed_accels: set = set()
         self.seed = seed
+        #: the cluster's per-(query, shard) scan memo, set only inside
+        #: :meth:`_sharing_scans`
+        self._scan_memo: Optional[ScanMemo] = None
 
     # ------------------------------------------------------------------
     # reliability controls
@@ -306,7 +342,7 @@ class DeepStoreDevice:
             if lookup.hit and lookup.entry is not None:
                 candidates = lookup.entry.topk_feature_ids
                 scores = self._score_features(graph, qfv, store[candidates])
-                order = np.argsort(-scores)[:k]
+                order = topk_order(candidates, scores, k)
                 result = self._build_result(
                     meta, candidates[order], scores[order],
                     self._hit_latency(graph, meta, lookup.entries_scanned, k),
@@ -314,8 +350,17 @@ class DeepStoreDevice:
                 )
                 return self._register(result)
 
-        # full scan (the map-reduce path)
-        ids, scores = self._scan(graph, qfv, store, db_start, db_end, k)
+        # full scan (the map-reduce path); at epoch 0 every replica of a
+        # cluster shard holds the same rows, so one scan serves them all
+        memo = self._scan_memo if cache_tag[1] == 0 else None
+        memo_key = (graph, db_start, db_end, k)
+        shared = memo.lookup(memo_key) if memo is not None else None
+        if shared is not None:
+            ids, scores = shared
+        else:
+            ids, scores = self._scan(graph, qfv, store, db_start, db_end, k)
+            if memo is not None:
+                memo.store(memo_key, ids, scores)
         sliced = self._sliced_meta(meta, db_end - db_start)
         if self._failed_accels:
             # degraded mode: same results, honest (slower) cost model
@@ -344,6 +389,19 @@ class DeepStoreDevice:
             )
         result = self._build_result(meta, ids, scores, latency, cache_hit)
         return self._register(result)
+
+    @contextlib.contextmanager
+    def _sharing_scans(self, memo: ScanMemo) -> Iterator[None]:
+        """Let the :meth:`query` calls inside the block share ``memo``.
+
+        Only the functional scoring is shared; the cache lookup and
+        insert, the latency model and the query id stay this device's.
+        """
+        self._scan_memo = memo
+        try:
+            yield
+        finally:
+            self._scan_memo = None
 
     def get_results(self, handle: QueryHandle) -> QueryResult:
         """``getResults``: fetch a completed query's top-K."""
@@ -384,21 +442,13 @@ class DeepStoreDevice:
         end: int,
         k: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked functional SCN scan; returns top-K (ids, scores)."""
-        best_ids: List[int] = []
-        best_scores: List[float] = []
-        for chunk_start in range(start, end, self.SCAN_CHUNK):
-            chunk_end = min(end, chunk_start + self.SCAN_CHUNK)
-            chunk = store[chunk_start:chunk_end]
-            scores = self._score_features(graph, qfv, chunk)
-            take = min(k, len(scores))
-            top = np.argpartition(-scores, take - 1)[:take]
-            best_ids.extend((top + chunk_start).tolist())
-            best_scores.extend(scores[top].tolist())
-        order = np.argsort(-np.asarray(best_scores))[:k]
-        ids = np.asarray(best_ids, dtype=np.int64)[order]
-        scores = np.asarray(best_scores, dtype=np.float32)[order]
-        return ids, scores
+        """Chunked functional SCN scan of rows ``[start, end)``."""
+        chunks = (
+            (np.arange(lo, min(end, lo + self.SCAN_CHUNK)),
+             store[lo : min(end, lo + self.SCAN_CHUNK)])
+            for lo in range(start, end, self.SCAN_CHUNK)
+        )
+        return self._scan_chunks(graph, qfv, chunks, k)
 
     def _scan_ids(
         self,
@@ -408,26 +458,37 @@ class DeepStoreDevice:
         ids: np.ndarray,
         k: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked functional SCN scan over explicit row ids.
+        """Chunked functional SCN scan over explicit row ids."""
+        chunks = (
+            (ids[lo : lo + self.SCAN_CHUNK], store[ids[lo : lo + self.SCAN_CHUNK]])
+            for lo in range(0, len(ids), self.SCAN_CHUNK)
+        )
+        return self._scan_chunks(graph, qfv, chunks, k)
 
-        Mirrors :meth:`_scan` operation for operation — same chunk
-        boundaries, same per-chunk ``argpartition``, same closing
-        ``argsort`` — so when ``ids == arange(start, end)`` the output
-        is bit-identical to ``_scan(graph, qfv, store, start, end, k)``.
+    def _scan_chunks(
+        self,
+        graph: Graph,
+        qfv: np.ndarray,
+        chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Canonical top-K ``(ids, scores)`` over ``(row ids, rows)`` chunks.
+
+        Each chunk keeps its own canonical top-K and the survivors are
+        ranked once more, so the answer is the ``(-score, id)`` top-K of
+        all rows whatever the chunk size.
         """
-        best_ids: List[int] = []
-        best_scores: List[float] = []
-        for chunk_start in range(0, len(ids), self.SCAN_CHUNK):
-            chunk_ids = ids[chunk_start : chunk_start + self.SCAN_CHUNK]
-            scores = self._score_features(graph, qfv, store[chunk_ids])
-            take = min(k, len(scores))
-            top = np.argpartition(-scores, take - 1)[:take]
-            best_ids.extend(chunk_ids[top].tolist())
-            best_scores.extend(scores[top].tolist())
-        order = np.argsort(-np.asarray(best_scores))[:k]
-        out_ids = np.asarray(best_ids, dtype=np.int64)[order]
-        out_scores = np.asarray(best_scores, dtype=np.float32)[order]
-        return out_ids, out_scores
+        best_ids: List[np.ndarray] = []
+        best_scores: List[np.ndarray] = []
+        for chunk_ids, rows in chunks:
+            scores = self._score_features(graph, qfv, rows)
+            top = topk_order(chunk_ids, scores, k)
+            best_ids.append(chunk_ids[top])
+            best_scores.append(scores[top])
+        ids = np.concatenate(best_ids).astype(np.int64)
+        scores = np.concatenate(best_scores)
+        top = topk_order(ids, scores, k)
+        return ids[top], scores[top].astype(np.float32)
 
     def _score_features(
         self, graph: Graph, qfv: np.ndarray, features: np.ndarray

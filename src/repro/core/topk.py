@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import ceil, log2
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 
 @dataclass
 class _MapEntry:
@@ -135,6 +137,28 @@ def topk_select(
     if k <= 0:
         raise ValueError("K must be positive")
     return sorted(pairs, key=lambda pair: (-pair[0], pair[1]))[:k]
+
+
+def topk_order(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the canonical top-K of parallel ``ids``/``scores``.
+
+    The vectorized :func:`topk_select`: score descending, id ascending
+    on ties.  An ``argpartition`` finds the K-th best score; every
+    candidate at or above it is kept (so no tie at the K-th place is
+    dropped arbitrarily) and ``lexsort`` orders them by ``(-score, id)``.
+    """
+    if k <= 0:
+        raise ValueError("K must be positive")
+    take = min(k, len(scores))
+    if take == 0:
+        return np.empty(0, dtype=np.intp)
+    neg = -np.asarray(scores)
+    kth = neg[np.argpartition(neg, take - 1)[take - 1]]
+    # ``~(neg > kth)`` rather than ``neg <= kth``: NaN scores stay
+    # candidates (sorted last) instead of shrinking the result
+    candidates = np.flatnonzero(~(neg > kth))
+    order = np.lexsort((np.asarray(ids)[candidates], neg[candidates]))
+    return candidates[order[:take]]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ probes.  The contract that keeps the base reproduction honest:
   behaviour; the index layer costs nothing until it is switched on.
 * At ``nprobe == n_lists`` the probe degenerates to the exhaustive
   scan: routing is skipped (0.0 s), the probed ids are exactly
-  ``arange(db_start, db_end)``, and the functional scan mirrors
-  :meth:`~repro.core.api.DeepStoreDevice._scan` operation for
-  operation — so ids, scores, *and* seconds are bit-identical
+  ``arange(db_start, db_end)``, and the functional scan runs the same
+  chunked canonical top-K as
+  :meth:`~repro.core.api.DeepStoreDevice._scan` — so ids, scores,
+  *and* seconds are bit-identical
   (the differential oracle pins this down per accelerator level).
 * Mutations degrade recall honestly: rows inserted after the build are
   the **unindexed delta**; ``include_delta=True`` (default) scans them
@@ -28,6 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.api import DeepStoreApiError, QueryHandle
+from repro.core.topk import topk_order
 from repro.index.build import IndexBuildConfig, IvfIndex, build_ivf_index
 from repro.index.router import CentroidRouter
 from repro.ingest.device import DeviceCompaction, LifecycleDevice
@@ -189,7 +191,7 @@ class IndexedDevice(LifecycleDevice):
             if lookup.hit and lookup.entry is not None:
                 candidates = lookup.entry.topk_feature_ids
                 scores = self._score_features(graph, qfv, store[candidates])
-                order = np.argsort(-scores)[:k]
+                order = topk_order(candidates, scores, k)
                 result = self._build_result(
                     meta, candidates[order], scores[order],
                     self._hit_latency(graph, meta, lookup.entries_scanned, k),

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.api import DeepStoreApiError, DeepStoreDevice, QueryHandle
-from repro.core.topk import topk_select
+from repro.core.topk import topk_order, topk_select
 from repro.ingest.store import MutableFeatureStore, Snapshot
 from repro.ingest.writepath import IngestWritePath, WriteOp
 from repro.obs.metrics import MetricsRegistry
@@ -307,7 +307,7 @@ class LifecycleDevice(DeepStoreDevice):
             if lookup.hit and lookup.entry is not None:
                 candidates = lookup.entry.topk_feature_ids
                 scores = self._score_features(graph, qfv, store_rows[candidates])
-                order = np.argsort(-scores)[:k]
+                order = topk_order(candidates, scores, k)
                 result = self._build_result(
                     meta, candidates[order], scores[order],
                     self._hit_latency(graph, meta, lookup.entries_scanned, k),
@@ -375,8 +375,7 @@ class LifecycleDevice(DeepStoreDevice):
         for chunk_start in range(0, len(visible), self.SCAN_CHUNK):
             chunk_ids = visible[chunk_start : chunk_start + self.SCAN_CHUNK]
             scores = self._score_features(graph, qfv, store_rows[chunk_ids])
-            take = min(k, len(scores))
-            top = np.argpartition(-scores, take - 1)[:take]
+            top = topk_order(chunk_ids, scores, k)
             pairs.extend(
                 (float(scores[i]), int(chunk_ids[i])) for i in top
             )

@@ -51,6 +51,22 @@ class TestClusterConfig:
         with pytest.raises(ClusterError):
             ClusterConfig(straggler_spread=-1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hedge_fraction", float("nan")),
+            ("hedge_fraction", float("inf")),
+            ("straggler_spread", float("nan")),
+            ("straggler_spread", float("inf")),
+            ("level", "bogus"),
+        ],
+    )
+    def test_rejects_non_finite_and_unknown_values(self, field, value):
+        # caught at construction, naming the field — not later as a NaN
+        # hedge deadline or a device-level DeepStoreApiError
+        with pytest.raises(ClusterError, match=field):
+            ClusterConfig(**{field: value})
+
     def test_normalize_fail_shards(self):
         assert normalize_fail_shards((3, (1, 1), 3)) == ((1, 1), (3, 0))
         with pytest.raises(ClusterError):
