@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +121,24 @@ class ScanMemo:
     def store(self, key: ScanKey, ids: np.ndarray, scores: np.ndarray) -> None:
         """Remember one scan's top-K under ``(graph, start, end, k)``."""
         self._scans[key] = (ids.copy(), scores.copy())
+
+
+@dataclass(frozen=True)
+class PlannedScan:
+    """The top-K a query plan scored and the rows the query is charged.
+
+    The charge can exceed the rows scored: tombstones still cost reads.
+    """
+
+    ids: np.ndarray
+    scores: np.ndarray
+    charged_rows: int
+    #: stretch the scan by background writes (a mutated database)
+    interfered: bool = False
+    #: index annotations copied onto the :class:`QueryResult`
+    routing_seconds: float = 0.0
+    probed_rows: int = 0
+    nprobe: int = 0
 
 
 class DeepStoreDevice:
@@ -311,6 +329,28 @@ class DeepStoreDevice:
         accel_level: Optional[str] = None,
     ) -> QueryHandle:
         """``query``: scan (a sub-range of) a database with one QFV."""
+        return self._run_query(
+            self._range_plan, qfv, k, model_id, db_id, db_start, db_end,
+            accel_level,
+        )
+
+    def _run_query(
+        self,
+        plan: Callable[..., PlannedScan],
+        qfv: np.ndarray,
+        k: int,
+        model_id: int,
+        db_id: int,
+        db_start: int,
+        db_end: Optional[int],
+        accel_level: Optional[str],
+    ) -> QueryHandle:
+        """The one query template every device runs.
+
+        ``plan(graph, qfv, meta, store, db_start, db_end, k)`` picks and
+        scores the rows; the checks, the epoch-tagged cache, pricing
+        (healthy or degraded) and the result are shared by every plan.
+        """
         if k <= 0:
             raise DeepStoreApiError("K must be positive")
         graph = self._models.get(model_id)
@@ -335,7 +375,6 @@ class DeepStoreDevice:
                 f"feature size {meta.feature_bytes}"
             )
 
-        cache_hit = False
         cache_tag = (db_id, self._db_epochs.get(db_id, 0))
         if self._cache is not None:
             lookup = self._cache.lookup(qfv, tag=cache_tag)
@@ -350,18 +389,8 @@ class DeepStoreDevice:
                 )
                 return self._register(result)
 
-        # full scan (the map-reduce path); at epoch 0 every replica of a
-        # cluster shard holds the same rows, so one scan serves them all
-        memo = self._scan_memo if cache_tag[1] == 0 else None
-        memo_key = (graph, db_start, db_end, k)
-        shared = memo.lookup(memo_key) if memo is not None else None
-        if shared is not None:
-            ids, scores = shared
-        else:
-            ids, scores = self._scan(graph, qfv, store, db_start, db_end, k)
-            if memo is not None:
-                memo.store(memo_key, ids, scores)
-        sliced = self._sliced_meta(meta, db_end - db_start)
+        scan = plan(graph, qfv, meta, store, db_start, db_end, k)
+        sliced = self._sliced_meta(meta, scan.charged_rows)
         if self._failed_accels:
             # degraded mode: same results, honest (slower) cost model
             count = system.placement.count(system.ssd)
@@ -381,14 +410,57 @@ class DeepStoreDevice:
             latency = system.latency_for(
                 graph, sliced, feature_bytes=meta.feature_bytes, name=graph.name
             )
+        if scan.interfered:
+            latency = self._interfered(latency)
+        if scan.routing_seconds > 0.0:
+            latency = dataclasses.replace(
+                latency,
+                engine_seconds=latency.engine_seconds + scan.routing_seconds,
+            )
         if self._cache is not None:
-            self._cache.insert(qfv, scores, ids, tag=cache_tag)
+            self._cache.insert(qfv, scan.scores, scan.ids, tag=cache_tag)
             lookup_cost = len(self._cache) * self._cache_lookup_seconds_per_entry
             latency = dataclasses.replace(
                 latency, engine_seconds=latency.engine_seconds + lookup_cost
             )
-        result = self._build_result(meta, ids, scores, latency, cache_hit)
+        result = self._build_result(
+            meta, scan.ids, scan.scores, latency, cache_hit=False
+        )
+        result.routing_seconds = scan.routing_seconds
+        result.probed_rows = scan.probed_rows
+        result.nprobe = scan.nprobe
         return self._register(result)
+
+    def _range_plan(
+        self,
+        graph: Graph,
+        qfv: np.ndarray,
+        meta: DatabaseMetadata,
+        store: np.ndarray,
+        start: int,
+        end: int,
+        k: int,
+    ) -> PlannedScan:
+        """Every row of ``[start, end)``, charged in full.
+
+        At epoch 0 every replica of a cluster shard holds the same rows,
+        so one scan (kept in the cluster's :class:`ScanMemo`) serves
+        them all.
+        """
+        memo = self._scan_memo if self._db_epochs.get(meta.db_id, 0) == 0 else None
+        key = (graph, start, end, k)
+        shared = memo.lookup(key) if memo is not None else None
+        if shared is not None:
+            ids, scores = shared
+        else:
+            ids, scores = self._scan(graph, qfv, store, start, end, k)
+            if memo is not None:
+                memo.store(key, ids, scores)
+        return PlannedScan(ids, scores, charged_rows=end - start)
+
+    def _interfered(self, latency: QueryLatency) -> QueryLatency:
+        """A static device has no background writes to slow its scans."""
+        return latency
 
     @contextlib.contextmanager
     def _sharing_scans(self, memo: ScanMemo) -> Iterator[None]:

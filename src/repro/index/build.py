@@ -13,12 +13,13 @@ flash space (the same class of bug the scaled ingest benchmark hit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.deepstore import DeepStoreSystem
-from repro.index.kmeans import train_kmeans
+from repro.index.kmeans import IndexError_, train_kmeans
 from repro.index.lists import InvertedLists
 from repro.ingest.writepath import IngestWritePath, region_blocks_for
 from repro.nn.graph import Graph
@@ -37,6 +38,19 @@ class IndexBuildConfig:
     region_pages_per_block: int = 64
     #: layout-region slack multiplier handed to ``region_blocks_for``
     headroom: float = 2.0
+
+    def __post_init__(self) -> None:
+        # each test is written so that NaN fails it
+        checks = (
+            ("n_lists", self.n_lists >= 1, "at least 1"),
+            ("iterations", self.iterations >= 1, "at least 1"),
+            ("op_fraction", 0 <= self.op_fraction < 1, "in [0, 1)"),
+            ("headroom", 1 <= self.headroom < math.inf, "finite and at least 1"),
+            ("region_pages_per_block", self.region_pages_per_block >= 1, "at least 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise IndexError_(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

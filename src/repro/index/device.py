@@ -4,9 +4,12 @@ Subclasses :class:`repro.ingest.device.LifecycleDevice`, so one device
 speaks every layer: static queries, live mutation, and now routed
 probes.  The contract that keeps the base reproduction honest:
 
-* ``index_mode="off"`` (or no index built) delegates **every** query to
-  the inherited path — byte-identical results, latencies, and cache
-  behaviour; the index layer costs nothing until it is switched on.
+* :meth:`IndexedDevice.query` only chooses the rows that the shared
+  :meth:`~repro.core.api.DeepStoreDevice._run_query` scores and prices:
+  the probed lists (± delta) once an index is built, the inherited plan
+  under ``index_mode="off"`` or with no index — byte-identical results,
+  latencies, and cache behaviour; the index layer costs nothing until
+  it is switched on.
 * At ``nprobe == n_lists`` the probe degenerates to the exhaustive
   scan: routing is skipped (0.0 s), the probed ids are exactly
   ``arange(db_start, db_end)``, and the functional scan runs the same
@@ -23,16 +26,18 @@ probes.  The contract that keeps the base reproduction honest:
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import numbers
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.api import DeepStoreApiError, QueryHandle
-from repro.core.topk import topk_order
+from repro.core.api import DeepStoreApiError, PlannedScan, QueryHandle
 from repro.index.build import IndexBuildConfig, IvfIndex, build_ivf_index
 from repro.index.router import CentroidRouter
 from repro.ingest.device import DeviceCompaction, LifecycleDevice
+from repro.nn import Graph
+from repro.ssd.ftl import DatabaseMetadata
 
 
 class IndexedDevice(LifecycleDevice):
@@ -121,7 +126,7 @@ class IndexedDevice(LifecycleDevice):
         return int(np.count_nonzero(visible >= index.boundary))
 
     # ------------------------------------------------------------------
-    # query (routed path)
+    # query (probed-lists plan)
     # ------------------------------------------------------------------
     def query(
         self,
@@ -135,140 +140,84 @@ class IndexedDevice(LifecycleDevice):
         nprobe: Optional[int] = None,
         include_delta: bool = True,
     ) -> QueryHandle:
+        """``query`` through the database's IVF index, when one is built.
+
+        ``nprobe`` lists (default ``n_lists // 4``, at least 1) are
+        probed; ``include_delta`` also scans rows inserted after the
+        build.  Without an index (or with ``index_mode="off"``) this is
+        the inherited query, byte for byte.
+        """
         if self.index_mode != "ivf" or db_id not in self._indexes:
-            # zero-index parity: the inherited path, byte for byte
             return super().query(
                 qfv, k, model_id, db_id, db_start, db_end, accel_level
             )
-        return self._query_indexed(
-            qfv, k, model_id, db_id, db_start, db_end, accel_level,
-            nprobe, include_delta,
-        )
-
-    def _query_indexed(
-        self,
-        qfv: np.ndarray,
-        k: int,
-        model_id: int,
-        db_id: int,
-        db_start: int,
-        db_end: Optional[int],
-        accel_level: Optional[str],
-        nprobe: Optional[int],
-        include_delta: bool,
-    ) -> QueryHandle:
-        if k <= 0:
-            raise DeepStoreApiError("K must be positive")
-        graph = self._models.get(model_id)
-        if graph is None:
-            raise DeepStoreApiError(f"unknown model id {model_id}")
-        store = self._store(db_id)
-        meta = self.ssd.ftl.get(db_id)
-        db_end = len(store) if db_end is None else db_end
-        if not 0 <= db_start < db_end <= len(store):
-            raise DeepStoreApiError(f"bad db range [{db_start}, {db_end})")
-        level = accel_level or self.level
-        system = self._system(level)
-        if not system.supports(graph):
-            raise DeepStoreApiError(
-                f"model {graph.name!r} is not supported at the {level} level"
-            )
-        qfv = np.asarray(qfv, dtype=np.float32).reshape(-1)
-        if qfv.size * 4 != meta.feature_bytes:
-            raise DeepStoreApiError(
-                f"QFV size {qfv.size * 4} bytes does not match database "
-                f"feature size {meta.feature_bytes}"
-            )
-
         index = self._indexes[db_id]
         if nprobe is None:
             nprobe = max(1, index.n_lists // 4)
+        elif not (
+            isinstance(nprobe, numbers.Real) and nprobe >= 1
+            and float(nprobe).is_integer()
+        ):
+            raise DeepStoreApiError(
+                f"nprobe must be a positive integer, got {nprobe!r}"
+            )
+        handle = self._run_query(
+            functools.partial(self._probe_plan, index, int(nprobe), include_delta),
+            qfv, k, model_id, db_id, db_start, db_end, accel_level,
+        )
+        if not self.get_results(handle).cache_hit:
+            self.metrics.counter("index.queries").inc()
+        return handle
 
-        cache_hit = False
-        cache_tag = (db_id, self._db_epochs.get(db_id, 0))
-        if self._cache is not None:
-            lookup = self._cache.lookup(qfv, tag=cache_tag)
-            if lookup.hit and lookup.entry is not None:
-                candidates = lookup.entry.topk_feature_ids
-                scores = self._score_features(graph, qfv, store[candidates])
-                order = topk_order(candidates, scores, k)
-                result = self._build_result(
-                    meta, candidates[order], scores[order],
-                    self._hit_latency(graph, meta, lookup.entries_scanned, k),
-                    cache_hit=True,
-                )
-                return self._register(result)
-
-        # route at SSD level, then scan the probed lists (+ delta)
+    def _probe_plan(
+        self,
+        index: IvfIndex,
+        nprobe: int,
+        include_delta: bool,
+        graph: Graph,
+        qfv: np.ndarray,
+        meta: DatabaseMetadata,
+        store: np.ndarray,
+        start: int,
+        end: int,
+        k: int,
+    ) -> PlannedScan:
+        """Route at SSD level, then scan the probed lists (+ delta)."""
         router = CentroidRouter(
             index.centroids, self._system("ssd"), graph,
             feature_bytes=meta.feature_bytes, page_bytes=meta.page_bytes,
         )
         decision = router.route(qfv, nprobe, self._score_features)
         probed = index.lists.probed_ids(decision.list_ids)
-        probed = probed[(probed >= db_start) & (probed < db_end)]
+        probed = probed[(probed >= start) & (probed < end)]
 
-        state = self._lifecycles.get(db_id)
+        state = self._lifecycles.get(meta.db_id)
         mutated = state is not None and state.store.epoch > 0
         # probed rows cost flash reads whether alive or tombstoned —
         # dead rows keep their list slots until compaction re-indexes
         scanned_cost = len(probed)
-        if mutated:
-            snap = state.store.snapshot()
-            visible = state.store.visible_ids(snap)
+        if state is not None and mutated:
+            visible = state.store.visible_ids(state.store.snapshot())
             probed = probed[np.isin(probed, visible)]
             if include_delta:
                 delta = visible[visible >= index.boundary]
-                delta = delta[(delta >= db_start) & (delta < db_end)]
+                delta = delta[(delta >= start) & (delta < end)]
                 probed = np.concatenate([probed, delta])
                 scanned_cost += len(delta)
         if len(probed) == 0:
             raise DeepStoreApiError(
-                f"probe returned no candidates in range [{db_start}, {db_end})"
+                f"probe returned no candidates in range [{start}, {end})"
             )
         ids, scores = self._scan_ids(graph, qfv, store, probed, k)
-
-        sliced = self._sliced_meta(meta, max(1, scanned_cost))
-        if self._failed_accels:
-            count = system.placement.count(system.ssd)
-            bad = {i for i in self._failed_accels if i < count}
-            if len(bad) >= count:
-                raise DeepStoreApiError(
-                    "all accelerators failed; no degraded mode possible"
-                )
-            latency = system.degraded_latency_for(
-                graph,
-                sliced,
-                feature_bytes=meta.feature_bytes,
-                failed_accels=bad,
-                name=graph.name,
-            ).degraded
-        else:
-            latency = system.latency_for(
-                graph, sliced, feature_bytes=meta.feature_bytes, name=graph.name
-            )
-        if mutated:
-            latency = self._interfered(latency)
-        if decision.routing_seconds > 0.0:
-            latency = dataclasses.replace(
-                latency,
-                engine_seconds=latency.engine_seconds + decision.routing_seconds,
-            )
-        if self._cache is not None:
-            self._cache.insert(qfv, scores, ids, tag=cache_tag)
-            lookup_cost = len(self._cache) * self._cache_lookup_seconds_per_entry
-            latency = dataclasses.replace(
-                latency, engine_seconds=latency.engine_seconds + lookup_cost
-            )
-        result = self._build_result(meta, ids, scores, latency, cache_hit)
-        result = dataclasses.replace(
-            result,
+        return PlannedScan(
+            ids,
+            scores,
+            charged_rows=scanned_cost,
+            interfered=mutated,
             routing_seconds=decision.routing_seconds,
-            probed_rows=int(scanned_cost),
+            probed_rows=scanned_cost,
             nprobe=decision.nprobe,
         )
-        self.metrics.counter("index.queries").inc()
-        return self._register(result)
 
     # ------------------------------------------------------------------
     # compaction-triggered re-indexing

@@ -17,25 +17,28 @@ with the data-lifecycle verbs — ``insert_db`` / ``delete_db_rows`` /
 3. **Epoch-tagged query-cache invalidation** (inherited) — a result
    cached before a mutation can never satisfy a query issued after it.
 
-**Differential parity**: with ingest enabled but *zero mutations*, every
-query delegates to the unmodified base-class path, so ids, scores,
-latencies, and cache behaviour are bit-identical to a static device —
-the lifecycle layer costs nothing until the database actually moves.
+**One query path**: :meth:`LifecycleDevice.query` only chooses the rows
+that :meth:`repro.core.api.DeepStoreDevice._run_query` scores and prices.
+With *zero mutations* it picks the static range scan, so results,
+latencies, and cache behaviour are bit-identical to a static device.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.api import DeepStoreApiError, DeepStoreDevice, QueryHandle
+from repro.core.api import DeepStoreApiError, DeepStoreDevice, PlannedScan, QueryHandle
 from repro.core.topk import topk_order, topk_select
 from repro.ingest.store import MutableFeatureStore, Snapshot
 from repro.ingest.writepath import IngestWritePath, WriteOp
+from repro.nn import Graph
 from repro.obs.metrics import MetricsRegistry
+from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.host_io import HostIoWorkload, InterferenceModel, POLICIES
 
 
@@ -244,7 +247,7 @@ class LifecycleDevice(DeepStoreDevice):
         )
 
     # ------------------------------------------------------------------
-    # query (snapshot-consistent path)
+    # query (visible-rows plan)
     # ------------------------------------------------------------------
     def query(
         self,
@@ -256,99 +259,40 @@ class LifecycleDevice(DeepStoreDevice):
         db_end: Optional[int] = None,
         accel_level: Optional[str] = None,
     ) -> QueryHandle:
+        """``query`` over the rows visible at the database's snapshot."""
         state = self._lifecycles.get(db_id)
         if state is None or state.store.epoch == 0:
-            # zero-mutation parity: the static path, bit for bit
             return super().query(
                 qfv, k, model_id, db_id, db_start, db_end, accel_level
             )
-        return self._query_mutable(
-            state, qfv, k, model_id, db_id, db_start, db_end, accel_level
+        handle = self._run_query(
+            functools.partial(self._visible_plan, state),
+            qfv, k, model_id, db_id, db_start, db_end, accel_level,
         )
+        hit = self.get_results(handle).cache_hit
+        self.metrics.counter(
+            "ingest.query_cache_hits" if hit else "ingest.queries"
+        ).inc()
+        return handle
 
-    def _query_mutable(
+    def _visible_plan(
         self,
         state: LifecycleState,
+        graph: Graph,
         qfv: np.ndarray,
+        meta: DatabaseMetadata,
+        store_rows: np.ndarray,
+        start: int,
+        end: int,
         k: int,
-        model_id: int,
-        db_id: int,
-        db_start: int,
-        db_end: Optional[int],
-        accel_level: Optional[str],
-    ) -> QueryHandle:
-        if k <= 0:
-            raise DeepStoreApiError("K must be positive")
-        graph = self._models.get(model_id)
-        if graph is None:
-            raise DeepStoreApiError(f"unknown model id {model_id}")
-        store_rows = self._store(db_id)
-        meta = self.ssd.ftl.get(db_id)
-        db_end = len(store_rows) if db_end is None else db_end
-        if not 0 <= db_start < db_end <= len(store_rows):
-            raise DeepStoreApiError(f"bad db range [{db_start}, {db_end})")
-        level = accel_level or self.level
-        system = self._system(level)
-        if not system.supports(graph):
-            raise DeepStoreApiError(
-                f"model {graph.name!r} is not supported at the {level} level"
-            )
-        qfv = np.asarray(qfv, dtype=np.float32).reshape(-1)
-        if qfv.size * 4 != meta.feature_bytes:
-            raise DeepStoreApiError(
-                f"QFV size {qfv.size * 4} bytes does not match database "
-                f"feature size {meta.feature_bytes}"
-            )
-
+    ) -> PlannedScan:
+        """Visible rows of the range, charged at the tombstone density."""
         snap = state.store.snapshot()
-        cache_tag = (db_id, self._db_epochs.get(db_id, 0))
-        if self._cache is not None:
-            lookup = self._cache.lookup(qfv, tag=cache_tag)
-            if lookup.hit and lookup.entry is not None:
-                candidates = lookup.entry.topk_feature_ids
-                scores = self._score_features(graph, qfv, store_rows[candidates])
-                order = topk_order(candidates, scores, k)
-                result = self._build_result(
-                    meta, candidates[order], scores[order],
-                    self._hit_latency(graph, meta, lookup.entries_scanned, k),
-                    cache_hit=True,
-                )
-                self.metrics.counter("ingest.query_cache_hits").inc()
-                return self._register(result)
-
         ids, scores = self._scan_visible(
-            graph, qfv, store_rows, state, snap, db_start, db_end, k
+            graph, qfv, store_rows, state, snap, start, end, k
         )
-        scanned_rows = self._scanned_rows(state, snap, db_start, db_end)
-        sliced = self._sliced_meta(meta, max(1, scanned_rows))
-        if self._failed_accels:
-            count = system.placement.count(system.ssd)
-            bad = {i for i in self._failed_accels if i < count}
-            if len(bad) >= count:
-                raise DeepStoreApiError(
-                    "all accelerators failed; no degraded mode possible"
-                )
-            latency = system.degraded_latency_for(
-                graph,
-                sliced,
-                feature_bytes=meta.feature_bytes,
-                failed_accels=bad,
-                name=graph.name,
-            ).degraded
-        else:
-            latency = system.latency_for(
-                graph, sliced, feature_bytes=meta.feature_bytes, name=graph.name
-            )
-        latency = self._interfered(latency)
-        if self._cache is not None:
-            self._cache.insert(qfv, scores, ids, tag=cache_tag)
-            lookup_cost = len(self._cache) * self._cache_lookup_seconds_per_entry
-            latency = dataclasses.replace(
-                latency, engine_seconds=latency.engine_seconds + lookup_cost
-            )
-        result = self._build_result(meta, ids, scores, latency, cache_hit=False)
-        self.metrics.counter("ingest.queries").inc()
-        return self._register(result)
+        charged = self._scanned_rows(state, snap, start, end)
+        return PlannedScan(ids, scores, charged_rows=charged, interfered=True)
 
     # ------------------------------------------------------------------
     # internals

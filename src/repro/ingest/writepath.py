@@ -29,6 +29,7 @@ handed to :class:`repro.ssd.host_io.InterferenceModel`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Sequence
@@ -81,8 +82,12 @@ def region_blocks_for(
     """
     if rows <= 0:
         raise IngestError("rows must be positive")
-    if headroom < 1.0:
-        raise IngestError("headroom must be at least 1.0")
+    if not 1.0 <= headroom < math.inf:
+        raise IngestError("headroom must be finite and at least 1.0")
+    if not 0 <= op_fraction < 1:
+        raise IngestError("op_fraction must be in [0, 1)")
+    if pages_per_block < 1:
+        raise IngestError("pages_per_block must be positive")
     rows_per_page = max(1, page_bytes // feature_bytes)
     pages_needed = -(-rows // rows_per_page)
     blocks = max(4, min_blocks)
