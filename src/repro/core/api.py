@@ -158,7 +158,11 @@ class DeepStoreDevice:
         self.ssd = Ssd(ssd)
         self.level = level
         self._systems: Dict[str, DeepStoreSystem] = {}
+        #: per-database rows, ``buffer[:n]`` of the matching entry in
+        #: ``_feature_buffers`` (rows are never rewritten in place)
         self._feature_store: Dict[int, np.ndarray] = {}
+        #: per-database float32 backing arrays with bounded append slack
+        self._feature_buffers: Dict[int, np.ndarray] = {}
         self._models: Dict[int, Graph] = {}
         self._next_model_id = 1
         self._next_query_id = 1
@@ -209,14 +213,22 @@ class DeepStoreDevice:
         meta = self.ssd.ftl.create_database(
             feature_bytes=features.shape[1] * 4, feature_count=features.shape[0]
         )
-        self._feature_store[meta.db_id] = features.copy()
+        buffer = features.copy()
+        self._feature_buffers[meta.db_id] = buffer
+        self._feature_store[meta.db_id] = buffer
         self.ssd.dram.allocate(f"db{meta.db_id}-metadata", meta.METADATA_BYTES)
         self._ingest_seconds[meta.db_id] = self.ssd.database_write_seconds(meta)
         self._db_epochs[meta.db_id] = 0
         return meta.db_id
 
     def append_db(self, db_id: int, features: np.ndarray) -> None:
-        """``appendDB``: append features to an existing database."""
+        """``appendDB``: append features to an existing database.
+
+        Amortized O(rows added): the rows land in the database's backing
+        buffer, which grows geometrically (slack ``max(rows, n // 8)``)
+        only when full.  Rows already stored are never rewritten, so an
+        array taken from the store before an append keeps its rows.
+        """
         features = self._check_features(features)
         meta = self.ssd.ftl.get(db_id)
         if features.shape[1] * 4 != meta.feature_bytes:
@@ -225,9 +237,17 @@ class DeepStoreDevice:
                 f"database {db_id}'s {meta.feature_bytes} bytes"
             )
         self.ssd.ftl.append(db_id, features.shape[0])
-        self._feature_store[db_id] = np.concatenate(
-            [self._feature_store[db_id], features]
-        )
+        n, added = len(self._feature_store[db_id]), features.shape[0]
+        buffer = self._feature_buffers[db_id]
+        if n + added > len(buffer):
+            grown = np.empty(
+                (n + added + max(added, (n + added) // 8), buffer.shape[1]),
+                dtype=np.float32,
+            )
+            grown[:n] = buffer[:n]
+            buffer = self._feature_buffers[db_id] = grown
+        buffer[n : n + added] = features
+        self._feature_store[db_id] = buffer[: n + added]
         appended = DatabaseMetadata(
             db_id=db_id,
             feature_bytes=meta.feature_bytes,

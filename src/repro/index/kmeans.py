@@ -64,12 +64,15 @@ def train_kmeans(
     centroids = data[rng.choice(len(data), size=n_lists, replace=False)].astype(
         np.float64
     )
+    # one float64 copy for every pass and member mean: the operands a
+    # per-pass conversion would make, converted once
+    data = data.astype(np.float64)
     for _ in range(iterations):
         assignments = assign_canonical(data, centroids)
         for j in range(n_lists):
             members = data[assignments == j]
             if len(members):
-                centroids[j] = members.astype(np.float64).mean(axis=0)
+                centroids[j] = members.mean(axis=0)
             else:
                 biggest = int(
                     np.bincount(assignments, minlength=n_lists).argmax()

@@ -132,7 +132,7 @@ class LifecycleDevice(DeepStoreDevice):
     def insert_db(self, db_id: int, features: np.ndarray) -> np.ndarray:
         """Stream new rows in; returns their stable feature ids."""
         state = self.lifecycle(db_id)
-        features = self._check_features(features)
+        features = self._check_rows(state, features)
         ids = state.store.insert(features)
         # keep the base functional store + block-FTL metadata in sync so
         # scans, readDB, and ObjectIDs cover the new rows
@@ -146,20 +146,24 @@ class LifecycleDevice(DeepStoreDevice):
     def delete_db_rows(self, db_id: int, ids: Sequence[int]) -> None:
         """Tombstone rows; flash pages are reclaimed at compaction."""
         state = self.lifecycle(db_id)
+        ids = list(ids)
         try:
             state.store.delete(ids)
         except Exception as exc:
             raise DeepStoreApiError(str(exc)) from exc
         self._note_mutation(db_id)
-        self.metrics.counter("ingest.deletes").inc(len(list(ids)))
+        self.metrics.counter("ingest.deletes").inc(len(ids))
         self._publish_gauges(db_id, state)
 
     def update_db_row(self, db_id: int, fid: int, feature: np.ndarray) -> int:
-        """Replace one row (tombstone + re-insert); returns the new id."""
+        """Replace one row (tombstone + re-insert); returns the new id.
+
+        The replacement is validated before the old row is tombstoned,
+        so a bad row leaves the store, epoch and write path untouched.
+        """
+        row = self._check_rows(self.lifecycle(db_id), np.reshape(feature, (1, -1)))
         self.delete_db_rows(db_id, [fid])
-        new_ids = self.insert_db(
-            db_id, np.asarray(feature, dtype=np.float32).reshape(1, -1)
-        )
+        new_ids = self.insert_db(db_id, row)
         self.metrics.counter("ingest.updates").inc()
         return int(new_ids[0])
 
@@ -173,11 +177,13 @@ class LifecycleDevice(DeepStoreDevice):
         """
         state = self.lifecycle(db_id)
         snap = state.store.snapshot()
+        # ascending, as TRIM and free-list order shape later allocations
+        hidden = np.ones(snap.n_rows, dtype=bool)
+        hidden[state.store.visible_ids(snap)] = False
         dead = [
             fid
-            for fid in range(snap.n_rows)
-            if not state.store.is_visible(fid, snap)
-            and state.writepath.has_row(fid)
+            for fid in np.flatnonzero(hidden).tolist()
+            if state.writepath.has_row(fid)
         ]
         delta = [
             int(fid)
@@ -342,6 +348,15 @@ class LifecycleDevice(DeepStoreDevice):
             return span
         density = state.store.physical_rows / state.store.n_rows
         return max(1, int(round(span * density)))
+
+    def _check_rows(self, state: LifecycleState, features: np.ndarray) -> np.ndarray:
+        features = self._check_features(features)
+        if features.shape[1] != state.store.dim:
+            raise DeepStoreApiError(
+                f"row dim {features.shape[1]} does not match the "
+                f"database's dim {state.store.dim}"
+            )
+        return features
 
     def _account(self, state: LifecycleState, op: WriteOp) -> None:
         state.write_seconds += op.seconds

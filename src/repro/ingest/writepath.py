@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Deque, Dict, Optional, Sequence
 
 from repro.faults.injector import FaultInjector
@@ -196,24 +197,22 @@ class IngestWritePath:
                 raise IngestError(f"feature id {fid} already on flash")
         before = self._snapshot_stats()
         pages = 0
-        remaining = ids
-        while remaining:
+        start = 0
+        while start < len(ids):
             if self._open_lpn is None or self._open_count >= self.rows_per_page:
                 self._open_lpn = self._allocate_lpn()
                 self._open_count = 0
-            take = min(len(remaining), self.rows_per_page - self._open_count)
-            batch, remaining = remaining[:take], remaining[take:]
+            lpn = self._open_lpn
+            take = min(len(ids) - start, self.rows_per_page - self._open_count)
             # (re-)program the open page; extending a partially filled
             # page invalidates its previous version, which is the write
             # amplification small appends genuinely pay
-            self._program(self._open_lpn)
+            self._program(lpn)
             pages += 1
-            for fid in batch:
-                self._row_lpn[fid] = self._open_lpn
-            self._lpn_live[self._open_lpn] = (
-                self._lpn_live.get(self._open_lpn, 0) + take
-            )
+            self._row_lpn.update(zip(ids[start : start + take], repeat(lpn)))
+            self._lpn_live[lpn] = self._lpn_live.get(lpn, 0) + take
             self._open_count += take
+            start += take
         return self._measure(before, pages_written=pages, pages_trimmed=0,
                              rows=len(ids))
 
