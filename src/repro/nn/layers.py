@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Sequence, Tuple
+import operator
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,23 @@ _ACT_KINDS = ("relu", "sigmoid", "tanh", "identity")
 
 def _as_f32(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
+
+
+def _size(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an ``int`` of at least ``minimum``, else ``ValueError``.
+
+    Python and numpy integers pass; bools, floats (even integral or
+    non-finite ones) and other types are rejected rather than truncated.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        size = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if size < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {size}")
+    return size
 
 
 class Op(abc.ABC):
@@ -94,8 +112,8 @@ class Input(Op):
     arity = 0
 
     def __init__(self, shape: Sequence[int]):
-        self.shape = tuple(int(s) for s in shape)
-        if not self.shape or any(s <= 0 for s in self.shape):
+        self.shape = tuple(_size(f"Input shape[{i}]", s) for i, s in enumerate(shape))
+        if not self.shape:
             raise ValueError(f"invalid input shape {shape}")
 
     def output_shape(self, *in_shapes: Shape) -> Shape:
@@ -118,10 +136,8 @@ class Dense(Op):
     arity = 1
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True):
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("Dense dimensions must be positive")
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
+        self.in_features = _size("Dense in_features", in_features)
+        self.out_features = _size("Dense out_features", out_features)
         self.bias = bool(bias)
 
     def output_shape(self, *in_shapes: Shape) -> Shape:
@@ -184,34 +200,22 @@ def _conv_out_dim(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Lower (N,C,H,W) to (N, out_h*out_w, C*kh*kw) patches."""
-    n, c, h, w = x.shape
-    out_h = _conv_out_dim(h, kh, stride, padding)
-    out_w = _conv_out_dim(w, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    # (N, out_h, out_w, C, kh, kw) -> (N, out_h*out_w, C*kh*kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols)
-
-
 class Conv2D(Op):
-    """2-D convolution over ``(C, H, W)`` inputs (im2col + GEMM)."""
+    """2-D convolution over ``(C, H, W)`` inputs, one GEMM per kernel offset.
+
+    The batch is copied once into a channel-major, zero-padded canvas
+    ``(C, N, ph_h*s, ph_w*s)`` with ``ph_h = out_h + d``,
+    ``ph_w = out_w + d`` and ``d = (k-1)//s``, and split into its ``s*s``
+    stride phases, each flattened to ``(C, N*P)`` with ``P = ph_h*ph_w``.
+    Kernel offset ``(i, j)`` reads phase ``(i%s, j%s)`` shifted by
+    ``off = (i//s)*ph_w + j//s``, so output position ``q`` of the flat
+    ``(OC, N*P)`` canvas accumulates ``W[:, :, i, j] @ X[:, q + off]``.  A
+    valid output ``(oy, ox)`` reads ``(oy + i//s, ox + j//s)``, which stays
+    inside its own sample's ``ph_h x ph_w`` tile, so one GEMM over the
+    first ``M = N*P - d*(ph_w+1)`` positions serves the whole batch; the
+    other positions are cropped in forward and carry zero gradient in
+    backward.
+    """
 
     arity = 1
 
@@ -224,13 +228,11 @@ class Conv2D(Op):
         padding: int = 0,
         bias: bool = True,
     ):
-        if min(in_channels, out_channels, kernel, stride) <= 0 or padding < 0:
-            raise ValueError("invalid Conv2D configuration")
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel = int(kernel)
-        self.stride = int(stride)
-        self.padding = int(padding)
+        self.in_channels = _size("Conv2D in_channels", in_channels)
+        self.out_channels = _size("Conv2D out_channels", out_channels)
+        self.kernel = _size("Conv2D kernel", kernel)
+        self.stride = _size("Conv2D stride", stride)
+        self.padding = _size("Conv2D padding", padding, minimum=0)
         self.bias = bool(bias)
 
     def output_shape(self, *in_shapes: Shape) -> Shape:
@@ -273,40 +275,78 @@ class Conv2D(Op):
             params["b"] = np.zeros(self.out_channels, dtype=np.float32)
         return params
 
+    def _canvas(
+        self, x_shape: Shape, out_h: int, out_w: int
+    ) -> Tuple[int, int, int, int, int]:
+        """Phase tile ``ph_h x ph_w``, input rows and columns read, GEMM width.
+
+        Only the input rows and columns some window reads are copied in:
+        when ``(H + 2p - k) % s != 0`` the last ones are never read.
+        """
+        n, _, h, w = x_shape
+        k, s, p = self.kernel, self.stride, self.padding
+        d = (k - 1) // s
+        ph_h, ph_w = out_h + d, out_w + d
+        rows = max(0, min(h, (out_h - 1) * s + k - p))
+        cols = max(0, min(w, (out_w - 1) * s + k - p))
+        return ph_h, ph_w, rows, cols, n * ph_h * ph_w - d * (ph_w + 1)
+
+    def _phases(
+        self, x: np.ndarray, ph_h: int, ph_w: int, rows: int, cols: int
+    ) -> np.ndarray:
+        """Stride phases ``(s*s, C, N*P)`` of the zero-padded batch."""
+        n, c = x.shape[:2]
+        s, p = self.stride, self.padding
+        xp = np.zeros((c, n, ph_h * s, ph_w * s), dtype=x.dtype)
+        xp[:, :, p : p + rows, p : p + cols] = x[:, :, :rows, :cols].transpose(1, 0, 2, 3)
+        phases = xp.reshape(c, n, ph_h, s, ph_w, s).transpose(3, 5, 0, 1, 2, 4)
+        return phases.reshape(s * s, c, n * ph_h * ph_w)
+
+    def _offsets(self, ph_w: int) -> Iterator[Tuple[int, int, int, int]]:
+        """``(i, j, phase, flat offset)`` for every kernel offset."""
+        s = self.stride
+        for i in range(self.kernel):
+            for j in range(self.kernel):
+                yield i, j, (i % s) * s + j % s, (i // s) * ph_w + j // s
+
     def forward(self, params: Params, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
         n = x.shape[0]
         out_c, out_h, out_w = self.output_shape(x.shape[1:])
-        cols = _im2col(x, self.kernel, self.kernel, self.stride, self.padding)
-        w2 = params["W"].reshape(out_c, -1).T  # (C*kh*kw, out_c)
-        y = cols @ w2  # (N, out_h*out_w, out_c)
+        ph_h, ph_w, rows, cols, m = self._canvas(x.shape, out_h, out_w)
+        phases = self._phases(x, ph_h, ph_w, rows, cols)
+        w = params["W"]
+        y = np.zeros((out_c, phases.shape[2]), dtype=np.result_type(x, w))
+        for i, j, phase, off in self._offsets(ph_w):
+            y[:, :m] += w[:, :, i, j] @ phases[phase, :, off : off + m]
+        y = y.reshape(out_c, n, ph_h, ph_w)[:, :, :out_h, :out_w].transpose(1, 0, 2, 3)
         if self.bias:
-            y = y + params["b"]
-        return y.transpose(0, 2, 1).reshape(n, out_c, out_h, out_w)
+            y = y + params["b"][:, None, None]
+        return y
 
     def backward(self, params, inputs, output, grad_out):
         (x,) = inputs
-        n, c, h, w = x.shape
+        n, c = x.shape[:2]
         out_c, out_h, out_w = output.shape[1:]
-        k, s, p = self.kernel, self.stride, self.padding
-        cols = _im2col(x, k, k, s, p)  # (N, P, CKK)
-        g = grad_out.reshape(n, out_c, out_h * out_w).transpose(0, 2, 1)  # (N,P,out_c)
-        grad_w = np.einsum("npk,npo->ko", cols, g).T.reshape(params["W"].shape)
+        s, p = self.stride, self.padding
+        ph_h, ph_w, rows, cols, m = self._canvas(x.shape, out_h, out_w)
+        phases = self._phases(x, ph_h, ph_w, rows, cols)
+        g = np.zeros((out_c, n, ph_h, ph_w), dtype=grad_out.dtype)
+        g[:, :, :out_h, :out_w] = grad_out.transpose(1, 0, 2, 3)
+        g = g.reshape(out_c, -1)[:, :m]
+        w = params["W"]
+        grad_w = np.empty(w.shape, dtype=np.result_type(x, grad_out))
+        grad_phases = np.zeros_like(phases)
+        for i, j, phase, off in self._offsets(ph_w):
+            grad_w[:, :, i, j] = g @ phases[phase, :, off : off + m].T
+            grad_phases[phase, :, off : off + m] += w[:, :, i, j].T @ g
         grads: Params = {"W": grad_w}
         if self.bias:
-            grads["b"] = g.sum(axis=(0, 1))
-        # col2im for the input gradient
-        w2 = params["W"].reshape(out_c, -1)  # (out_c, CKK)
-        gcols = g @ w2  # (N, P, CKK)
-        gcols = gcols.reshape(n, out_h, out_w, c, k, k)
-        grad_x = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                grad_x[:, :, i : i + out_h * s : s, j : j + out_w * s : s] += (
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                )
-        if p:
-            grad_x = grad_x[:, :, p:-p, p:-p]
+            grads["b"] = grad_out.sum(axis=(0, 2, 3))
+        gxp = grad_phases.reshape(s, s, c, n, ph_h, ph_w).transpose(2, 3, 4, 0, 5, 1)
+        gxp = gxp.reshape(c, n, ph_h * s, ph_w * s)[:, :, p : p + rows, p : p + cols]
+        grad_x = np.zeros_like(x)
+        grad_x[:, :, :rows, :cols] = gxp.transpose(1, 0, 2, 3)
         return grads, (grad_x,)
 
     def config(self) -> dict:

@@ -107,6 +107,35 @@ class TestConv2D:
             Conv2D(1, 1, kernel=9).output_shape((1, 4, 4))
 
 
+class TestSizeValidation:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Conv2D(3, 8, kernel=2.7), "Conv2D kernel"),
+            (lambda: Conv2D(3, 8, kernel=3, stride=1.9), "Conv2D stride"),
+            (lambda: Conv2D(3, 8, kernel=3, padding=0.5), "Conv2D padding"),
+            (lambda: Conv2D(3, True, kernel=3), "Conv2D out_channels"),
+            (lambda: Conv2D(3, 8, kernel=float("nan")), "Conv2D kernel"),
+            (lambda: Conv2D(float("inf"), 8, kernel=3), "Conv2D in_channels"),
+            (lambda: Dense(2.5, 3), "Dense in_features"),
+            (lambda: Dense(4, np.float64(3.0)), "Dense out_features"),
+            (lambda: Dense(True, 3), "Dense in_features"),
+            (lambda: Input((2.5,)), r"Input shape\[0\]"),
+            (lambda: Input((4, float("nan"))), r"Input shape\[1\]"),
+            (lambda: Input((False,)), r"Input shape\[0\]"),
+        ],
+    )
+    def test_rejects_non_integral_sizes(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_accepts_numpy_integers(self):
+        op = Conv2D(np.int64(3), np.int32(8), kernel=np.int8(3), stride=np.int64(2))
+        assert op.config()["kernel"] == 3 and type(op.config()["kernel"]) is int
+        assert Dense(np.int64(6), 3).in_features == 6
+        assert Input(np.array([2, 3])).shape == (2, 3)
+
+
 class TestActivation:
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "identity"])
     def test_shape_preserved(self, kind):
