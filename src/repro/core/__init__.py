@@ -45,11 +45,6 @@ from repro.core.dse import DesignPoint, explore_pe_scaling, search_configuration
 from repro.core.scheduler import MultiQueryScheduler, SharedScanReport
 from repro.core.commands import Command, CommandTransport, CompletionEntry
 from repro.core.event_query import EventQueryResult, EventQuerySimulator
-from repro.core.reorganize import (
-    ClusteredLayout,
-    ReorganizedSearch,
-    build_layout,
-)
 from repro.core.capacity import DeploymentPlan, best_plan, plan_deployment
 
 __all__ = [
@@ -82,9 +77,6 @@ __all__ = [
     "CompletionEntry",
     "EventQuerySimulator",
     "EventQueryResult",
-    "ClusteredLayout",
-    "ReorganizedSearch",
-    "build_layout",
     "DeploymentPlan",
     "plan_deployment",
     "best_plan",

@@ -281,6 +281,26 @@ class DeepStoreSystem:
             base_power_w=self.ssd.base_power_w,
         )
 
+    def pass_seconds(
+        self, graph: Graph, n_rows: int, feature_bytes: int, page_bytes: int
+    ) -> float:
+        """Seconds of one accelerator pass over ``n_rows`` feature rows.
+
+        Prices a scan that has no on-flash database of its own (a
+        centroid table, a training pass, a probed subset): only the row
+        count and the page geometry enter the latency model.
+        """
+        meta = DatabaseMetadata(
+            db_id=0,
+            feature_bytes=feature_bytes,
+            feature_count=max(1, n_rows),
+            page_bytes=page_bytes,
+        )
+        meta.extents = []
+        return self.latency_for(
+            graph, meta, feature_bytes=feature_bytes, name=graph.name
+        ).total_seconds
+
     # ------------------------------------------------------------------
     # degraded mode
     # ------------------------------------------------------------------

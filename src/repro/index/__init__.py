@@ -1,10 +1,11 @@
 """ANN index layer: IVF routing on the accelerator hierarchy.
 
-Every query the reproduction runs today scans the full database — the
-clustered layout (:mod:`repro.core.reorganize`) changes *where* rows
-live, not *how many* are touched.  This package adds the missing layer:
-a real **inverted-file (IVF) index** whose probe is executed against
-the in-storage accelerator hierarchy:
+The paper (§7) names in-storage reorganization of feature vectors as a
+technique DeepStore can exploit.  This package is the reproduction's
+one model of it: a real **inverted-file (IVF) index** whose probe is
+executed against the in-storage accelerator hierarchy.  The lifecycle
+loop's :class:`~repro.ingest.compaction.DeltaAwareSearch` reuses its
+k-means, lists and router.
 
 * :mod:`repro.index.kmeans` — deterministic k-means training with the
   canonical ``(-score, id)`` assignment tie-break;

@@ -115,16 +115,9 @@ def build_ivf_index(
 
     # training cost: each Lloyd iteration streams every indexed row
     # through the SSD-level accelerator once
-    train_meta = DatabaseMetadata(
-        db_id=meta.db_id,
-        feature_bytes=meta.feature_bytes,
-        feature_count=max(1, len(ids)),
-        page_bytes=meta.page_bytes,
+    train_seconds = config.iterations * system.pass_seconds(
+        graph, len(ids), meta.feature_bytes, meta.page_bytes
     )
-    train_meta.extents = []
-    train_seconds = config.iterations * system.latency_for(
-        graph, train_meta, feature_bytes=meta.feature_bytes, name=graph.name
-    ).total_seconds
 
     # layout cost: rewrite the rows in (list, id) order through a fresh,
     # audited ingest region — measured WA, not assumed

@@ -27,14 +27,13 @@ probes.  The contract that keeps the base reproduction honest:
 from __future__ import annotations
 
 import functools
-import numbers
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.api import DeepStoreApiError, PlannedScan, QueryHandle
 from repro.index.build import IndexBuildConfig, IvfIndex, build_ivf_index
-from repro.index.router import CentroidRouter
+from repro.index.router import CentroidRouter, is_nprobe
 from repro.ingest.device import DeviceCompaction, LifecycleDevice
 from repro.nn import Graph
 from repro.ssd.ftl import DatabaseMetadata
@@ -154,10 +153,7 @@ class IndexedDevice(LifecycleDevice):
         index = self._indexes[db_id]
         if nprobe is None:
             nprobe = max(1, index.n_lists // 4)
-        elif not (
-            isinstance(nprobe, numbers.Real) and nprobe >= 1
-            and float(nprobe).is_integer()
-        ):
+        elif not is_nprobe(nprobe):
             raise DeepStoreApiError(
                 f"nprobe must be a positive integer, got {nprobe!r}"
             )

@@ -1,12 +1,13 @@
 """Deterministic k-means with the canonical assignment tie-break.
 
-:func:`repro.core.reorganize.kmeans_lite` returns the assignments of the
-*last Lloyd iteration before* the final centroid update, which is fine
-for a coarse layout but not for an index whose membership rule must be
-reproducible from the centroids alone.  :func:`train_kmeans` runs the
-same deterministic Lloyd loop and then re-assigns once against the final
-centroids, so the returned assignment *is* :func:`assign_canonical` of
-the returned centroids — the property the index test suite pins down.
+This is the reproduction's one k-means: the IVF build
+(:mod:`repro.index.build`) and the lifecycle loop's delta-aware search
+(:class:`repro.ingest.compaction.DeltaAwareSearch`) both train with it.
+:func:`train_kmeans` runs a deterministic Lloyd loop and then
+re-assigns once against the final centroids, so the returned
+assignment *is* :func:`assign_canonical` of the returned centroids —
+an index's membership rule is reproducible from its centroids alone,
+the property the index test suite pins down.
 
 The canonical rule: a vector belongs to the centroid maximizing
 ``score = 2·(x·c) − |c|²`` (monotone in negative squared distance),

@@ -3,9 +3,10 @@
 The SCN is a learned, non-metric comparator, so geometric
 nearest-centroid routing would be uncorrelated with the ranking the
 scan actually produces.  The router therefore scores the **centroid
-table with the query's own SCN** — the same trick
-:class:`repro.ingest.compaction.DeltaAwareSearch` uses — and probes the
-``nprobe`` best lists under the canonical ``(-score, list_id)`` order.
+table with the query's own SCN** and probes the ``nprobe`` best lists
+under the canonical ``(-score, list_id)`` order.  Both probed searches
+route through it: :class:`repro.index.device.IndexedDevice` and
+:class:`repro.ingest.compaction.DeltaAwareSearch`.
 
 Cost model: the centroid table is tiny and lives in SSD DRAM next to
 the database metadata, so routing is priced as an SSD-level accelerator
@@ -17,6 +18,7 @@ bit-identical to the exhaustive scan.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,7 +26,21 @@ import numpy as np
 
 from repro.core.deepstore import DeepStoreSystem
 from repro.nn.graph import Graph
-from repro.ssd.ftl import DatabaseMetadata
+
+
+def is_nprobe(value: object) -> bool:
+    """Whether ``value`` is a valid probe count: a whole number >= 1.
+
+    ``2`` and ``2.0`` are both two lists; ``2.5``, NaN, inf and bools
+    are caller bugs.  Both probed searches check ``nprobe`` with this
+    before routing; an ``nprobe`` above ``n_lists`` is their own call.
+    """
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and value >= 1
+        and float(value).is_integer()
+    )
 
 
 @dataclass(frozen=True)
@@ -65,19 +81,9 @@ class CentroidRouter:
 
     def routing_seconds(self) -> float:
         """SSD-level accelerator pass over the centroid table."""
-        centroid_meta = DatabaseMetadata(
-            db_id=0,
-            feature_bytes=self.feature_bytes,
-            feature_count=self.n_lists,
-            page_bytes=self.page_bytes,
+        return self.system.pass_seconds(
+            self.graph, self.n_lists, self.feature_bytes, self.page_bytes
         )
-        centroid_meta.extents = []
-        return self.system.latency_for(
-            self.graph,
-            centroid_meta,
-            feature_bytes=self.feature_bytes,
-            name=self.graph.name,
-        ).total_seconds
 
     def route(
         self,

@@ -18,18 +18,18 @@ query's completion, trading compaction progress for query latency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.deepstore import DeepStoreSystem
-from repro.core.reorganize import ClusteredLayout, kmeans_lite
-from repro.core.topk import topk_select
-from repro.ingest.store import IngestError, MutableFeatureStore, Snapshot
-from repro.nn.graph import Graph
+from repro.index.kmeans import train_kmeans
+from repro.index.lists import InvertedLists
+from repro.index.router import CentroidRouter, is_nprobe
+from repro.ingest.store import IngestError, Snapshot, is_count
 from repro.sim import Event, Simulator
-from repro.ssd.ftl import DatabaseMetadata
 
 
 # ----------------------------------------------------------------------
@@ -59,94 +59,71 @@ class DeltaSearchResult:
 
 
 class DeltaAwareSearch:
-    """Probed IVF search over a mutable store with a delta region.
+    """Probed IVF search over a mutable database with a delta region.
 
-    The layout clusters only the rows covered at the last compaction
-    (``store.clustered_ids``); rows inserted since live in the delta and
-    are *invisible* to probing unless ``include_delta=True`` — exactly
-    the staleness/latency trade the lifecycle benchmark sweeps.
+    The inverted lists cover only the rows present at the last
+    compaction (``store.clustered_ids``); rows inserted since live in
+    the delta and are *invisible* to probing unless
+    ``include_delta=True`` — exactly the staleness/latency trade the
+    lifecycle benchmark sweeps.  The lists come from
+    :func:`~repro.index.kmeans.train_kmeans`, the probe from the
+    SCN-scored :class:`~repro.index.router.CentroidRouter`, and every
+    score from the device's canonical chunked scan.  The probed scan is
+    priced at channel level; routing is not charged.
     """
 
     def __init__(
         self,
-        store: MutableFeatureStore,
-        graph: Graph,
+        device,  # LifecycleDevice (kept untyped to avoid an import cycle)
+        db_id: int,
+        model_id: int,
         n_clusters: int = 16,
-        system: Optional[DeepStoreSystem] = None,
         seed: int = 0,
     ):
-        if n_clusters <= 0:
-            raise IngestError("n_clusters must be positive")
-        self.store = store
-        self.graph = graph
+        if not is_count(n_clusters, 1):
+            raise IngestError(
+                f"n_clusters must be an integer >= 1, got {n_clusters!r}"
+            )
+        self.graph = device._models.get(model_id)
+        if self.graph is None:
+            raise IngestError(f"unknown model id {model_id}")
+        self.device = device
+        self.db_id = db_id
+        self.store = device.lifecycle(db_id).store
         self.n_clusters = n_clusters
-        self.system = system or DeepStoreSystem.at_level("channel")
         self.seed = seed
-        self.layout: ClusteredLayout = self._cluster(store.clustered_ids)
+        self.system = DeepStoreSystem.at_level("channel")
+        self._cluster(self.store.clustered_ids)
         self.rebuilds = 0
 
     # ------------------------------------------------------------------
-    def _cluster(self, ids: np.ndarray) -> ClusteredLayout:
+    def _cluster(self, ids: np.ndarray) -> None:
         ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
             raise IngestError("cannot cluster an empty id set")
-        rows = self.store.rows(ids)
         k = min(self.n_clusters, len(ids))
-        centroids, assignments = kmeans_lite(rows, k, seed=self.seed)
-        clusters = [ids[assignments == j] for j in range(k)]
-        return ClusteredLayout(centroids=centroids, clusters=clusters)
+        centroids, assignments = train_kmeans(
+            self.store.rows(ids), k, seed=self.seed
+        )
+        self.lists = InvertedLists(ids, assignments, k)
+        self.router = CentroidRouter(
+            centroids, self.device._system("ssd"), self.graph,
+            feature_bytes=self.store.dim * 4,
+            page_bytes=self.system.ssd.geometry.page_bytes,
+        )
 
     def rebuild(self, snapshot: Snapshot) -> None:
         """Re-cluster everything visible at ``snapshot`` (compaction)."""
-        self.layout = self._cluster(self.store.visible_ids(snapshot))
+        self._cluster(self.store.visible_ids(snapshot))
         self.rebuilds += 1
 
     # ------------------------------------------------------------------
-    def _score_rows(self, qfv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        q_id, d_id = self.graph.input_ids
-        q_shape = self.graph.shape_of(q_id)
-        d_shape = self.graph.shape_of(d_id)
-        batch = rows.reshape((-1, *d_shape))
-        tiled = np.broadcast_to(qfv.reshape(q_shape), (len(rows), *q_shape))
-        out = self.graph.forward(
-            {q_id: np.ascontiguousarray(tiled), d_id: np.ascontiguousarray(batch)}
+    def _scan(
+        self, qfv: np.ndarray, ids: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return self.device._scan_ids(
+            self.graph, qfv, self.device._store(self.db_id), ids, k
         )
-        return out.reshape(-1)
-
-    def _score(self, qfv: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return self._score_rows(qfv, self.store.rows(ids))
-
-    def _probed_ids(self, qfv: np.ndarray, n_probe: int) -> np.ndarray:
-        """Ids covered by the ``n_probe`` best clusters for this query.
-
-        The SCN is non-metric, so nearest-centroid-by-distance probing
-        (the classic IVF rule) is uncorrelated with the actual ranking;
-        instead the **SCN itself scores the centroids** and the
-        top-scoring clusters are probed — the centroid acts as a stand-in
-        for its members under the real model.
-        """
-        if not 1 <= n_probe <= self.layout.n_clusters:
-            raise IngestError(
-                f"n_probe={n_probe} out of range [1, {self.layout.n_clusters}]"
-            )
-        scores = self._score_rows(
-            qfv, self.layout.centroids.astype(np.float32)
-        )
-        order = np.argsort(-scores)[:n_probe]
-        return np.concatenate([self.layout.clusters[j] for j in order])
-
-    def _scan_seconds(self, n_rows: int) -> float:
-        meta = DatabaseMetadata(
-            db_id=0,
-            feature_bytes=self.store.dim * 4,
-            feature_count=max(1, n_rows),
-            page_bytes=self.system.ssd.geometry.page_bytes,
-        )
-        meta.extents = []  # latency model only uses counts/ratios
-        return self.system.latency_for(
-            self.graph, meta, feature_bytes=self.store.dim * 4,
-            name=self.graph.name,
-        ).total_seconds
 
     def query(
         self,
@@ -156,57 +133,50 @@ class DeltaAwareSearch:
         include_delta: bool = False,
         snapshot: Optional[Snapshot] = None,
     ) -> DeltaSearchResult:
-        """Top-K over the probed clusters (optionally plus the delta)."""
-        if k <= 0:
-            raise IngestError("K must be positive")
+        """Top-K over the probed lists (optionally plus the delta)."""
+        if not is_count(k, 1):
+            raise IngestError(f"k must be an integer >= 1, got {k!r}")
+        n_lists = self.lists.n_lists
+        if not (is_nprobe(n_probe) and n_probe <= n_lists):
+            raise IngestError(
+                f"n_probe must be an integer in [1, {n_lists}], got {n_probe!r}"
+            )
         snap = snapshot or self.store.snapshot()
         qfv = np.asarray(qfv, dtype=np.float32).reshape(-1)
-        probed = self._probed_ids(qfv, n_probe)
-        # tombstones in probed clusters are filtered from results but
+        decision = self.router.route(qfv, int(n_probe), self.device._score_features)
+        probed = self.lists.probed_ids(decision.list_ids)
+        visible = self.store.visible_ids(snap)
+        # tombstones in probed lists are filtered from results but
         # their pages were still read — count them in the scanned rows
-        probed_cost = len(probed)
-        alive = probed[
-            np.fromiter(
-                (self.store.is_visible(int(i), snap) for i in probed),
-                dtype=bool,
-                count=len(probed),
-            )
-        ] if len(probed) else probed
+        scanned_cost = len(probed)
+        scanned = probed[np.isin(probed, visible)]
         delta = self.store.delta_ids(snap)
-        delta_rows = len(delta)
-        scanned_ids = alive
-        scanned_cost = probed_cost
-        if include_delta and delta_rows:
-            scanned_ids = np.concatenate([alive, delta])
-            scanned_cost += delta_rows
-        if len(scanned_ids) == 0:
+        if include_delta:
+            scanned = np.concatenate([scanned, delta])
+            scanned_cost += len(delta)
+        if len(scanned) == 0:
             raise IngestError("probed clusters hold no visible rows")
-        scores = self._score(qfv, scanned_ids)
-        pairs = [
-            (float(scores[i]), int(scanned_ids[i]))
-            for i in range(len(scanned_ids))
-        ]
-        best = topk_select(pairs, k)
+        ids, scores = self._scan(qfv, scanned, k)
         return DeltaSearchResult(
-            feature_ids=np.asarray([fid for _, fid in best], dtype=np.int64),
-            scores=np.asarray([s for s, _ in best], dtype=np.float32),
+            feature_ids=ids,
+            scores=scores,
             probed_rows=scanned_cost,
-            delta_rows=delta_rows,
-            total_visible=len(self.store.visible_ids(snap)),
-            scan_seconds=self._scan_seconds(scanned_cost),
+            delta_rows=len(delta),
+            total_visible=len(visible),
+            scan_seconds=self.system.pass_seconds(
+                self.graph, scanned_cost, self.store.dim * 4,
+                self.system.ssd.geometry.page_bytes,
+            ),
         )
 
     def exact_topk(self, qfv: np.ndarray, k: int,
                    snapshot: Optional[Snapshot] = None) -> np.ndarray:
         """Ground truth: exact top-K over everything visible."""
-        snap = snapshot or self.store.snapshot()
-        visible = self.store.visible_ids(snap)
+        visible = self.store.visible_ids(snapshot)
+        if len(visible) == 0:
+            return visible
         qfv = np.asarray(qfv, dtype=np.float32).reshape(-1)
-        scores = self._score(qfv, visible)
-        pairs = [(float(scores[i]), int(visible[i])) for i in range(len(visible))]
-        return np.asarray(
-            [fid for _, fid in topk_select(pairs, k)], dtype=np.int64
-        )
+        return self._scan(qfv, visible, k)[0]
 
 
 # ----------------------------------------------------------------------
@@ -224,12 +194,19 @@ class CompactionPolicy:
     min_gap_s: float = 0.0
 
     def __post_init__(self) -> None:
+        # each test is written so that NaN fails it
         if not 0 < self.delta_threshold < 1:
-            raise IngestError("delta_threshold must be in (0, 1)")
-        if self.chunk_rows <= 0:
-            raise IngestError("chunk_rows must be positive")
-        if self.min_gap_s < 0:
-            raise IngestError("min_gap_s cannot be negative")
+            raise IngestError(
+                f"delta_threshold must be in (0, 1), got {self.delta_threshold!r}"
+            )
+        if not is_count(self.chunk_rows, 1):
+            raise IngestError(
+                f"chunk_rows must be an integer >= 1, got {self.chunk_rows!r}"
+            )
+        if not 0 <= self.min_gap_s < math.inf:
+            raise IngestError(
+                f"min_gap_s must be finite and >= 0, got {self.min_gap_s!r}"
+            )
 
 
 @dataclass
@@ -279,6 +256,7 @@ class CompactionJob:
         self._event: Optional[Event] = None
         self._snapshot: Optional[Snapshot] = None
         self._pending: List[int] = []
+        self._cursor = 0
         self._done_chunks = 0
         self._preemptions = 0
         self._write_seconds = 0.0
@@ -307,10 +285,8 @@ class CompactionJob:
         self._sim = sim
         self._snapshot = state.store.snapshot()
         self._delta_before = state.store.delta_fraction(self._snapshot)
-        delta = state.store.delta_ids(self._snapshot)
-        self._pending = [
-            int(i) for i in delta if state.writepath.has_row(int(i))
-        ]
+        self._pending = state.delta_rows(self._snapshot)
+        self._cursor = 0
         self._done_chunks = 0
         self._rows_rewritten = 0
         self._preemptions = 0
@@ -346,8 +322,8 @@ class CompactionJob:
     def _chunk(self) -> None:
         assert self._sim is not None and self._snapshot is not None
         state = self.device.lifecycle(self.db_id)
-        chunk = self._pending[: self.policy.chunk_rows]
-        self._pending = self._pending[len(chunk) :]
+        chunk = self._pending[self._cursor : self._cursor + self.policy.chunk_rows]
+        self._cursor += len(chunk)
         seconds = 0.0
         if chunk:
             op = state.writepath.rewrite(chunk)
@@ -355,7 +331,7 @@ class CompactionJob:
             self._write_seconds += seconds
             self._done_chunks += 1
             self._rows_rewritten += len(chunk)
-        if self._pending:
+        if self._cursor < len(self._pending):
             self._event = self._sim.schedule(
                 self._sim.now + seconds + self.policy.min_gap_s,
                 self._chunk,
@@ -367,12 +343,7 @@ class CompactionJob:
     def _finish(self, state, last_chunk_seconds: float) -> None:
         assert self._sim is not None and self._snapshot is not None
         # reclaim tombstones covered by the snapshot
-        dead = [
-            fid
-            for fid in range(self._snapshot.n_rows)
-            if not state.store.is_visible(fid, self._snapshot)
-            and state.writepath.has_row(fid)
-        ]
+        dead = state.dead_rows(self._snapshot)
         if dead:
             self._write_seconds += state.writepath.delete(dead).seconds
         reclaimed = state.store.mark_compacted(self._snapshot)

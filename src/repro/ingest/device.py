@@ -52,6 +52,25 @@ class LifecycleState:
     write_seconds: float = 0.0
     compactions: int = 0
 
+    def dead_rows(self, snapshot: Snapshot) -> List[int]:
+        """Rows hidden at ``snapshot`` that the write path still holds.
+
+        A compaction reclaims them; ascending, as TRIM and free-list
+        order shape later allocations.
+        """
+        hidden = np.ones(snapshot.n_rows, dtype=bool)
+        hidden[self.store.visible_ids(snapshot)] = False
+        held = self.writepath.has_row
+        return [fid for fid in np.flatnonzero(hidden).tolist() if held(fid)]
+
+    def delta_rows(self, snapshot: Snapshot) -> List[int]:
+        """Visible rows outside the clustered layout the write path holds.
+
+        A compaction rewrites them; ascending, like :meth:`dead_rows`.
+        """
+        held = self.writepath.has_row
+        return [fid for fid in self.store.delta_ids(snapshot).tolist() if held(fid)]
+
 
 @dataclass(frozen=True)
 class DeviceCompaction:
@@ -177,19 +196,7 @@ class LifecycleDevice(DeepStoreDevice):
         """
         state = self.lifecycle(db_id)
         snap = state.store.snapshot()
-        # ascending, as TRIM and free-list order shape later allocations
-        hidden = np.ones(snap.n_rows, dtype=bool)
-        hidden[state.store.visible_ids(snap)] = False
-        dead = [
-            fid
-            for fid in np.flatnonzero(hidden).tolist()
-            if state.writepath.has_row(fid)
-        ]
-        delta = [
-            int(fid)
-            for fid in state.store.delta_ids(snap)
-            if state.writepath.has_row(int(fid))
-        ]
+        dead, delta = state.dead_rows(snap), state.delta_rows(snap)
         seconds = 0.0
         if dead:
             seconds += state.writepath.delete(dead).seconds

@@ -34,6 +34,7 @@ from repro.ingest.compaction import (
     DeltaAwareSearch,
 )
 from repro.ingest.device import LifecycleDevice
+from repro.ingest.store import IngestError, is_count
 from repro.obs.dtrace import TraceCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
@@ -65,6 +66,33 @@ class LifecycleConfig:
     region_blocks: int = 8
     region_pages_per_block: int = 16
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # every count the loop slices, sizes or divides by; a round
+        # must delete and insert something or its batches are empty
+        counts = (
+            ("n_base", 1), ("rounds", 0), ("planted_per_round", 0),
+            ("random_per_round", 1), ("deletes_per_round", 1),
+            ("updates_per_round", 0), ("probe_queries", 1), ("k", 1),
+            ("n_clusters", 1), ("n_probe", 1), ("region_blocks", 1),
+            ("region_pages_per_block", 1),
+        )
+        for name, low in counts:
+            value = getattr(self, name)
+            if not is_count(value, low):
+                raise IngestError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
+        if self.n_probe > self.n_clusters:
+            raise IngestError(
+                f"n_probe must be at most n_clusters={self.n_clusters}, "
+                f"got {self.n_probe!r}"
+            )
+        for load in self.interference_loads:
+            if not 0 <= load <= 1:  # written so that NaN fails it
+                raise IngestError(
+                    f"interference_loads must lie in [0, 1], got {load!r}"
+                )
 
 
 @dataclass
@@ -184,10 +212,7 @@ def run_lifecycle(
     )
     state = device.lifecycle(db)
     search = DeltaAwareSearch(
-        state.store,
-        device._models[model],
-        n_clusters=config.n_clusters,
-        seed=config.seed,
+        device, db, model, n_clusters=config.n_clusters, seed=config.seed
     )
     probes = rng.normal(0, 1, (config.probe_queries, dim)).astype(np.float32)
 
@@ -268,10 +293,7 @@ def run_lifecycle(
     # the freshly-clustered baseline: rebuild from scratch on the same
     # visible set and re-measure (the recovery target)
     baseline_search = DeltaAwareSearch(
-        state.store,
-        device._models[model],
-        n_clusters=config.n_clusters,
-        seed=config.seed,
+        device, db, model, n_clusters=config.n_clusters, seed=config.seed
     )
     baseline_search.rebuild(state.store.snapshot())
     baseline_recall, _ = _measure_recall(

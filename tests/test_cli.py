@@ -354,6 +354,13 @@ class TestIngestCommand:
         assert main(cmd) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flag", ["--queries", "--k", "--base"])
+    def test_zero_count_is_one_error_line(self, capsys, flag):
+        assert main(["ingest", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_scorecard_mode(self, capsys):
         import json
 

@@ -162,7 +162,7 @@ class TestCounters:
 class TestNprobeValidation:
     """A bad nprobe is an API error, not a silent clamp or a traceback."""
 
-    @pytest.mark.parametrize("nprobe", [0, -3, 2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("nprobe", [0, -3, 2.5, float("nan"), float("inf"), True])
     def test_rejected(self, nprobe):
         device, db, model, qfv, _ = _build("probed")
         with pytest.raises(DeepStoreApiError, match="nprobe"):

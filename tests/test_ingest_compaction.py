@@ -11,6 +11,7 @@ from repro.ingest import (
     LifecycleConfig,
     LifecycleDevice,
     run_lifecycle,
+    oracle_topk,
 )
 from repro.sim import Simulator
 from repro.workloads import get_app
@@ -26,9 +27,7 @@ def rig(rng):
     db = device.write_db(rng.normal(0, 1, (256, DIM)).astype(np.float32))
     model = device.load_graph(APP.build_scn(seed=1))
     device.enable_ingest(db, region_blocks=8, region_pages_per_block=16)
-    search = DeltaAwareSearch(
-        device.lifecycle(db).store, device._models[model], n_clusters=8, seed=0
-    )
+    search = DeltaAwareSearch(device, db, model, n_clusters=8, seed=0)
     return device, db, model, search
 
 
@@ -105,6 +104,96 @@ class TestDeltaAwareSearch:
             search.query(probe, 5, n_probe=999)
 
 
+    @pytest.mark.parametrize("n_probe", [2.5, True, float("nan"), float("inf")])
+    def test_non_integer_n_probe_rejected(self, rig, rng, n_probe):
+        _, _, _, search = rig
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        with pytest.raises(IngestError, match="n_probe"):
+            search.query(probe, 5, n_probe=n_probe)
+
+    def test_whole_n_probe_values_are_accepted(self, rig, rng):
+        """The same probe-count rule as ``IndexedDevice.query``."""
+        _, _, _, search = rig
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        as_int = search.query(probe, 5, n_probe=2)
+        for other in (2.0, np.int64(2)):
+            got = search.query(probe, 5, n_probe=other)
+            assert got.feature_ids.tolist() == as_int.feature_ids.tolist()
+            assert got.probed_rows == as_int.probed_rows
+
+    def test_bad_construction_rejected(self, rig):
+        device, db, model, _ = rig
+        with pytest.raises(IngestError, match="n_clusters"):
+            DeltaAwareSearch(device, db, model, n_clusters=2.5)
+        with pytest.raises(IngestError, match="model"):
+            DeltaAwareSearch(device, db, model + 99)
+
+
+def _mutate(device, db, search, rng, victims=(7, 40), updated=9):
+    """Plant winners, insert noise, delete clustered rows, update one."""
+    probe = rng.normal(0, 1, DIM).astype(np.float32)
+    _plant_winners(device, db, search, probe, 6)
+    device.insert_db(db, rng.normal(0, 1, (12, DIM)).astype(np.float32))
+    winners = search.exact_topk(probe, 3)
+    device.delete_db_rows(db, [int(winners[0]), *victims])
+    device.update_db_row(db, updated, rng.normal(0, 1, DIM).astype(np.float32))
+    return probe
+
+
+class TestDeltaAwareSearchDifferential:
+    """``query`` equals an in-test reference over the same candidates.
+
+    The reference takes the router's probed lists, keeps the visible
+    ids (plus the delta when asked), scores them with one plain
+    ``graph.forward`` and ranks them with :func:`oracle_topk`.
+    """
+
+    def _reference(self, device, model, search, probe, k, n_probe,
+                   include_delta):
+        store = search.store
+        visible = set(store.visible_ids().tolist())
+        decision = search.router.route(probe, n_probe, device._score_features)
+        candidates = [
+            fid for fid in search.lists.probed_ids(decision.list_ids).tolist()
+            if fid in visible
+        ]
+        if include_delta:
+            candidates += store.delta_ids().tolist()
+        graph = device._models[model]
+        q_id, d_id = graph.input_ids
+        rows = store.rows(candidates)
+        queries = np.repeat(probe.reshape(1, -1), len(candidates), axis=0)
+        out = graph.forward({
+            q_id: queries.reshape((len(candidates), *graph.shape_of(q_id))),
+            d_id: rows.reshape((len(candidates), *graph.shape_of(d_id))),
+        }).reshape(-1)
+        scores = np.full(store.n_rows, np.nan, dtype=np.float32)
+        scores[candidates] = out
+        return oracle_topk(store.features(), candidates, scores, k)
+
+    @pytest.mark.parametrize("n_probe", [1, 3, 8])
+    @pytest.mark.parametrize("include_delta", [False, True])
+    def test_query_equals_reference(self, rig, rng, n_probe, include_delta):
+        device, db, model, search = rig
+        probe = _mutate(device, db, search, rng)
+        result = search.query(probe, 10, n_probe, include_delta=include_delta)
+        expected = self._reference(
+            device, model, search, probe, 10, n_probe, include_delta
+        )
+        assert result.feature_ids.tolist() == [fid for _, fid in expected]
+        assert result.scores.tolist() == [score for score, _ in expected]
+
+    def test_full_probe_with_delta_is_exact(self, rig, rng):
+        device, db, _, search = rig
+        probe = _mutate(device, db, search, rng)
+        full = search.query(probe, 10, search.lists.n_lists, include_delta=True)
+        np.testing.assert_array_equal(
+            full.feature_ids, search.exact_topk(probe, 10)
+        )
+        # tombstoned clustered rows still cost reads: 3 deletes + 1 update
+        assert full.probed_rows == full.total_visible + 4
+
+
 class TestCompactionPolicy:
     def test_validation(self):
         with pytest.raises(IngestError):
@@ -113,6 +202,20 @@ class TestCompactionPolicy:
             CompactionPolicy(chunk_rows=0)
         with pytest.raises(IngestError):
             CompactionPolicy(min_gap_s=-1.0)
+
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_non_finite_gap_rejected(self, gap):
+        with pytest.raises(IngestError, match="min_gap_s"):
+            CompactionPolicy(min_gap_s=gap)
+
+    @pytest.mark.parametrize("rows", [2.5, 2.0, True])
+    def test_non_integer_chunk_rows_rejected(self, rows):
+        with pytest.raises(IngestError, match="chunk_rows"):
+            CompactionPolicy(chunk_rows=rows)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(IngestError, match="delta_threshold"):
+            CompactionPolicy(delta_threshold=float("nan"))
 
     def test_due_follows_the_delta_threshold(self, rig, rng):
         device, db, _, search = rig
@@ -204,6 +307,99 @@ class TestCompactionJob:
         with pytest.raises(IngestError):
             job.start(sim)
         sim.run()
+
+
+class TestCompactionRows:
+    """The job and ``compact_db`` move the same rows at the same snapshot."""
+
+    def _reference(self, state, snap):
+        held = state.writepath.has_row
+        dead = [
+            fid for fid in range(snap.n_rows)
+            if not state.store.is_visible(fid, snap) and held(fid)
+        ]
+        delta = [int(f) for f in state.store.delta_ids(snap) if held(int(f))]
+        return dead, delta
+
+    def test_matches_the_per_row_rule(self, rig, rng):
+        device, db, _, search = rig
+        _mutate(device, db, search, rng)
+        device.compact_db(db)
+        _mutate(device, db, search, rng, victims=(8, 41), updated=12)
+        state = device.lifecycle(db)
+        snap = state.store.snapshot()
+        dead, delta = state.dead_rows(snap), state.delta_rows(snap)
+        assert (dead, delta) == self._reference(state, snap)
+        assert dead and delta and dead == sorted(dead)
+
+    def test_job_and_device_trim_and_rewrite_alike(self, rig, rng, monkeypatch):
+        device, db, model, _ = rig
+        twin = LifecycleDevice()
+        twin_db = twin.write_db(device.read_db(db))
+        twin.load_graph(APP.build_scn(seed=1))
+        twin.enable_ingest(twin_db, region_blocks=8, region_pages_per_block=16)
+        rows = rng.normal(0, 1, (40, DIM)).astype(np.float32)
+        calls = {}
+        for dev, name in ((device, "job"), (twin, "device")):
+            dev.insert_db(db, rows)
+            dev.delete_db_rows(db, [3, 60, 257, 11])
+            path = dev.lifecycle(db).writepath
+            log = calls.setdefault(name, [])
+            for verb in ("delete", "rewrite"):
+                original = getattr(path, verb)
+
+                def record(ids, verb=verb, original=original, log=log):
+                    log.append((verb, list(ids)))
+                    return original(ids)
+
+                monkeypatch.setattr(path, verb, record)
+        job = CompactionJob(device, db, policy=CompactionPolicy(chunk_rows=16))
+        sim = Simulator()
+        job.start(sim)
+        sim.run()
+        twin.compact_db(twin_db)
+
+        def flat(log, verb):
+            return [fid for v, ids in log if v == verb for fid in ids]
+
+        # the job rewrites before it trims and compact_db the other way
+        # round (a rewrite also deletes its rows' old pages), so compare
+        # the rows each verb saw, not the call order
+        for verb in ("delete", "rewrite"):
+            assert sorted(flat(calls["job"], verb)) == sorted(
+                flat(calls["device"], verb)
+            )
+        delta = [fid for fid in range(256, 296) if fid != 257]
+        assert flat(calls["job"], "rewrite") == delta
+        assert sorted(flat(calls["job"], "delete")) == sorted(
+            [3, 11, 60, 257] + delta
+        )
+
+
+class TestLifecycleConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("probe_queries", 0),
+        ("k", 0),
+        ("n_base", 0),
+        ("rounds", -1),
+        ("random_per_round", 0),
+        ("deletes_per_round", 0),
+        ("n_probe", 2.5),
+        ("n_clusters", True),
+        ("planted_per_round", 1.5),
+    ])
+    def test_bad_count_rejected(self, field, value):
+        with pytest.raises(IngestError, match=field):
+            LifecycleConfig(**{field: value})
+
+    def test_n_probe_above_n_clusters_rejected(self):
+        with pytest.raises(IngestError, match="n_probe"):
+            LifecycleConfig(n_clusters=4, n_probe=5)
+
+    @pytest.mark.parametrize("load", [-0.1, 1.5, float("nan")])
+    def test_bad_interference_load_rejected(self, load):
+        with pytest.raises(IngestError, match="interference_loads"):
+            LifecycleConfig(interference_loads=(0.0, load))
 
 
 class TestRunLifecycle:

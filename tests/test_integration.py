@@ -11,7 +11,7 @@ import pytest
 from repro import DeepStoreDevice, DeepStoreSystem
 from repro.analysis import compare_levels
 from repro.baseline import GpuSsdSystem
-from repro.core.reorganize import ReorganizedSearch, build_layout
+from repro.index import IndexedDevice
 from repro.core.scheduler import MultiQueryScheduler
 from repro.nn import graph_from_bytes, graph_to_bytes
 from repro.nn.quantization import quantize_graph
@@ -160,21 +160,22 @@ class TestCacheUnderRealisticStream:
         assert dist.p99_s >= dist.p50_s
 
 
-class TestReorganizationOnDevice:
-    def test_clustered_layout_accelerates_with_recall(self):
+class TestIvfIndexOnDevice:
+    def test_probed_index_accelerates_with_recall(self):
         spec = FeatureDatasetSpec(n_features=4000, dim=200, n_intents=8,
                                   noise=0.25, seed=6)
         features, _ = make_clustered_features(spec)
-        app = get_app("textqa")
-        graph = train_scn(app, seed=0)
-        ssd = Ssd()
-        layout = build_layout(features, n_clusters=8, ftl=ssd.ftl,
-                              feature_bytes=800, seed=1)
-        search = ReorganizedSearch(layout, features, app, graph)
+        graph = train_scn(get_app("textqa"), seed=0)
+        device = IndexedDevice(level="channel")
+        db = device.write_db(features)
+        model = device.load_graph(graph)
+        device.build_index(db, model, 8, seed=1)
         rng = np.random.default_rng(12)
         qfv = (spec.centroids()[2] + rng.normal(0, 0.1, 200)).astype(np.float32)
-        probed = search.query(qfv, k=10, n_probe=2)
-        exact = search.exact_topk(qfv, 10)
-        assert probed.recall_against(exact) > 0.5
-        assert probed.scan_fraction < 0.6
-        assert probed.scan_seconds < probed.full_scan_seconds
+        probed = device.get_results(device.query(qfv, 10, model, db, nprobe=2))
+        device.index_mode = "off"
+        exact = device.get_results(device.query(qfv, 10, model, db))
+        hits = set(probed.feature_ids.tolist()) & set(exact.feature_ids.tolist())
+        assert len(hits) / 10 > 0.5
+        assert probed.probed_rows / len(features) < 0.6
+        assert probed.seconds < exact.seconds
