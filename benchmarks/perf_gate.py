@@ -1,17 +1,9 @@
 """The CI performance gate.
 
-Builds the combined perf scorecard — the reproduction scorecard
-(Table-4 speedups + structural claims), the serving scorecard
-(throughput-latency curve, cache point, degraded point), the cluster
-scorecard (shard scaling, failover tax, hedging), the ingest
-scorecard (staleness drift, compaction recovery, write-amplification
-interference), the recovery scorecard (crash durability, MTTR,
-availability and recall under a scripted chaos day), the index
-scorecard (IVF recall/latency frontier per accelerator level, build
-cost through the FTL write path, DES-validated operating point), and
-the tenancy scorecard (multi-tenant production day: per-tenant
-p99/goodput/SLO attainment, autoscaler action log, noisy-neighbor
-isolation ratios) — and compares
+Builds the combined perf scorecard — every leg of the registry
+``repro.analysis.scorecard.scorecard_legs()``: the reproduction
+scorecard (Table-4 speedups + structural claims) and the serving,
+cluster, ingest, recovery, index and tenancy scorecards — and compares
 it leaf by leaf against the checked-in baseline
 ``benchmarks/results/baseline_scorecard.json``, exactly: every numeric
 leaf must compare equal, every other leaf must match.
@@ -36,31 +28,9 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Dict
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "baseline_scorecard.json"
-
-
-def build_combined_scorecard() -> Dict[str, object]:
-    """All seven scorecards under stable top-level keys."""
-    from repro.analysis.scorecard import build_scorecard
-    from repro.cluster import build_cluster_scorecard
-    from repro.index.scorecard import build_index_scorecard
-    from repro.ingest import build_ingest_scorecard
-    from repro.recovery.scorecard import build_recovery_scorecard
-    from repro.serving.scorecard import build_serving_scorecard
-    from repro.tenancy.scorecard import build_tenancy_scorecard
-
-    return {
-        "repro": json.loads(build_scorecard().to_json()),
-        "serving": build_serving_scorecard(),
-        "cluster": build_cluster_scorecard(),
-        "ingest": build_ingest_scorecard(),
-        "recovery": build_recovery_scorecard(),
-        "index": build_index_scorecard(),
-        "tenancy": build_tenancy_scorecard(),
-    }
 
 
 def main(argv=None) -> int:
@@ -80,6 +50,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.analysis.scorecard import build_combined_scorecard
     from repro.serving.scorecard import compare_scorecards, flatten
 
     current = build_combined_scorecard()

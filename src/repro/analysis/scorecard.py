@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.metrics import compare_levels
 from repro.baseline import GpuSsdSystem, PASCAL_TITAN_XP, VOLTA_TITAN_V
@@ -196,3 +196,34 @@ def build_scorecard(
         ),
     }
     return card
+
+
+def scorecard_legs() -> Dict[str, Callable[[], Dict[str, object]]]:
+    """The perf-gate legs: leg name -> zero-argument scorecard builder.
+
+    The one list of gated legs, in baseline order.  Every builder runs
+    its fixed gate scenario and returns a JSON-ready dict; the subsystem
+    imports happen here, at call time, so importing this module stays
+    cheap.
+    """
+    from repro.cluster.scorecard import build_cluster_scorecard
+    from repro.index.scorecard import build_index_scorecard
+    from repro.ingest.scorecard import build_ingest_scorecard
+    from repro.recovery.scorecard import build_recovery_scorecard
+    from repro.serving.scorecard import build_serving_scorecard
+    from repro.tenancy.scorecard import build_tenancy_scorecard
+
+    return {
+        "repro": lambda: json.loads(build_scorecard().to_json()),
+        "serving": build_serving_scorecard,
+        "cluster": build_cluster_scorecard,
+        "ingest": build_ingest_scorecard,
+        "recovery": build_recovery_scorecard,
+        "index": build_index_scorecard,
+        "tenancy": build_tenancy_scorecard,
+    }
+
+
+def build_combined_scorecard() -> Dict[str, object]:
+    """Every perf-gate leg under its registry name (the gated artifact)."""
+    return {name: build() for name, build in scorecard_legs().items()}

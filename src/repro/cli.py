@@ -25,10 +25,14 @@ Small, self-contained runners over the library for the common questions:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
 import numpy as np
+
+#: the five applications every ``--app`` flag chooses from
+APPS = ("reid", "mir", "estp", "tir", "textqa")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -220,27 +224,23 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     app = get_app(args.app)
     ssd = Ssd()
-    try:
-        meta = ssd.ftl.create_database(app.feature_bytes, args.features)
-        plan = FaultPlan(
-            read_retry_rate=args.retry_rate,
-            crc_error_rate=args.crc_rate,
-            chip_failure_rate=args.chip_rate,
-        )
-        if args.fail_accels:
-            for token in args.fail_accels.split(","):
-                plan = plan.fail_accelerator(int(token.strip()))
-        report = run_reliability_trial(
-            app,
-            meta,
-            plan,
-            queries=args.queries,
-            seed=args.seed,
-            max_pages_per_channel=args.max_pages,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    meta = ssd.ftl.create_database(app.feature_bytes, args.features)
+    plan = FaultPlan(
+        read_retry_rate=args.retry_rate,
+        crc_error_rate=args.crc_rate,
+        chip_failure_rate=args.chip_rate,
+    )
+    if args.fail_accels:
+        for token in args.fail_accels.split(","):
+            plan = plan.fail_accelerator(int(token.strip()))
+    report = run_reliability_trial(
+        app,
+        meta,
+        plan,
+        queries=args.queries,
+        seed=args.seed,
+        max_pages_per_channel=args.max_pages,
+    )
     if args.json:
         print(report.to_json())
     else:
@@ -272,8 +272,6 @@ def _run_traced_query(args: argparse.Namespace):
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one event-driven query with tracing; export + explain it."""
-    import json
-
     from repro.analysis.reporting import ascii_series
     from repro.obs import (
         profile_resources,
@@ -282,11 +280,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    try:
-        app, result, tracer, metrics = _run_traced_query(args)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    app, result, tracer, metrics = _run_traced_query(args)
     write_chrome_trace(tracer, args.out)
     breakdown = query_breakdown(result)
     if args.json:
@@ -328,7 +322,6 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
     measured.
     """
     import cProfile
-    import json
     import pstats
 
     from repro.core.event_query import EventQuerySimulator
@@ -336,6 +329,8 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
     from repro.ssd import Ssd
     from repro.workloads import get_app
 
+    if args.top < 1:  # a slice bound: -1 would drop the last row
+        raise ValueError(f"top must be an integer >= 1, got {args.top}")
     app = get_app(args.app)
     ssd = Ssd()
     meta = ssd.ftl.create_database(app.feature_bytes, args.features)
@@ -377,18 +372,12 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Top-N busiest resources and idle-gap analysis of one query."""
-    import json
-
     from repro.analysis import Table, format_seconds
     from repro.obs import profile_resources
 
     if args.hotspots:
         return _cmd_profile_hotspots(args)
-    try:
-        app, result, tracer, metrics = _run_traced_query(args)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    app, result, tracer, metrics = _run_traced_query(args)
     usages = profile_resources(tracer, end=result.scan_seconds, top=args.top)
     if args.json:
         print(json.dumps({
@@ -421,16 +410,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve an open-loop query stream; print the load-latency curve.
 
     Deterministic in ``--seed`` and the config flags: the same command
-    reproduces the same curve byte for byte.  ``--scorecard --json``
-    emits the canonical machine-readable perf scorecard CI gates on.
+    reproduces the same curve byte for byte.  ``--scorecard`` emits the
+    serving leg of the CI perf gate instead.
     """
-    import json
-
     from repro.analysis.reporting import ascii_series
     from repro.obs import MetricsRegistry, Tracer
     from repro.serving import (
         ServingConfig,
-        build_serving_scorecard,
         curve_table,
         drop_timeline,
         queue_depth_timeline,
@@ -438,11 +424,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sweep_offered_load,
     )
     from repro.workloads import QueryStream, get_app
-
-    if args.scorecard:
-        # always machine-readable: this is the artifact CI gates on
-        print(json.dumps(build_serving_scorecard(), indent=2, sort_keys=True))
-        return 0
 
     config = ServingConfig(
         app=args.app,
@@ -470,26 +451,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             paraphrase_noise=0.05,
             seed=args.seed,
         )
-    qps_points = None
-    if args.qps is not None:
-        qps_points = [args.qps]
-    elif not args.qps_sweep:
-        qps_points = None  # defaults to the saturation-relative ladder
     metrics = MetricsRegistry()
     tracer = Tracer()
-    try:
-        curve = sweep_offered_load(
-            config,
-            n_queries=args.queries,
-            seed=args.seed,
-            qps_points=qps_points,
-            stream=stream,
-            metrics=metrics,
-            tracer=tracer,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    curve = sweep_offered_load(
+        config,
+        n_queries=args.queries,
+        seed=args.seed,
+        # None sweeps the saturation-relative ladder
+        qps_points=[args.qps] if args.qps is not None else None,
+        stream=stream,
+        metrics=metrics,
+        tracer=tracer,
+    )
     if args.json:
         print(json.dumps({
             "config": {
@@ -545,69 +518,58 @@ def _parse_fail_shards(text: str):
     return tuple(specs)
 
 
+def _cluster_config(args: argparse.Namespace, **extra):
+    """The ``ClusterConfig`` of the shared cluster flags plus ``extra``."""
+    from repro.cluster import ClusterConfig
+
+    return ClusterConfig(
+        n_shards=args.shards,
+        n_replicas=args.replicas,
+        seed=args.seed,
+        hedge_fraction=args.hedge if args.hedge > 0 else None,
+        straggler_spread=args.straggler,
+        fail_shards=_parse_fail_shards(args.fail_shards),
+        **extra,
+    )
+
+
+def _random_features(app, args: argparse.Namespace):
+    """``(rng, rows)``: the ``--seed`` generator and ``--features`` rows."""
+    rng = np.random.default_rng(args.seed)
+    rows = rng.normal(0, 1, (args.features, app.feature_floats))
+    return rng, rows.astype(np.float32)
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Scatter-gather queries over a sharded, replicated cluster.
 
     Deterministic in ``--seed`` and the config flags: the same command
     reproduces the same output byte for byte.  ``--scorecard`` emits
-    the canonical machine-readable cluster scorecard CI gates on.
+    the cluster leg of the CI perf gate instead.
     """
-    import json
-
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterError,
-        DeepStoreCluster,
-        build_cluster_scorecard,
-        cluster_metrics_snapshot,
-    )
+    from repro.cluster import DeepStoreCluster, cluster_metrics_snapshot
     from repro.obs import MetricsRegistry
     from repro.workloads import get_app, plant_neighbors, train_scn
 
-    if args.scorecard:
-        # always machine-readable: this is the artifact CI gates on
-        print(json.dumps(build_cluster_scorecard(), indent=2, sort_keys=True))
-        return 0
-
     app = get_app(args.app)
-    try:
-        config = ClusterConfig(
-            n_shards=args.shards,
-            n_replicas=args.replicas,
-            placement=args.placement,
-            level=args.level,
-            seed=args.seed,
-            hedge_fraction=args.hedge if args.hedge > 0 else None,
-            straggler_spread=args.straggler,
-            fail_shards=_parse_fail_shards(args.fail_shards),
-        )
-    except (ClusterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rng = np.random.default_rng(args.seed)
-    features = rng.normal(0, 1, (args.features, app.feature_floats)).astype(
-        np.float32
-    )
+    config = _cluster_config(args, placement=args.placement, level=args.level)
+    rng, features = _random_features(app, args)
     intent = rng.normal(0, 1, app.feature_floats).astype(np.float32)
     features, planted = plant_neighbors(
         features, intent, k=args.k // 2 or 1, noise=0.2, seed=args.seed + 1
     )
     metrics = MetricsRegistry()
     cluster = DeepStoreCluster(config, metrics=metrics)
-    try:
-        db = cluster.write_db(features)
-        model = cluster.load_graph(train_scn(app, seed=args.seed))
-        if args.cache_threshold > 0:
-            cluster.set_qc(args.cache_threshold)
-        results = []
-        for q in range(args.queries):
-            qfv = intent + rng.normal(0, 0.2, app.feature_floats).astype(
-                np.float32
-            )
-            results.append(cluster.query(qfv, args.k, model, db))
-    except ClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    db = cluster.write_db(features)
+    model = cluster.load_graph(train_scn(app, seed=args.seed))
+    if args.cache_threshold > 0:
+        cluster.set_qc(args.cache_threshold)
+    results = []
+    for q in range(args.queries):
+        qfv = intent + rng.normal(0, 0.2, app.feature_floats).astype(
+            np.float32
+        )
+        results.append(cluster.query(qfv, args.k, model, db))
 
     placement = cluster.placement_of(db)
     if args.json:
@@ -673,34 +635,22 @@ def _cmd_index(args: argparse.Namespace) -> int:
     ``nprobe`` per accelerator level: recall@K against the exhaustive
     scan vs the modelled probe latency, with the operating point
     re-validated on the event-driven timeline.  ``--scorecard`` emits
-    the index leg of the CI perf gate.
+    the index leg of the CI perf gate instead.
     """
-    import json
-
     from repro.index.scorecard import (
         IndexGateConfig,
         RECALL_GATE,
         build_index_scorecard,
     )
 
-    if args.scorecard:
-        # always machine-readable: this is the artifact CI gates on
-        print(json.dumps(build_index_scorecard(), indent=2, sort_keys=True))
-        return 0
-
-    try:
-        config = IndexGateConfig(
-            app=args.app,
-            n_features=args.features,
-            n_lists=args.lists,
-            k=args.k,
-            n_queries=args.queries,
-            seed=args.seed,
-        )
-        card = build_index_scorecard(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    card = build_index_scorecard(IndexGateConfig(
+        app=args.app,
+        n_features=args.features,
+        n_lists=args.lists,
+        k=args.k,
+        n_queries=args.queries,
+        seed=args.seed,
+    ))
 
     if args.json:
         print(json.dumps(card, indent=2, sort_keys=True, default=float))
@@ -742,35 +692,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     database actually cost: clustered-layout recall drifting as the
     delta region grows, the preemptible compaction that restores it,
     and the measured write-amplification feeding query slowdown.
-    ``--scorecard`` emits the ingest leg of the CI perf gate.
+    ``--scorecard`` emits the ingest leg of the CI perf gate instead.
     """
-    import json
+    from repro.ingest import LifecycleConfig, run_lifecycle
 
-    from repro.ingest import (
-        IngestError,
-        LifecycleConfig,
-        build_ingest_scorecard,
-        run_lifecycle,
+    config = LifecycleConfig(
+        app=args.app,
+        n_base=args.base,
+        rounds=args.rounds,
+        probe_queries=args.queries,
+        k=args.k,
+        seed=args.seed,
     )
-
-    if args.scorecard:
-        # always machine-readable: this is the artifact CI gates on
-        print(json.dumps(build_ingest_scorecard(), indent=2, sort_keys=True))
-        return 0
-
-    try:
-        config = LifecycleConfig(
-            app=args.app,
-            n_base=args.base,
-            rounds=args.rounds,
-            probe_queries=args.queries,
-            k=args.k,
-            seed=args.seed,
-        )
-        report = run_lifecycle(config)
-    except (IngestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_lifecycle(config)
 
     if args.json:
         payload = report.as_dict()
@@ -829,45 +763,29 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     availability track (replica kill storms, retry ladders, breakers,
     brownout, :func:`repro.chaos.run_cluster_chaos`) and reports the
     MTTR / durability / recall-under-chaos scorecard.  ``--scorecard``
-    emits the recovery leg of the CI perf gate.
+    emits the recovery leg of the CI perf gate instead.
     """
-    import json
-
     from repro.chaos import (
         ChaosConfig,
-        ChaosError,
         run_cluster_chaos,
         run_durability_chaos,
     )
 
-    if args.scorecard:
-        from repro.recovery.scorecard import build_recovery_scorecard
-
-        # always machine-readable: this is the artifact CI gates on
-        print(json.dumps(
-            build_recovery_scorecard(), indent=2, sort_keys=True
-        ))
-        return 0
-
-    try:
-        config = ChaosConfig(
-            seed=args.seed,
-            duration_s=args.duration,
-            crashes=args.crashes,
-            kills=args.kills,
-            queries=args.queries,
-        )
-        durability = (
-            run_durability_chaos(config)
-            if args.track in ("durability", "both") else None
-        )
-        availability = (
-            run_cluster_chaos(config)
-            if args.track in ("cluster", "both") else None
-        )
-    except ChaosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = ChaosConfig(
+        seed=args.seed,
+        duration_s=args.duration,
+        crashes=args.crashes,
+        kills=args.kills,
+        queries=args.queries,
+    )
+    durability = (
+        run_durability_chaos(config)
+        if args.track in ("durability", "both") else None
+    )
+    availability = (
+        run_cluster_chaos(config)
+        if args.track in ("cluster", "both") else None
+    )
 
     if args.json:
         payload = {"seed": config.seed, "duration_s": config.duration_s}
@@ -927,14 +845,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     (IEEE-754 ``==``) to the reported total.  ``--out`` writes the
     whole day's causal span forest as Chrome trace-event JSON.
     """
-    import json
-
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterError,
-        DeepStoreCluster,
-        RetryPolicy,
-    )
+    from repro.cluster import DeepStoreCluster, RetryPolicy
     from repro.obs import (
         FleetAttribution,
         TraceCollector,
@@ -944,45 +855,22 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.workloads import get_app, train_scn
 
     app = get_app(args.app)
-    try:
-        config = ClusterConfig(
-            n_shards=args.shards,
-            n_replicas=args.replicas,
-            seed=args.seed,
-            hedge_fraction=args.hedge if args.hedge > 0 else None,
-            straggler_spread=args.straggler,
-            fail_shards=_parse_fail_shards(args.fail_shards),
-            retry_policy=RetryPolicy(),
-        )
-    except (ClusterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _cluster_config(args, retry_policy=RetryPolicy())
     if not 0 <= args.query_id < args.queries:
-        print(
-            f"error: query id {args.query_id} out of range "
-            f"(ran {args.queries} queries)",
-            file=sys.stderr,
+        raise ValueError(
+            f"query id {args.query_id} out of range "
+            f"(ran {args.queries} queries)"
         )
-        return 1
 
-    rng = np.random.default_rng(args.seed)
-    features = rng.normal(0, 1, (args.features, app.feature_floats)).astype(
-        np.float32
-    )
+    rng, features = _random_features(app, args)
     dtrace = TraceCollector()
     cluster = DeepStoreCluster(config)
-    try:
-        db = cluster.write_db(features)
-        model = cluster.load_graph(train_scn(app, seed=args.seed))
-        results = []
-        for q in range(args.queries):
-            qfv = rng.normal(0, 1, app.feature_floats).astype(np.float32)
-            results.append(
-                cluster.query(qfv, args.k, model, db, dtrace=dtrace)
-            )
-    except ClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    db = cluster.write_db(features)
+    model = cluster.load_graph(train_scn(app, seed=args.seed))
+    results = []
+    for q in range(args.queries):
+        qfv = rng.normal(0, 1, app.feature_floats).astype(np.float32)
+        results.append(cluster.query(qfv, args.k, model, db, dtrace=dtrace))
 
     paths = [cluster_critical_path(r) for r in results]
     fleet = FleetAttribution()
@@ -1028,24 +916,18 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     (availability + latency SLOs, fast-burn alert rules) and reports
     the windows, error budgets, every alert that fired, and the
     detection time: how long after the first injected kill the first
-    alert fired.  ``--scorecard`` emits the machine-readable report CI
+    alert fired.  ``--json`` emits the machine-readable report CI
     archives.
     """
-    import json
+    from repro.chaos import ChaosConfig, run_cluster_chaos
 
-    from repro.chaos import ChaosConfig, ChaosError, run_cluster_chaos
-
-    try:
-        config = ChaosConfig(
-            seed=args.seed,
-            duration_s=args.duration,
-            kills=args.kills,
-            queries=args.queries,
-        )
-        report = run_cluster_chaos(config)
-    except ChaosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = ChaosConfig(
+        seed=args.seed,
+        duration_s=args.duration,
+        kills=args.kills,
+        queries=args.queries,
+    )
+    report = run_cluster_chaos(config)
 
     payload = {
         "seed": config.seed,
@@ -1058,8 +940,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         "alert_latency_s": report.alert_latency_s,
         "slo": report.slo,
     }
-    if args.scorecard or args.json:
-        # always machine-readable: this is the artifact CI archives
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
@@ -1096,32 +977,19 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
     weighted-fair admission and the burn-rate autoscaler, and reports
     each tenant's day plus the noisy-neighbor isolation ratios.
     ``--trace`` summarizes the generated trace without running it;
-    ``--scorecard`` emits the tenancy leg of the CI perf gate.
+    ``--scorecard`` emits the tenancy leg of the CI perf gate instead.
     """
-    import json
-
     from repro.tenancy import (
         default_production_config,
         generate_day,
         offered_summary,
         run_production_day,
     )
-    from repro.tenancy.scorecard import build_tenancy_scorecard
     from repro.tenancy.trace import peak_window_qps
 
-    if args.scorecard:
-        # always machine-readable: this is the artifact CI gates on
-        print(json.dumps(build_tenancy_scorecard(), indent=2,
-                         sort_keys=True))
-        return 0
-
-    try:
-        config = default_production_config(
-            seed=args.seed, day_s=args.day, features=args.features
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = default_production_config(
+        seed=args.seed, day_s=args.day, features=args.features
+    )
 
     if args.trace:
         arrivals = generate_day(config)
@@ -1191,19 +1059,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.workloads import get_app, plant_neighbors, train_scn
 
     app = get_app(args.app)
-    rng = np.random.default_rng(args.seed)
-    print(f"Training {app.name} SCN...")
-    scn = train_scn(app, seed=args.seed)
-    features = rng.normal(0, 1, (args.features, app.feature_floats)).astype(
-        np.float32
-    )
+    rng, features = _random_features(app, args)
     intent = rng.normal(0, 1, app.feature_floats).astype(np.float32)
     features, planted = plant_neighbors(features, intent, k=5, noise=0.2, seed=2)
     qfv = intent + rng.normal(0, 0.2, app.feature_floats).astype(np.float32)
 
     device = DeepStoreDevice(level=args.level)
     db = device.write_db(features)
-    model = device.load_graph(scn)
+    print(f"Training {app.name} SCN...")
+    model = device.load_graph(train_scn(app, seed=args.seed))
     result = device.get_results(device.query(qfv, 10, model, db))
     recall = len(set(result.feature_ids.tolist()) & set(planted.tolist()))
     print(f"top-10: {result.feature_ids.tolist()}")
@@ -1211,6 +1075,34 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"modelled latency: {format_seconds(result.seconds)} "
           f"({result.latency.bound}-bound, {result.latency.accel_count} accels)")
     return 0
+
+
+def _add_scorecard(parser: argparse.ArgumentParser, leg: str) -> None:
+    """Add ``--scorecard``, which prints perf-gate leg ``leg`` instead."""
+    parser.add_argument(
+        "--scorecard", action="store_true",
+        help=f"print the {leg} leg of the CI perf gate (JSON): its fixed "
+             f"gate scenario, whatever the other flags say",
+    )
+    parser.set_defaults(leg=leg)
+
+
+def _add_cluster_args(
+    parser: argparse.ArgumentParser, shards: int, replicas: int,
+    hedge: float, straggler: float, fail_shards: str,
+) -> None:
+    """Add the cluster-shape flags :func:`_cluster_config` reads."""
+    parser.add_argument("--shards", type=int, default=shards,
+                        help="dataset partitions (one SSD group each)")
+    parser.add_argument("--replicas", type=int, default=replicas,
+                        help="replica SSDs per shard")
+    parser.add_argument("--hedge", type=float, default=hedge,
+                        help="hedge fraction (>0 enables hedged requests)")
+    parser.add_argument("--straggler", type=float, default=straggler,
+                        help="deterministic replica straggler spread")
+    parser.add_argument("--fail-shards", default=fail_shards,
+                        help="dead replicas: comma-separated shard or "
+                             "shard:replica tokens (e.g. '0,3:1')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1226,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("breakdown", help="GPU+SSD time breakdown (Fig. 2)")
 
     speedup = sub.add_parser("speedup", help="Table-4 speedups")
-    speedup.add_argument("--app", choices=["reid", "mir", "estp", "tir", "textqa"])
+    speedup.add_argument("--app", choices=APPS)
     speedup.add_argument("--gigabytes", type=float, default=25.0)
 
     sub.add_parser("dse", help="PE scaling (Fig. 6)")
@@ -1241,8 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--scan-ms", type=float, default=30.0)
 
     plan = sub.add_parser("plan", help="deployment capacity planning")
-    plan.add_argument("--app", default="tir",
-                      choices=["reid", "mir", "estp", "tir", "textqa"])
+    plan.add_argument("--app", default="tir", choices=APPS)
     plan.add_argument("--features", type=int, default=10_000_000)
     plan.add_argument("--qps", type=float, default=1.0)
 
@@ -1255,8 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faults", help="fault-injected queries + reliability report"
     )
-    faults.add_argument("--app", default="tir",
-                        choices=["reid", "mir", "estp", "tir", "textqa"])
+    faults.add_argument("--app", default="tir", choices=APPS)
     faults.add_argument("--features", type=int, default=20_000,
                         help="database size in feature vectors")
     faults.add_argument("--queries", type=int, default=5)
@@ -1274,8 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--json", action="store_true")
 
     def add_obs_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--app", default="tir",
-                       choices=["reid", "mir", "estp", "tir", "textqa"])
+        p.add_argument("--app", default="tir", choices=APPS)
         p.add_argument("--features", type=int, default=20_000,
                        help="database size in feature vectors")
         p.add_argument("--max-pages", type=int, default=64,
@@ -1307,16 +1196,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="open-loop serving sweep / perf scorecard"
     )
-    serve.add_argument("--app", default="tir",
-                       choices=["reid", "mir", "estp", "tir", "textqa"])
+    serve.add_argument("--app", default="tir", choices=APPS)
     serve.add_argument("--features", type=int, default=400_000,
                        help="database size in feature vectors")
     serve.add_argument("--queries", type=int, default=240,
                        help="queries per sweep point")
     serve.add_argument("--qps", type=float, default=None,
-                       help="one offered load instead of a sweep")
-    serve.add_argument("--qps-sweep", action="store_true",
-                       help="sweep offered load around saturation (default)")
+                       help="one offered load instead of the sweep "
+                            "around saturation")
     serve.add_argument("--queue-bound", type=int, default=32,
                        help="admission queue bound")
     serve.add_argument("--policy", default="reject",
@@ -1342,21 +1229,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--bins", type=int, default=40,
                        help="timeline resolution")
-    serve.add_argument("--scorecard", action="store_true",
-                       help="emit the canonical CI perf scorecard (JSON)")
+    _add_scorecard(serve, "serving")
     serve.add_argument("--json", action="store_true")
 
     cluster = sub.add_parser(
         "cluster", help="sharded scatter-gather queries / perf scorecard"
     )
-    cluster.add_argument("--app", default="tir",
-                         choices=["reid", "mir", "estp", "tir", "textqa"])
+    cluster.add_argument("--app", default="tir", choices=APPS)
     cluster.add_argument("--features", type=int, default=20_000,
                          help="total dataset size in feature vectors")
-    cluster.add_argument("--shards", type=int, default=4,
-                         help="dataset partitions (one SSD group each)")
-    cluster.add_argument("--replicas", type=int, default=1,
-                         help="replica SSDs per shard")
+    _add_cluster_args(cluster, shards=4, replicas=1, hedge=0.0,
+                      straggler=0.0, fail_shards="")
     cluster.add_argument("--placement", default="range",
                          choices=["range", "hash", "locality"],
                          help="shard placement strategy")
@@ -1366,24 +1249,15 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--k", type=int, default=10, help="global top-K")
     cluster.add_argument("--queries", type=int, default=3)
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--fail-shards", default="",
-                         help="dead replicas: comma-separated shard or "
-                              "shard:replica tokens (e.g. '0,3:1')")
-    cluster.add_argument("--hedge", type=float, default=0.0,
-                         help="hedge fraction (>0 enables hedged requests)")
-    cluster.add_argument("--straggler", type=float, default=0.0,
-                         help="deterministic replica straggler spread")
     cluster.add_argument("--cache-threshold", type=float, default=0.0,
                          help="setQC threshold on every shard (0 = off)")
-    cluster.add_argument("--scorecard", action="store_true",
-                         help="emit the canonical CI perf scorecard (JSON)")
+    _add_scorecard(cluster, "cluster")
     cluster.add_argument("--json", action="store_true")
 
     ingest = sub.add_parser(
         "ingest", help="online ingest & data-lifecycle loop"
     )
-    ingest.add_argument("--app", default="textqa",
-                        choices=["reid", "mir", "estp", "tir", "textqa"])
+    ingest.add_argument("--app", default="textqa", choices=APPS)
     ingest.add_argument("--base", type=int, default=1024,
                         help="base rows written before mutation begins")
     ingest.add_argument("--rounds", type=int, default=3,
@@ -1392,15 +1266,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probe queries per staleness measurement")
     ingest.add_argument("--k", type=int, default=10)
     ingest.add_argument("--seed", type=int, default=0)
-    ingest.add_argument("--scorecard", action="store_true",
-                        help="emit the canonical CI perf scorecard (JSON)")
+    _add_scorecard(ingest, "ingest")
     ingest.add_argument("--json", action="store_true")
 
     index = sub.add_parser(
         "index", help="IVF ANN probes: recall/latency Pareto sweep"
     )
-    index.add_argument("--app", default="textqa",
-                       choices=["reid", "mir", "estp", "tir", "textqa"])
+    index.add_argument("--app", default="textqa", choices=APPS)
     index.add_argument("--features", type=int, default=65536,
                        help="database rows in the clustered workload")
     index.add_argument("--lists", type=int, default=32,
@@ -1409,8 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--queries", type=int, default=4,
                        help="probe queries averaged per sweep point")
     index.add_argument("--seed", type=int, default=7)
-    index.add_argument("--scorecard", action="store_true",
-                       help="emit the index leg of the CI perf gate (JSON)")
+    _add_scorecard(index, "index")
     index.add_argument("--json", action="store_true")
 
     chaos = sub.add_parser(
@@ -1427,8 +1298,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="probe queries on the availability track")
     chaos.add_argument("--track", default="both",
                        choices=["durability", "cluster", "both"])
-    chaos.add_argument("--scorecard", action="store_true",
-                       help="emit the recovery leg of the CI perf gate")
+    _add_scorecard(chaos, "recovery")
     chaos.add_argument("--json", action="store_true")
 
     explain = sub.add_parser(
@@ -1436,23 +1306,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("query_id", type=int, nargs="?", default=0,
                          help="which query of the traced run to explain")
-    explain.add_argument("--app", default="tir",
-                         choices=["reid", "mir", "estp", "tir", "textqa"])
+    explain.add_argument("--app", default="tir", choices=APPS)
     explain.add_argument("--features", type=int, default=2_000,
                          help="total dataset size in feature vectors")
-    explain.add_argument("--shards", type=int, default=3)
-    explain.add_argument("--replicas", type=int, default=2)
+    _add_cluster_args(explain, shards=3, replicas=2, hedge=0.3,
+                      straggler=0.5, fail_shards="1:0")
     explain.add_argument("--k", type=int, default=5)
     explain.add_argument("--queries", type=int, default=8,
                          help="queries in the traced run")
     explain.add_argument("--seed", type=int, default=0)
-    explain.add_argument("--hedge", type=float, default=0.3,
-                         help="hedge fraction (>0 enables hedged requests)")
-    explain.add_argument("--straggler", type=float, default=0.5,
-                         help="deterministic replica straggler spread")
-    explain.add_argument("--fail-shards", default="1:0",
-                         help="dead replicas: comma-separated shard or "
-                              "shard:replica tokens (e.g. '0,3:1')")
     explain.add_argument("--out", default="",
                          help="write the Chrome trace-event JSON here")
     explain.add_argument("--json", action="store_true")
@@ -1466,9 +1328,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--kills", type=int, default=4,
                      help="replica kills on the availability track")
     slo.add_argument("--queries", type=int, default=24)
-    slo.add_argument("--scorecard", action="store_true",
-                     help="emit the machine-readable SLO report (JSON)")
-    slo.add_argument("--json", action="store_true")
+    slo.add_argument("--json", action="store_true",
+                     help="emit the machine-readable SLO report")
 
     tenants = sub.add_parser(
         "tenants", help="multi-tenant production day on the shared plane"
@@ -1482,13 +1343,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="summarize the generated day trace only")
     tenants.add_argument("--no-isolation", action="store_true",
                          help="skip the paired noisy-neighbor runs")
-    tenants.add_argument("--scorecard", action="store_true",
-                         help="emit the tenancy leg of the CI perf gate")
+    _add_scorecard(tenants, "tenancy")
     tenants.add_argument("--json", action="store_true")
 
     demo = sub.add_parser("demo", help="end-to-end functional query")
-    demo.add_argument("--app", default="tir",
-                      choices=["reid", "mir", "estp", "tir", "textqa"])
+    demo.add_argument("--app", default="tir", choices=APPS)
     demo.add_argument("--level", default="channel",
                       choices=["ssd", "channel", "chip"])
     demo.add_argument("--features", type=int, default=10_000)
@@ -1521,9 +1380,25 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    The one error boundary: every package error subclasses
+    ``ValueError`` or ``RuntimeError`` (docs/api.md), so a bad argument
+    that gets past argparse prints one ``error:`` line and exits 1.
+    """
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        if getattr(args, "scorecard", False):
+            from repro.analysis.scorecard import scorecard_legs
+
+            # always machine-readable: this is the artifact CI gates on
+            card = scorecard_legs()[args.leg]()
+            print(json.dumps(card, indent=2, sort_keys=True))
+            return 0
+        return COMMANDS[args.command](args)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

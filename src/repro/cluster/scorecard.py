@@ -12,9 +12,9 @@ Three canonical scenarios:
 * **hedged** — stragglers plus hedged requests: how many hedges
   launched, how many won, and the makespan the hedging bought back.
 
-``benchmarks/perf_gate.py`` embeds this dict under the ``cluster`` key
-of the combined scorecard and diffs it leaf-by-leaf against the
-checked-in baseline.
+The perf-gate leg registry, ``repro.analysis.scorecard.scorecard_legs()``,
+lists this builder as the ``cluster`` leg; the gate diffs it leaf by
+leaf against the checked-in baseline.
 """
 
 from __future__ import annotations

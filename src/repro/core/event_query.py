@@ -22,6 +22,7 @@ correctly at degraded speed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -135,7 +136,19 @@ class EventQuerySimulator:
         lanes) plus an engine pid for the query lifecycle, and counters
         and latency histograms register into the shared registry.
         Timings are bit-identical with either, both, or neither set.
+
+        ``max_pages_per_channel`` caps each channel's stripe (an
+        integer >= 1); ``None`` scans every page.
         """
+        if max_pages_per_channel is not None and not (
+            isinstance(max_pages_per_channel, numbers.Integral)
+            and not isinstance(max_pages_per_channel, bool)
+            and max_pages_per_channel >= 1
+        ):
+            raise ValueError(
+                f"max_pages_per_channel must be an integer >= 1, "
+                f"got {max_pages_per_channel!r}"
+            )
         graph = graph or app.build_scn()
         accel = InStorageAccelerator(self.placement, self.ssd, graph)
         geo = self.ssd.geometry

@@ -4,9 +4,10 @@
 TextQA workload, sweeps the full (level × nprobe) Pareto frontier, and
 replays the operating point — the smallest ``nprobe`` whose recall@K
 clears the gate threshold — on the DES timeline.  Everything is
-deterministic in the seed, so the emitted card is bit-stable and
-``benchmarks/perf_gate.py`` can diff it against the committed baseline
-with the standard ±tolerance rule.
+deterministic in the seed, so the emitted card is bit-stable.  The
+perf-gate leg registry, ``repro.analysis.scorecard.scorecard_legs()``,
+lists it as the ``index`` leg; the gate diffs it exactly against the
+committed baseline.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 :func:`build_ingest_scorecard` runs the deterministic lifecycle loop at
 a fixed, fast configuration and flattens the result into the same
-nested-dict shape the other scorecard legs use, so
-``benchmarks/perf_gate.py`` can diff it against the committed baseline
-with the standard ±tolerance rule.
+nested-dict shape the other scorecard legs use.  The perf-gate leg
+registry, ``repro.analysis.scorecard.scorecard_legs()``, lists it as
+the ``ingest`` leg; the gate diffs it exactly against the committed
+baseline.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ groups lanes by channel without any post-processing.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -279,7 +280,15 @@ def profile_resources(
     Idle-gap analysis walks each track's spans in start order and
     counts the gaps where the resource sat unoccupied between 0 and
     ``end`` — the windows a scheduling optimisation could reclaim.
+    ``top`` keeps the ``top`` busiest (an integer >= 1); ``None``
+    keeps every track.
     """
+    if top is not None and not (
+        isinstance(top, numbers.Integral)
+        and not isinstance(top, bool)
+        and top >= 1
+    ):
+        raise ValueError(f"top must be an integer >= 1, got {top!r}")
     end = tracer.end_time if end is None else end
     usages: List[ResourceUsage] = []
     for track, spans in _busy_by_track(tracer).items():

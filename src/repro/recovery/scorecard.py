@@ -13,9 +13,9 @@ scenarios, both played by :mod:`repro.chaos.harness`:
   cluster: availability, recall vs a healthy twin, MTTR including the
   priced WAL resync, retry-pause tax, breaker and brownout activity.
 
-``benchmarks/perf_gate.py`` embeds this dict under the ``recovery`` key
-of the combined scorecard and diffs it leaf-by-leaf against the
-checked-in baseline.
+The perf-gate leg registry, ``repro.analysis.scorecard.scorecard_legs()``,
+lists this builder as the ``recovery`` leg; the gate diffs it leaf by
+leaf against the checked-in baseline.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ the model changed on purpose (update the baseline) or something broke.
 :func:`build_serving_scorecard` runs a small canonical scenario matrix
 — a load sweep, a cache-fronted point, a degraded-mode point — and
 returns a nested JSON-ready dict; :func:`compare_scorecards` diffs two
-such dicts leaf by leaf, exactly, which is what
-``benchmarks/perf_gate.py`` gates CI on against the checked-in
-``benchmarks/results/baseline_scorecard.json``.
+such dicts leaf by leaf, exactly.  The perf-gate leg registry,
+``repro.analysis.scorecard.scorecard_legs()``, lists the builder as the
+``serving`` leg, and CI gates the combined scorecard against the
+checked-in ``benchmarks/results/baseline_scorecard.json``.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ search-tenant flash crowd, scripted shard failure, skewed live ingest)
 action log summary, the rebalance tally, and the paired noisy-neighbor
 isolation ratios.
 
-``benchmarks/perf_gate.py`` embeds this dict under the ``tenancy`` key
-of the combined scorecard and diffs it leaf-by-leaf against the
-checked-in baseline.
+The perf-gate leg registry, ``repro.analysis.scorecard.scorecard_legs()``,
+lists this builder as the ``tenancy`` leg; the gate diffs it leaf by
+leaf against the checked-in baseline.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ class TestServe:
             build_parser().parse_args(["serve", "--policy", "yolo"])
 
     def test_sweep_prints_curve_and_knee(self, capsys):
-        assert main(self.SMALL + ["--qps-sweep"]) == 0
+        assert main(self.SMALL) == 0
         out = capsys.readouterr().out
         assert "offered" in out
         assert "p99" in out
@@ -199,9 +199,9 @@ class TestServe:
         assert "saturation" in out
 
     def test_sweep_deterministic(self, capsys):
-        assert main(self.SMALL + ["--qps-sweep", "--seed", "3"]) == 0
+        assert main(self.SMALL + ["--seed", "3"]) == 0
         first = capsys.readouterr().out
-        assert main(self.SMALL + ["--qps-sweep", "--seed", "3"]) == 0
+        assert main(self.SMALL + ["--seed", "3"]) == 0
         assert capsys.readouterr().out == first
 
     def test_json_curve(self, capsys):
@@ -221,7 +221,7 @@ class TestServe:
 
     def test_deadline_policy_flags(self, capsys):
         assert main(self.SMALL + [
-            "--policy", "deadline", "--deadline-ms", "200", "--qps-sweep",
+            "--policy", "deadline", "--deadline-ms", "200",
         ]) == 0
         assert "offered" in capsys.readouterr().out
 
@@ -491,7 +491,7 @@ class TestSloCommand:
         assert args.duration == 1.0
         assert args.kills == 4
         assert args.queries == 24
-        assert not args.scorecard
+        assert not args.json
 
     def test_human_output_detects_the_chaos_day(self, capsys):
         assert main(["slo"]) == 0
@@ -504,7 +504,7 @@ class TestSloCommand:
     def test_scorecard_schema_and_determinism(self, capsys):
         import json
 
-        assert main(["slo", "--scorecard"]) == 0
+        assert main(["slo", "--json"]) == 0
         first = capsys.readouterr().out
         payload = json.loads(first)
         assert set(payload) == {
@@ -514,7 +514,7 @@ class TestSloCommand:
         assert payload["alert_latency_s"] is not None
         assert payload["alert_latency_s"] >= 0.0
         assert set(payload["slo"]["slos"]) == {"availability", "latency"}
-        assert main(["slo", "--scorecard"]) == 0
+        assert main(["slo", "--json"]) == 0
         assert capsys.readouterr().out == first
 
     def test_bad_config_fails_cleanly(self, capsys):
@@ -593,3 +593,54 @@ class TestTenantsCommand:
     def test_bad_config_fails_cleanly(self, capsys):
         assert main(["tenants", "--day", "0"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestErrorBoundary:
+    """A bad value argparse accepts exits 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--features", "3"],
+        ["cache", "--entries", "0"],
+        ["cache", "--queries", "0"],
+        ["speedup", "--gigabytes", "0"],
+        ["serve", "--max-batch", "0"],
+        ["serve", "--fail-accels", "x"],
+        ["cluster", "--features", "0"],
+        ["index", "--k", "0"],
+        ["trace", "--bins", "0", "--features", "2000"],
+        ["trace", "--max-pages", "0", "--features", "2000"],
+        ["profile", "--top", "-1", "--features", "2000"],
+        ["profile", "--hotspots", "--top", "0", "--features", "2000"],
+    ], ids=" ".join)
+    def test_one_error_line_no_traceback(self, capsys, tmp_path, argv):
+        if argv[0] == "trace":
+            argv = argv + ["--out", str(tmp_path / "trace.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestScorecardDispatch:
+    """``--scorecard`` prints its command's leg of the registry."""
+
+    @pytest.mark.parametrize("command,leg", [
+        ("serve", "serving"),
+        ("cluster", "cluster"),
+        ("ingest", "ingest"),
+        ("index", "index"),
+        ("chaos", "recovery"),
+        ("tenants", "tenancy"),
+    ])
+    def test_prints_its_own_leg(self, capsys, monkeypatch, command, leg):
+        import json
+
+        from repro.analysis import scorecard
+
+        stubs = {
+            name: (lambda name=name: {"leg": name})
+            for name in scorecard.scorecard_legs()
+        }
+        monkeypatch.setattr(scorecard, "scorecard_legs", lambda: stubs)
+        assert main([command, "--scorecard"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"leg": leg}

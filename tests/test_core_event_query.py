@@ -46,6 +46,16 @@ class TestEventQuerySimulator:
         assert window.pages < full.pages
         assert window.scan_seconds < full.scan_seconds
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True])
+    def test_window_must_be_an_integer_of_at_least_one(
+        self, small_db, cap
+    ):
+        # a slice bound would scan no page (0) or drop every channel's
+        # last page (-1) and still report a query
+        app, meta = small_db
+        with pytest.raises(ValueError, match="max_pages_per_channel"):
+            EventQuerySimulator().run(app, meta, max_pages_per_channel=cap)
+
     def test_latency_insensitivity_full_device(self):
         # the Fig. 9 claim at whole-device scope
         app = get_app("tir")

@@ -107,6 +107,16 @@ class TestProfileResources:
         _, tracer, _ = traced_run
         assert len(profile_resources(tracer, top=2)) == 2
 
+    @pytest.mark.parametrize("top", [0, -1, 2.0, 1.5, True])
+    def test_top_must_be_an_integer_of_at_least_one(
+        self, traced_run, top
+    ):
+        # a slice bound would silently drop the least-busy resource
+        # (-1) or print an empty table (0)
+        _, tracer, _ = traced_run
+        with pytest.raises(ValueError, match="top"):
+            profile_resources(tracer, top=top)
+
     def test_idle_gap_walk(self):
         t = Tracer()
         track = t.track("ch", "accel")

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.analysis.scorecard import build_combined_scorecard
 from repro.serving.scorecard import compare_scorecards
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -20,5 +21,5 @@ import perf_gate  # noqa: E402
 
 def test_combined_scorecard_matches_baseline_exactly():
     baseline = json.loads(perf_gate.BASELINE_PATH.read_text())
-    card = perf_gate.build_combined_scorecard()
+    card = build_combined_scorecard()
     assert compare_scorecards(baseline, card) == []
