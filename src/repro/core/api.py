@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -40,6 +41,19 @@ from repro.ssd.timing import SsdConfig
 
 class DeepStoreApiError(RuntimeError):
     """Raised for invalid handles or malformed requests."""
+
+
+def is_count(value: object, low: int = 0) -> bool:
+    """Whether ``value`` is an integer of at least ``low``.
+
+    Floats (even whole ones), NaN and bools are not counts: a size that
+    arrives as ``2.5`` or ``True`` is a caller bug, not a request.
+    """
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= low
+    )
 
 
 @dataclass
@@ -371,8 +385,8 @@ class DeepStoreDevice:
         scores the rows; the checks, the epoch-tagged cache, pricing
         (healthy or degraded) and the result are shared by every plan.
         """
-        if k <= 0:
-            raise DeepStoreApiError("K must be positive")
+        if not is_count(k, 1):
+            raise DeepStoreApiError(f"k must be an integer >= 1, got {k!r}")
         graph = self._models.get(model_id)
         if graph is None:
             raise DeepStoreApiError(f"unknown model id {model_id}")
@@ -438,7 +452,9 @@ class DeepStoreDevice:
                 engine_seconds=latency.engine_seconds + scan.routing_seconds,
             )
         if self._cache is not None:
-            self._cache.insert(qfv, scan.scores, scan.ids, tag=cache_tag)
+            # an empty top-K leaves a later hit nothing to rescore
+            if len(scan.ids):
+                self._cache.insert(qfv, scan.scores, scan.ids, tag=cache_tag)
             lookup_cost = len(self._cache) * self._cache_lookup_seconds_per_entry
             latency = dataclasses.replace(
                 latency, engine_seconds=latency.engine_seconds + lookup_cost
@@ -577,6 +593,8 @@ class DeepStoreDevice:
             top = topk_order(chunk_ids, scores, k)
             best_ids.append(chunk_ids[top])
             best_scores.append(scores[top])
+        if not best_ids:
+            return np.empty(0, np.int64), np.empty(0, np.float32)
         ids = np.concatenate(best_ids).astype(np.int64)
         scores = np.concatenate(best_scores)
         top = topk_order(ids, scores, k)

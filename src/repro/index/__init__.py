@@ -4,8 +4,8 @@ The paper (§7) names in-storage reorganization of feature vectors as a
 technique DeepStore can exploit.  This package is the reproduction's
 one model of it: a real **inverted-file (IVF) index** whose probe is
 executed against the in-storage accelerator hierarchy.  The lifecycle
-loop's :class:`~repro.ingest.compaction.DeltaAwareSearch` reuses its
-k-means, lists and router.
+loop (:func:`repro.ingest.run_lifecycle`) measures staleness and
+re-indexes on this layer's :class:`IndexedDevice`.
 
 * :mod:`repro.index.kmeans` — deterministic k-means training with the
   canonical ``(-score, id)`` assignment tie-break;
@@ -20,7 +20,8 @@ k-means, lists and router.
   builds cannot exhaust logical flash space;
 * :mod:`repro.index.device` — :class:`IndexedDevice`, a drop-in
   :class:`~repro.ingest.device.LifecycleDevice` whose ``index_mode=off``
-  path is bit-identical to the exhaustive scan;
+  path is bit-identical to the exhaustive scan, with the one probed ±
+  delta row rule and the one re-index path (``reindex``);
 * :mod:`repro.index.sweep` — recall-vs-latency Pareto curves per
   accelerator level (``nprobe`` sweep), validated on the DES timeline;
 * :mod:`repro.index.scorecard` — the perf-gate index leg.

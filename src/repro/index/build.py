@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.api import is_count
 from repro.core.deepstore import DeepStoreSystem
 from repro.index.kmeans import IndexError_, train_kmeans
 from repro.index.lists import InvertedLists
@@ -42,8 +43,8 @@ class IndexBuildConfig:
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
         checks = (
-            ("n_lists", self.n_lists >= 1, "at least 1"),
-            ("iterations", self.iterations >= 1, "at least 1"),
+            ("n_lists", is_count(self.n_lists, 1), "an integer >= 1"),
+            ("iterations", is_count(self.iterations, 1), "an integer >= 1"),
             ("op_fraction", 0 <= self.op_fraction < 1, "in [0, 1)"),
             ("headroom", 1 <= self.headroom < math.inf, "finite and at least 1"),
             ("region_pages_per_block", self.region_pages_per_block >= 1, "at least 1"),

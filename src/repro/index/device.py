@@ -21,7 +21,12 @@ probes.  The contract that keeps the base reproduction honest:
   the **unindexed delta**; ``include_delta=True`` (default) scans them
   alongside the probed lists (buying recall back at delta-scan cost),
   tombstoned rows stay in the lists — and keep costing flash reads —
-  until :meth:`compact_db` reclaims them and triggers a re-index.
+  until :meth:`compact_db` reclaims them and triggers a re-index.  A
+  probe whose lists hold only dead rows returns an empty top-K, still
+  charged for the slots it read.
+* :meth:`reindex` is the one re-index path: :meth:`compact_db` calls
+  it, and so does the lifecycle loop's background compaction job.
+  :func:`query_exhaustive` is the one index-off query helper.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.api import DeepStoreApiError, PlannedScan, QueryHandle
+from repro.core.api import DeepStoreApiError, PlannedScan, QueryHandle, QueryResult
 from repro.index.build import IndexBuildConfig, IvfIndex, build_ivf_index
 from repro.index.router import CentroidRouter, is_nprobe
 from repro.ingest.device import DeviceCompaction, LifecycleDevice
@@ -200,10 +205,11 @@ class IndexedDevice(LifecycleDevice):
                 delta = delta[(delta >= start) & (delta < end)]
                 probed = np.concatenate([probed, delta])
                 scanned_cost += len(delta)
-        if len(probed) == 0:
+        if scanned_cost == 0:
             raise DeepStoreApiError(
                 f"probe returned no candidates in range [{start}, {end})"
             )
+        # slots read but every row dead: an empty top-K, still charged
         ids, scores = self._scan_ids(graph, qfv, store, probed, k)
         return PlannedScan(
             ids,
@@ -221,21 +227,48 @@ class IndexedDevice(LifecycleDevice):
     def compact_db(self, db_id: int) -> DeviceCompaction:
         """Compact, then rebuild the index over the surviving rows."""
         outcome = super().compact_db(db_id)
-        if self.index_mode != "ivf" or db_id not in self._indexes:
+        rebuilt = self.reindex(db_id)
+        if rebuilt is None:
             return outcome
-        old = self._indexes[db_id]
-        rebuilt = self.build_index(
-            db_id,
-            self._index_models[db_id],
-            old.config.n_lists,
-            iterations=old.config.iterations,
-            seed=old.config.seed,
-            config=old.config,
-        )
-        self.metrics.counter("index.reindexes").inc()
         return DeviceCompaction(
             seconds=outcome.seconds + rebuilt.report.total_seconds,
             reclaimed_rows=outcome.reclaimed_rows,
             rewritten_rows=outcome.rewritten_rows,
             write_amplification=outcome.write_amplification,
         )
+
+    def reindex(self, db_id: int) -> Optional[IvfIndex]:
+        """Rebuild the database's index over its visible rows.
+
+        Keeps the old build's config; a no-op (``None``) without an
+        index or under ``index_mode="off"``.
+        """
+        if self.index_mode != "ivf" or db_id not in self._indexes:
+            return None
+        old = self._indexes[db_id]
+        rebuilt = self.build_index(
+            db_id,
+            self._index_models[db_id],
+            old.config.n_lists,
+            config=old.config,
+        )
+        self.metrics.counter("index.reindexes").inc()
+        return rebuilt
+
+
+def query_exhaustive(
+    device: IndexedDevice,
+    qfv: np.ndarray,
+    k: int,
+    model_id: int,
+    db_id: int,
+    level: Optional[str] = None,
+) -> QueryResult:
+    """One query down the inherited exhaustive path (index off)."""
+    prev = device.index_mode
+    device.index_mode = "off"
+    try:
+        handle = device.query(qfv, k, model_id, db_id, accel_level=level)
+    finally:
+        device.index_mode = prev
+    return device.get_results(handle)

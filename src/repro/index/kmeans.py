@@ -1,8 +1,7 @@
 """Deterministic k-means with the canonical assignment tie-break.
 
-This is the reproduction's one k-means: the IVF build
-(:mod:`repro.index.build`) and the lifecycle loop's delta-aware search
-(:class:`repro.ingest.compaction.DeltaAwareSearch`) both train with it.
+This is the reproduction's one k-means: every IVF build and re-index
+(:mod:`repro.index.build`) trains with it.
 :func:`train_kmeans` runs a deterministic Lloyd loop and then
 re-assigns once against the final centroids, so the returned
 assignment *is* :func:`assign_canonical` of the returned centroids —

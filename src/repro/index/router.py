@@ -4,9 +4,8 @@ The SCN is a learned, non-metric comparator, so geometric
 nearest-centroid routing would be uncorrelated with the ranking the
 scan actually produces.  The router therefore scores the **centroid
 table with the query's own SCN** and probes the ``nprobe`` best lists
-under the canonical ``(-score, list_id)`` order.  Both probed searches
-route through it: :class:`repro.index.device.IndexedDevice` and
-:class:`repro.ingest.compaction.DeltaAwareSearch`.
+under the canonical ``(-score, list_id)`` order.  The one probed search,
+:meth:`repro.index.device.IndexedDevice.query`, routes through it.
 
 Cost model: the centroid table is tiny and lives in SSD DRAM next to
 the database metadata, so routing is priced as an SSD-level accelerator
@@ -32,8 +31,9 @@ def is_nprobe(value: object) -> bool:
     """Whether ``value`` is a valid probe count: a whole number >= 1.
 
     ``2`` and ``2.0`` are both two lists; ``2.5``, NaN, inf and bools
-    are caller bugs.  Both probed searches check ``nprobe`` with this
-    before routing; an ``nprobe`` above ``n_lists`` is their own call.
+    are caller bugs.  :meth:`repro.index.device.IndexedDevice.query`
+    checks ``nprobe`` with this before routing; the router clamps an
+    ``nprobe`` above ``n_lists`` to a full probe.
     """
     return (
         isinstance(value, numbers.Real)

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.event_query import EventQuerySimulator
-from repro.index.device import IndexedDevice
+from repro.index.device import IndexedDevice, query_exhaustive
 from repro.ssd.ftl import DatabaseMetadata
 from repro.workloads.apps import AppSpec
 
@@ -52,24 +52,6 @@ class DesValidation:
         return self.full_seconds / self.probed_seconds
 
 
-def _exhaustive(
-    device: IndexedDevice,
-    qfv: np.ndarray,
-    k: int,
-    model_id: int,
-    db_id: int,
-    level: str,
-):
-    """One query down the inherited exhaustive path (index off)."""
-    prev = device.index_mode
-    device.index_mode = "off"
-    try:
-        handle = device.query(qfv, k, model_id, db_id, accel_level=level)
-    finally:
-        device.index_mode = prev
-    return device.get_results(handle)
-
-
 def sweep_pareto(
     device: IndexedDevice,
     db_id: int,
@@ -83,7 +65,7 @@ def sweep_pareto(
     points: List[ParetoPoint] = []
     for level in levels:
         exact = [
-            _exhaustive(device, qfv, k, model_id, db_id, level)
+            query_exhaustive(device, qfv, k, model_id, db_id, level)
             for qfv in queries
         ]
         exact_ids = [set(r.feature_ids.tolist()) for r in exact]

@@ -11,9 +11,12 @@ The paper's feature databases are write-once (``writeDB`` /
 * :mod:`repro.ingest.device` — :class:`LifecycleDevice`, a
   ``DeepStoreDevice`` that serves snapshot-consistent queries while
   inserts/deletes/updates land, with interference-coupled timing;
-* :mod:`repro.ingest.compaction` — delta-aware probed search (index
-  staleness) and the background compaction job that re-clusters it;
-* :mod:`repro.ingest.lifecycle` — the end-to-end deterministic loop;
+* :mod:`repro.ingest.compaction` — the preemptible background
+  compaction job that folds the delta back into the layout;
+* :mod:`repro.ingest.lifecycle` — the end-to-end deterministic loop,
+  run on :class:`repro.index.IndexedDevice` (whose probed query
+  measures index staleness and whose ``reindex`` the compaction
+  triggers);
 * :mod:`repro.ingest.scorecard` — the perf-gate ingest leg.
 """
 
@@ -21,7 +24,6 @@ from repro.ingest.compaction import (
     CompactionJob,
     CompactionPolicy,
     CompactionReport,
-    DeltaAwareSearch,
 )
 from repro.ingest.device import LifecycleDevice
 from repro.ingest.lifecycle import LifecycleConfig, LifecycleReport, run_lifecycle
@@ -40,7 +42,6 @@ __all__ = [
     "CompactionJob",
     "CompactionPolicy",
     "CompactionReport",
-    "DeltaAwareSearch",
     "IngestError",
     "IngestWritePath",
     "LifecycleConfig",

@@ -1,187 +1,34 @@
-"""Index staleness and background compaction.
+"""Background compaction on the DES timeline.
 
 A clustered (IVF) layout is a bet that the database does not move.  Once
-ingest is live the bet decays: inserted rows land in an **unclustered
-delta region** the probe-selection rule never visits, and tombstoned
-rows keep occupying clustered pages.  :class:`DeltaAwareSearch` makes
-that decay *measurable* — probed recall against the exact snapshot
-top-K drifts down as the delta fraction grows (scanning the delta too
-buys recall back at latency cost).
+ingest is live the bet decays: inserted rows land in an **unindexed
+delta** the probe never visits unless asked, and tombstoned rows keep
+occupying list slots (and costing flash reads).
+:meth:`repro.index.device.IndexedDevice.query` makes that decay
+measurable — probed recall against the exact top-K drifts down as the
+delta grows, and ``include_delta=True`` buys it back at latency cost.
 
 :class:`CompactionJob` is the repair: a background job on the DES
-timeline that re-clusters the delta back into the layout chunk by
-chunk, through the measured write path (so the repair bandwidth shows
-up as GC/WA, not as free work).  The job is **preemptible** — a
-foreground query cancels the in-flight chunk and pushes it past the
-query's completion, trading compaction progress for query latency.
+timeline that rewrites the delta back into the layout chunk by chunk,
+through the measured write path (so the repair bandwidth shows up as
+GC/WA, not as free work), and hands its report to an ``on_done``
+callback — the lifecycle loop re-indexes there.  The job is
+**preemptible** — a foreground query cancels the in-flight chunk and
+pushes it past the query's completion, trading compaction progress for
+query latency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-import numpy as np
-
-from repro.core.deepstore import DeepStoreSystem
-from repro.index.kmeans import train_kmeans
-from repro.index.lists import InvertedLists
-from repro.index.router import CentroidRouter, is_nprobe
-from repro.ingest.store import IngestError, Snapshot, is_count
+from repro.core.api import is_count
+from repro.ingest.store import IngestError, Snapshot
 from repro.sim import Event, Simulator
 
 
-# ----------------------------------------------------------------------
-# delta-aware probed search
-# ----------------------------------------------------------------------
-@dataclass
-class DeltaSearchResult:
-    """Outcome of one probed query over a (possibly stale) layout."""
-
-    feature_ids: np.ndarray
-    scores: np.ndarray
-    probed_rows: int
-    delta_rows: int
-    total_visible: int
-    scan_seconds: float
-
-    @property
-    def scan_fraction(self) -> float:
-        return self.probed_rows / max(1, self.total_visible)
-
-    def recall_against(self, exact_ids: np.ndarray) -> float:
-        """Fraction of the exact snapshot top-K this result recovered."""
-        if len(exact_ids) == 0:
-            return 1.0
-        got = set(int(i) for i in self.feature_ids)
-        return len(got & set(int(i) for i in exact_ids)) / len(exact_ids)
-
-
-class DeltaAwareSearch:
-    """Probed IVF search over a mutable database with a delta region.
-
-    The inverted lists cover only the rows present at the last
-    compaction (``store.clustered_ids``); rows inserted since live in
-    the delta and are *invisible* to probing unless
-    ``include_delta=True`` — exactly the staleness/latency trade the
-    lifecycle benchmark sweeps.  The lists come from
-    :func:`~repro.index.kmeans.train_kmeans`, the probe from the
-    SCN-scored :class:`~repro.index.router.CentroidRouter`, and every
-    score from the device's canonical chunked scan.  The probed scan is
-    priced at channel level; routing is not charged.
-    """
-
-    def __init__(
-        self,
-        device,  # LifecycleDevice (kept untyped to avoid an import cycle)
-        db_id: int,
-        model_id: int,
-        n_clusters: int = 16,
-        seed: int = 0,
-    ):
-        if not is_count(n_clusters, 1):
-            raise IngestError(
-                f"n_clusters must be an integer >= 1, got {n_clusters!r}"
-            )
-        self.graph = device._models.get(model_id)
-        if self.graph is None:
-            raise IngestError(f"unknown model id {model_id}")
-        self.device = device
-        self.db_id = db_id
-        self.store = device.lifecycle(db_id).store
-        self.n_clusters = n_clusters
-        self.seed = seed
-        self.system = DeepStoreSystem.at_level("channel")
-        self._cluster(self.store.clustered_ids)
-        self.rebuilds = 0
-
-    # ------------------------------------------------------------------
-    def _cluster(self, ids: np.ndarray) -> None:
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            raise IngestError("cannot cluster an empty id set")
-        k = min(self.n_clusters, len(ids))
-        centroids, assignments = train_kmeans(
-            self.store.rows(ids), k, seed=self.seed
-        )
-        self.lists = InvertedLists(ids, assignments, k)
-        self.router = CentroidRouter(
-            centroids, self.device._system("ssd"), self.graph,
-            feature_bytes=self.store.dim * 4,
-            page_bytes=self.system.ssd.geometry.page_bytes,
-        )
-
-    def rebuild(self, snapshot: Snapshot) -> None:
-        """Re-cluster everything visible at ``snapshot`` (compaction)."""
-        self._cluster(self.store.visible_ids(snapshot))
-        self.rebuilds += 1
-
-    # ------------------------------------------------------------------
-    def _scan(
-        self, qfv: np.ndarray, ids: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.device._scan_ids(
-            self.graph, qfv, self.device._store(self.db_id), ids, k
-        )
-
-    def query(
-        self,
-        qfv: np.ndarray,
-        k: int,
-        n_probe: int,
-        include_delta: bool = False,
-        snapshot: Optional[Snapshot] = None,
-    ) -> DeltaSearchResult:
-        """Top-K over the probed lists (optionally plus the delta)."""
-        if not is_count(k, 1):
-            raise IngestError(f"k must be an integer >= 1, got {k!r}")
-        n_lists = self.lists.n_lists
-        if not (is_nprobe(n_probe) and n_probe <= n_lists):
-            raise IngestError(
-                f"n_probe must be an integer in [1, {n_lists}], got {n_probe!r}"
-            )
-        snap = snapshot or self.store.snapshot()
-        qfv = np.asarray(qfv, dtype=np.float32).reshape(-1)
-        decision = self.router.route(qfv, int(n_probe), self.device._score_features)
-        probed = self.lists.probed_ids(decision.list_ids)
-        visible = self.store.visible_ids(snap)
-        # tombstones in probed lists are filtered from results but
-        # their pages were still read — count them in the scanned rows
-        scanned_cost = len(probed)
-        scanned = probed[np.isin(probed, visible)]
-        delta = self.store.delta_ids(snap)
-        if include_delta:
-            scanned = np.concatenate([scanned, delta])
-            scanned_cost += len(delta)
-        if len(scanned) == 0:
-            raise IngestError("probed clusters hold no visible rows")
-        ids, scores = self._scan(qfv, scanned, k)
-        return DeltaSearchResult(
-            feature_ids=ids,
-            scores=scores,
-            probed_rows=scanned_cost,
-            delta_rows=len(delta),
-            total_visible=len(visible),
-            scan_seconds=self.system.pass_seconds(
-                self.graph, scanned_cost, self.store.dim * 4,
-                self.system.ssd.geometry.page_bytes,
-            ),
-        )
-
-    def exact_topk(self, qfv: np.ndarray, k: int,
-                   snapshot: Optional[Snapshot] = None) -> np.ndarray:
-        """Ground truth: exact top-K over everything visible."""
-        visible = self.store.visible_ids(snapshot)
-        if len(visible) == 0:
-            return visible
-        qfv = np.asarray(qfv, dtype=np.float32).reshape(-1)
-        return self._scan(qfv, visible, k)[0]
-
-
-# ----------------------------------------------------------------------
-# the background compaction job
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CompactionPolicy:
     """When and how aggressively to compact."""
@@ -229,26 +76,24 @@ class CompactionReport:
 
 
 class CompactionJob:
-    """Chunked, preemptible re-clustering on the DES timeline.
+    """Chunked, preemptible compaction on the DES timeline.
 
     The job snapshots the store when started; rows mutated *after* the
     snapshot simply land in the next delta.  Each chunk rewrites
     ``policy.chunk_rows`` rows through the device's write path and
     schedules the next chunk after the measured write time; a query can
     :meth:`preempt` the pending chunk to any later time.  On the last
-    chunk the store is marked compacted and the search layout rebuilt.
+    chunk the store is marked compacted and ``on_done`` gets the report.
     """
 
     def __init__(
         self,
         device,  # LifecycleDevice (kept untyped to avoid an import cycle)
         db_id: int,
-        search: Optional[DeltaAwareSearch] = None,
         policy: Optional[CompactionPolicy] = None,
     ):
         self.device = device
         self.db_id = db_id
-        self.search = search
         self.policy = policy or CompactionPolicy()
         self.active = False
         self.report: Optional[CompactionReport] = None
@@ -347,8 +192,6 @@ class CompactionJob:
         if dead:
             self._write_seconds += state.writepath.delete(dead).seconds
         reclaimed = state.store.mark_compacted(self._snapshot)
-        if self.search is not None:
-            self.search.rebuild(self._snapshot)
         state.write_seconds += self._write_seconds
         state.compactions += 1
         self.device.metrics.counter("ingest.compactions").inc()

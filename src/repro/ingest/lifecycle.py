@@ -1,17 +1,19 @@
 """The end-to-end data-lifecycle loop, deterministically.
 
-:func:`run_lifecycle` drives one :class:`LifecycleDevice` database
-through the whole story the subsystem exists to tell:
+:func:`run_lifecycle` drives one
+:class:`~repro.index.device.IndexedDevice` database through the whole
+story the subsystem exists to tell:
 
 1. **Staleness** — rounds of inserts (a slice of them near-duplicates
    of current winners, so they *belong* in the exact top-K), deletes,
-   and updates; after each round the stale probed search is scored
-   against the exact snapshot top-K.  Recall drifts down as the delta
-   fraction grows; scanning the delta too (``include_delta``) buys it
-   back at measured latency cost.
+   and updates; after each round the device's probed query over the
+   stale index is scored against the exact snapshot top-K.  Recall
+   drifts down as the delta fraction grows; scanning the delta too
+   (``include_delta``) buys it back at measured latency cost.
 2. **Compaction** — a :class:`CompactionJob` runs on a DES timeline
-   while foreground queries preempt its chunks; afterwards the rebuilt
-   layout's recall is compared against a freshly-clustered baseline.
+   while exhaustive foreground queries preempt its chunks, and
+   re-indexes the device when it finishes; afterwards the rebuilt
+   index's recall is compared against a freshly built baseline.
 3. **Interference** — a sweep of background ingest load (scaled by the
    *measured* write amplification) through the host-I/O interference
    model, yielding the query-slowdown-vs-write-pressure curve.
@@ -22,8 +24,9 @@ a given config — which is what lets the perf gate diff it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,14 +34,16 @@ from repro.ingest.compaction import (
     CompactionJob,
     CompactionPolicy,
     CompactionReport,
-    DeltaAwareSearch,
 )
-from repro.ingest.device import LifecycleDevice
-from repro.ingest.store import IngestError, is_count
+from repro.core.api import is_count
+from repro.ingest.store import IngestError
 from repro.obs.dtrace import TraceCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.workloads import get_app
+
+if TYPE_CHECKING:  # repro.index imports this package: no runtime cycle
+    from repro.index.device import IndexedDevice
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,11 @@ class LifecycleConfig:
                 raise IngestError(
                     f"{name} must be an integer >= {low}, got {value!r}"
                 )
+        if self.n_clusters > self.n_base:
+            raise IngestError(
+                f"n_clusters must be at most n_base={self.n_base}, "
+                f"got {self.n_clusters!r}"
+            )
         if self.n_probe > self.n_clusters:
             raise IngestError(
                 f"n_probe must be at most n_clusters={self.n_clusters}, "
@@ -97,7 +107,11 @@ class LifecycleConfig:
 
 @dataclass
 class StalenessPoint:
-    """One round's staleness measurement."""
+    """One round's staleness measurement.
+
+    The ``*_scan_seconds`` fields are the probed queries' priced
+    seconds, routing included.
+    """
 
     round: int
     delta_fraction: float
@@ -166,21 +180,42 @@ class LifecycleReport:
         }
 
 
+def _exact_topk(
+    device: "IndexedDevice", db: int, model: int, qfv: np.ndarray, k: int
+) -> np.ndarray:
+    """Ground truth: exact top-K over every visible row.
+
+    Scored by the device's canonical scan, not ``query``, so the oracle
+    moves no query counter.
+    """
+    visible = device.lifecycle(db).store.visible_ids()
+    return device._scan_ids(
+        device._models[model], qfv, device._store(db), visible, k
+    )[0]
+
+
 def _measure_recall(
-    search: DeltaAwareSearch,
+    device: "IndexedDevice",
+    db: int,
+    model: int,
     probes: np.ndarray,
     k: int,
     n_probe: int,
     include_delta: bool,
-) -> tuple:
-    """Mean probed recall (and scan seconds) over the probe set."""
+) -> Tuple[float, float]:
+    """Mean probed recall (and priced query seconds) over the probe set."""
     recalls = []
     seconds = []
     for qfv in probes:
-        exact = search.exact_topk(qfv, k)
-        result = search.query(qfv, k, n_probe, include_delta=include_delta)
-        recalls.append(result.recall_against(exact))
-        seconds.append(result.scan_seconds)
+        exact = set(_exact_topk(device, db, model, qfv, k).tolist())
+        result = device.get_results(
+            device.query(
+                qfv, k, model, db, nprobe=n_probe, include_delta=include_delta
+            )
+        )
+        got = set(result.feature_ids.tolist())
+        recalls.append(len(got & exact) / len(exact) if exact else 1.0)
+        seconds.append(result.seconds)
     return float(np.mean(recalls)), float(np.mean(seconds))
 
 
@@ -196,12 +231,14 @@ def run_lifecycle(
     from the measured scan/compaction seconds already in the report, so
     tracing reads state but never changes it.
     """
+    from repro.index.device import IndexedDevice, query_exhaustive
+
     config = config or LifecycleConfig()
     app = get_app(config.app)
     rng = np.random.default_rng(config.seed)
     dim = app.feature_floats
 
-    device = LifecycleDevice(metrics=metrics)
+    device = IndexedDevice(metrics=metrics)
     base = rng.normal(0, 1, (config.n_base, dim)).astype(np.float32)
     db = device.write_db(base)
     model = device.load_graph(app.build_scn(seed=config.seed + 1))
@@ -211,16 +248,15 @@ def run_lifecycle(
         region_pages_per_block=config.region_pages_per_block,
     )
     state = device.lifecycle(db)
-    search = DeltaAwareSearch(
-        device, db, model, n_clusters=config.n_clusters, seed=config.seed
-    )
+    device.build_index(db, model, n_lists=config.n_clusters, seed=config.seed)
     probes = rng.normal(0, 1, (config.probe_queries, dim)).astype(np.float32)
 
     # ------------------------------------------------------------ phase 1
     staleness: List[StalenessPoint] = []
-    recall0, seconds0 = _measure_recall(
-        search, probes, config.k, config.n_probe, include_delta=False
+    measure = functools.partial(
+        _measure_recall, device, db, model, probes, config.k, config.n_probe
     )
+    recall0, seconds0 = measure(include_delta=False)
     staleness.append(
         StalenessPoint(0, state.store.delta_fraction(), recall0, recall0,
                        seconds0, seconds0)
@@ -231,7 +267,7 @@ def run_lifecycle(
         planted = []
         per_probe = max(1, config.planted_per_round // config.probe_queries)
         for qfv in probes:
-            winners = search.exact_topk(qfv, per_probe)
+            winners = _exact_topk(device, db, model, qfv, per_probe)
             rows = state.store.rows(winners)
             planted.append(
                 rows + rng.normal(0, 1e-3, rows.shape).astype(np.float32)
@@ -244,23 +280,21 @@ def run_lifecycle(
         visible = state.store.visible_ids()
         clustered = set(int(i) for i in state.store.clustered_ids)
         victims = [int(i) for i in visible if int(i) in clustered]
-        doomed = rng.choice(
-            victims, size=min(config.deletes_per_round, len(victims)),
-            replace=False,
-        )
-        device.delete_db_rows(db, [int(i) for i in doomed])
+        # once every clustered row is dead there is nothing to delete
+        if victims:
+            doomed = rng.choice(
+                victims, size=min(config.deletes_per_round, len(victims)),
+                replace=False,
+            )
+            device.delete_db_rows(db, [int(i) for i in doomed])
         for _ in range(config.updates_per_round):
             alive = state.store.visible_ids()
             target = int(alive[int(rng.integers(0, len(alive)))])
             device.update_db_row(
                 db, target, rng.normal(0, 1, dim).astype(np.float32)
             )
-        stale_r, stale_s = _measure_recall(
-            search, probes, config.k, config.n_probe, include_delta=False
-        )
-        with_r, with_s = _measure_recall(
-            search, probes, config.k, config.n_probe, include_delta=True
-        )
+        stale_r, stale_s = measure(include_delta=False)
+        with_r, with_s = measure(include_delta=True)
         staleness.append(
             StalenessPoint(
                 round=rnd,
@@ -274,31 +308,24 @@ def run_lifecycle(
 
     # ------------------------------------------------------------ phase 2
     sim = Simulator()
-    job = CompactionJob(device, db, search=search, policy=config.compaction)
-    job.start(sim)
-    # foreground queries land mid-compaction and preempt pending chunks
+    job = CompactionJob(device, db, policy=config.compaction)
+    job.start(sim, on_done=lambda _: device.reindex(db))
+    # exhaustive foreground queries land mid-compaction and preempt
+    # pending chunks
     for i, offset in enumerate((0.0005, 0.001, 0.0015)):
         def fire(qfv=probes[i % len(probes)]) -> None:
-            handle = device.query(qfv, config.k, model, db)
-            result = device.get_results(handle)
+            result = query_exhaustive(device, qfv, config.k, model, db)
             job.preempt(sim.now + result.seconds)
 
         sim.schedule(offset, fire, label="fg-query")
     sim.run()
     report = job.report
     assert report is not None  # run() drains the job to completion
-    post_recall, _ = _measure_recall(
-        search, probes, config.k, config.n_probe, include_delta=False
-    )
-    # the freshly-clustered baseline: rebuild from scratch on the same
-    # visible set and re-measure (the recovery target)
-    baseline_search = DeltaAwareSearch(
-        device, db, model, n_clusters=config.n_clusters, seed=config.seed
-    )
-    baseline_search.rebuild(state.store.snapshot())
-    baseline_recall, _ = _measure_recall(
-        baseline_search, probes, config.k, config.n_probe, include_delta=False
-    )
+    post_recall, _ = measure(include_delta=False)
+    # the fresh baseline: build from scratch on the same visible set and
+    # re-measure (the recovery target)
+    device.build_index(db, model, n_lists=config.n_clusters, seed=config.seed)
+    baseline_recall, _ = measure(include_delta=False)
 
     # ------------------------------------------------------------ phase 3
     interference: List[InterferencePoint] = []
@@ -306,8 +333,7 @@ def run_lifecycle(
     for raw in config.interference_loads:
         offered = state.writepath.offered_load(raw)
         device.set_background_write_load(offered, policy="share")
-        handle = device.query(probes[0], config.k, model, db)
-        seconds = device.get_results(handle).seconds
+        seconds = query_exhaustive(device, probes[0], config.k, model, db).seconds
         if raw == 0.0 or isolated_seconds == 0.0:
             isolated_seconds = seconds if raw == 0.0 else isolated_seconds
         slowdown = seconds / isolated_seconds if isolated_seconds else 1.0

@@ -31,7 +31,6 @@ implementation of the same semantics.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,19 +39,6 @@ import numpy as np
 
 class IngestError(RuntimeError):
     """Raised for invalid mutations (unknown ids, double deletes...)."""
-
-
-def is_count(value: object, low: int = 0) -> bool:
-    """Whether ``value`` is an integer of at least ``low``.
-
-    Floats (even whole ones), NaN and bools are not counts: a size that
-    arrives as ``2.5`` or ``True`` is a caller bug, not a request.
-    """
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and value >= low
-    )
 
 
 @dataclass(frozen=True)

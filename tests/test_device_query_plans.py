@@ -7,8 +7,8 @@ what they are charged.  Every plan must therefore reject bad input with
 the same message and price a failed accelerator the same way: the
 degraded model over the plan's charged rows, results unchanged.
 
-Also here: the public-entry validation of ``nprobe``, of
-``IndexBuildConfig`` and of ``region_blocks_for``.
+Also here: the public-entry validation of ``k`` (per plan), of
+``nprobe``, of ``IndexBuildConfig`` and of ``region_blocks_for``.
 """
 
 import dataclasses
@@ -78,7 +78,7 @@ class TestEveryPlan:
         conv = device.load_graph(CONV_GRAPH)
         end = len(device.read_db(db))
         cases = [
-            (dict(qfv=qfv, k=0, model_id=model), "K must be positive"),
+            (dict(qfv=qfv, k=0, model_id=model), "k must be an integer >= 1, got 0"),
             (dict(qfv=qfv, k=K, model_id=999), "unknown model id 999"),
             (dict(qfv=qfv, k=K, model_id=model, db_start=5, db_end=3),
              "bad db range [5, 3)"),
@@ -94,6 +94,21 @@ class TestEveryPlan:
             with pytest.raises(DeepStoreApiError) as info:
                 device.query(db_id=db, **kwargs, **extra)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "k", [0, -1, 2.5, 3.0, float("nan"), float("inf"), True]
+    )
+    def test_k_must_be_a_whole_count(self, plan, k):
+        device, db, model, qfv, extra = _build(plan)
+        with pytest.raises(DeepStoreApiError, match="k must be an integer"):
+            device.query(qfv, k, model, db, **extra)
+
+    def test_numpy_integer_k_is_accepted(self, plan):
+        device, db, model, qfv, extra = _build(plan)
+        result = device.get_results(
+            device.query(qfv, np.int64(3), model, db, **extra)
+        )
+        assert len(result.feature_ids) == 3
 
     def test_failed_accelerator_prices_degraded_charged_rows(self, plan):
         device, db, model, qfv, extra = _build(plan)

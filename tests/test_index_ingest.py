@@ -1,8 +1,9 @@
 """Index × ingest: staleness drift, compaction recovery, region audit.
 
 The index is a snapshot; live ingest makes it stale.  These tests pin
-the staleness semantics end to end (mirroring the ``DeltaAwareSearch``
-drift suite one layer down):
+the staleness semantics end to end on a trained SCN (the lifecycle
+loop's staleness and compaction tests in ``test_ingest_compaction.py``
+run the same device on a random one):
 
 * recall@10 **degrades** as the unindexed delta grows when the probe
   ignores it, and ``include_delta=True`` buys it back at delta-scan

@@ -1,12 +1,19 @@
-"""Staleness, delta-aware search, and preemptible background compaction."""
+"""Staleness on the indexed device, and preemptible background compaction.
+
+The probed-search tests run :meth:`IndexedDevice.query` over a mutated
+store; the compaction tests run :class:`CompactionJob` on the DES
+timeline and re-index through its ``on_done`` callback, as
+:func:`run_lifecycle` does.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.api import DeepStoreApiError
+from repro.index import CentroidRouter, IndexedDevice
 from repro.ingest import (
     CompactionJob,
     CompactionPolicy,
-    DeltaAwareSearch,
     IngestError,
     LifecycleConfig,
     LifecycleDevice,
@@ -18,148 +25,210 @@ from repro.workloads import get_app
 
 APP = get_app("textqa")
 DIM = APP.feature_floats
+N_LISTS = 8
 
 
 @pytest.fixture
 def rig(rng):
-    """A lifecycle device with one ingest-enabled database + search."""
-    device = LifecycleDevice()
+    """An indexed device with one ingest-enabled database."""
+    device = IndexedDevice()
     db = device.write_db(rng.normal(0, 1, (256, DIM)).astype(np.float32))
     model = device.load_graph(APP.build_scn(seed=1))
     device.enable_ingest(db, region_blocks=8, region_pages_per_block=16)
-    search = DeltaAwareSearch(device, db, model, n_clusters=8, seed=0)
-    return device, db, model, search
+    device.build_index(db, model, n_lists=N_LISTS, seed=0)
+    return device, db, model
 
 
-def _plant_winners(device, db, search, probe, n):
+def _exact(device, db, model, probe, k):
+    """Ground truth: the canonical scan over every visible row."""
+    visible = device.lifecycle(db).store.visible_ids()
+    return device._scan_ids(
+        device._models[model], probe, device._store(db), visible, k
+    )[0]
+
+
+def _probe(device, db, model, probe, k, nprobe, include_delta=True):
+    return device.get_results(
+        device.query(probe, k, model, db, nprobe=nprobe,
+                     include_delta=include_delta)
+    )
+
+
+def _recall(result, exact):
+    got = set(result.feature_ids.tolist())
+    return len(got & set(exact.tolist())) / len(exact)
+
+
+def _plant_winners(device, db, model, probe, n):
     """Insert near-copies of the current exact winners (they belong in
     the new exact top-K but the stale layout cannot reach them)."""
-    winners = search.exact_topk(probe, n)
+    winners = _exact(device, db, model, probe, n)
     rows = device.lifecycle(db).store.rows(winners)
     return device.insert_db(db, rows + np.float32(1e-3))
 
 
-class TestDeltaAwareSearch:
+class TestProbedSearch:
     def test_fresh_layout_has_high_recall(self, rig, rng):
-        _, _, _, search = rig
+        device, db, model = rig
         probe = rng.normal(0, 1, DIM).astype(np.float32)
-        result = search.query(probe, 10, n_probe=6)
-        exact = search.exact_topk(probe, 10)
-        assert result.recall_against(exact) >= 0.5
-        assert result.probed_rows < result.total_visible
-        assert result.scan_seconds > 0
+        result = _probe(device, db, model, probe, 10, nprobe=6)
+        assert _recall(result, _exact(device, db, model, probe, 10)) >= 0.5
+        assert result.probed_rows < 256
+        assert result.seconds > 0
 
     def test_recall_drifts_down_as_delta_grows(self, rig, rng):
-        device, db, _, search = rig
+        device, db, model = rig
         probe = rng.normal(0, 1, DIM).astype(np.float32)
-        exact0 = search.exact_topk(probe, 10)
-        recall0 = search.query(probe, 10, n_probe=6).recall_against(exact0)
-        _plant_winners(device, db, search, probe, 10)
-        exact1 = search.exact_topk(probe, 10)
-        stale = search.query(probe, 10, n_probe=6).recall_against(exact1)
+        exact0 = _exact(device, db, model, probe, 10)
+        recall0 = _recall(
+            _probe(device, db, model, probe, 10, 6, include_delta=False), exact0
+        )
+        _plant_winners(device, db, model, probe, 10)
+        exact1 = _exact(device, db, model, probe, 10)
+        stale = _recall(
+            _probe(device, db, model, probe, 10, 6, include_delta=False), exact1
+        )
         # the planted winners sit in the delta; stale probing misses them
         assert stale < recall0
-        assert search.query(probe, 10, n_probe=6).delta_rows == 10
+        assert device.delta_rows(db) == 10
 
     def test_scanning_the_delta_buys_recall_back(self, rig, rng):
-        device, db, _, search = rig
+        device, db, model = rig
         probe = rng.normal(0, 1, DIM).astype(np.float32)
-        _plant_winners(device, db, search, probe, 10)
-        exact = search.exact_topk(probe, 10)
-        stale = search.query(probe, 10, n_probe=6, include_delta=False)
-        fresh = search.query(probe, 10, n_probe=6, include_delta=True)
-        assert fresh.recall_against(exact) > stale.recall_against(exact)
+        _plant_winners(device, db, model, probe, 10)
+        exact = _exact(device, db, model, probe, 10)
+        stale = _probe(device, db, model, probe, 10, 6, include_delta=False)
+        fresh = _probe(device, db, model, probe, 10, 6, include_delta=True)
+        assert _recall(fresh, exact) > _recall(stale, exact)
         assert fresh.probed_rows > stale.probed_rows
         # the latency model quantizes at page granularity, so a small
         # delta may not move the clock — it must never make it cheaper
-        assert fresh.scan_seconds >= stale.scan_seconds
+        assert fresh.seconds >= stale.seconds
 
     def test_tombstones_cost_reads_but_never_rank(self, rig, rng):
-        device, db, _, search = rig
+        device, db, model = rig
         probe = rng.normal(0, 1, DIM).astype(np.float32)
-        top = search.exact_topk(probe, 5)
+        top = _exact(device, db, model, probe, 5)
         device.delete_db_rows(db, [int(top[0])])
-        result = search.query(probe, 10, n_probe=8)
+        result = _probe(device, db, model, probe, 10, nprobe=N_LISTS)
         assert int(top[0]) not in result.feature_ids.tolist()
-        # the dead row's page is still probed until compaction
-        assert result.probed_rows > result.total_visible - result.delta_rows
+        # the dead row's list slot is still probed until compaction
+        visible = len(device.lifecycle(db).store.visible_ids())
+        assert result.probed_rows == visible + 1
 
-    def test_rebuild_restores_recall(self, rig, rng):
-        device, db, _, search = rig
+    def test_reindex_restores_recall(self, rig, rng):
+        device, db, model = rig
         probe = rng.normal(0, 1, DIM).astype(np.float32)
-        _plant_winners(device, db, search, probe, 10)
-        search.rebuild(device.lifecycle(db).store.snapshot())
-        exact = search.exact_topk(probe, 10)
-        assert search.query(probe, 10, n_probe=6).recall_against(exact) >= 0.5
-        assert search.rebuilds == 1
+        _plant_winners(device, db, model, probe, 10)
+        before = device.index_for(db)
+        assert device.reindex(db) is device.index_for(db) is not before
+        exact = _exact(device, db, model, probe, 10)
+        result = _probe(device, db, model, probe, 10, 6, include_delta=False)
+        assert _recall(result, exact) >= 0.5
+        assert device.delta_rows(db) == 0
+        assert device.metrics.snapshot()["index.reindexes"] == 1
 
-    def test_bad_arguments_rejected(self, rig, rng):
-        _, _, _, search = rig
-        probe = rng.normal(0, 1, DIM).astype(np.float32)
-        with pytest.raises(IngestError):
-            search.query(probe, 0, n_probe=2)
-        with pytest.raises(IngestError):
-            search.query(probe, 5, n_probe=0)
-        with pytest.raises(IngestError):
-            search.query(probe, 5, n_probe=999)
-
-
-    @pytest.mark.parametrize("n_probe", [2.5, True, float("nan"), float("inf")])
-    def test_non_integer_n_probe_rejected(self, rig, rng, n_probe):
-        _, _, _, search = rig
-        probe = rng.normal(0, 1, DIM).astype(np.float32)
-        with pytest.raises(IngestError, match="n_probe"):
-            search.query(probe, 5, n_probe=n_probe)
-
-    def test_whole_n_probe_values_are_accepted(self, rig, rng):
-        """The same probe-count rule as ``IndexedDevice.query``."""
-        _, _, _, search = rig
-        probe = rng.normal(0, 1, DIM).astype(np.float32)
-        as_int = search.query(probe, 5, n_probe=2)
-        for other in (2.0, np.int64(2)):
-            got = search.query(probe, 5, n_probe=other)
-            assert got.feature_ids.tolist() == as_int.feature_ids.tolist()
-            assert got.probed_rows == as_int.probed_rows
+    def test_reindex_without_an_index_is_a_noop(self, rig):
+        device, db, _ = rig
+        assert device.reindex(db + 99) is None
+        device.index_mode = "off"
+        assert device.reindex(db) is None
+        assert "index.reindexes" not in device.metrics.snapshot()
 
     def test_bad_construction_rejected(self, rig):
-        device, db, model, _ = rig
-        with pytest.raises(IngestError, match="n_clusters"):
-            DeltaAwareSearch(device, db, model, n_clusters=2.5)
-        with pytest.raises(IngestError, match="model"):
-            DeltaAwareSearch(device, db, model + 99)
+        device, db, model = rig
+        with pytest.raises(ValueError, match="n_lists"):
+            device.build_index(db, model, n_lists=2.5)
+        with pytest.raises(DeepStoreApiError, match="model"):
+            device.build_index(db, model + 99, n_lists=N_LISTS)
 
 
-def _mutate(device, db, search, rng, victims=(7, 40), updated=9):
+class TestEmptyProbe:
+    """A probe whose lists hold only dead rows answers, and is charged."""
+
+    def _kill_probed_lists(self, device, db, model, probe, nprobe):
+        index = device.index_for(db)
+        router = CentroidRouter(
+            index.centroids, device._system("ssd"), device._models[model],
+            feature_bytes=DIM * 4,
+        )
+        decision = router.route(probe, nprobe, device._score_features)
+        probed = index.lists.probed_ids(decision.list_ids)
+        device.delete_db_rows(db, probed.tolist())
+        return probed
+
+    def test_dead_lists_give_an_empty_charged_top_k(self, rig, rng):
+        device, db, model = rig
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        probed = self._kill_probed_lists(device, db, model, probe, 2)
+        result = _probe(device, db, model, probe, 10, 2, include_delta=False)
+        assert len(result.feature_ids) == len(result.scores) == 0
+        assert result.probed_rows == len(probed)
+        assert result.seconds > 0
+        # the delta is empty too, so scanning it changes nothing
+        again = _probe(device, db, model, probe, 10, 2, include_delta=True)
+        assert len(again.feature_ids) == 0
+
+    def test_a_probe_that_reads_nothing_still_raises(self, rig, rng):
+        device, db, model = rig
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        device.insert_db(db, rng.normal(0, 1, (4, DIM)).astype(np.float32))
+        # the inserted rows are all delta: no list slot lies in range
+        with pytest.raises(DeepStoreApiError, match="no candidates"):
+            device.query(probe, 10, model, db, db_start=256, nprobe=2,
+                         include_delta=False)
+
+    def test_empty_result_does_not_break_a_later_cache_hit(self, rig, rng):
+        device, db, model = rig
+        device.set_qc(threshold=0.5)
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        self._kill_probed_lists(device, db, model, probe, 2)
+        empty = _probe(device, db, model, probe, 10, 2, include_delta=False)
+        assert len(empty.feature_ids) == 0
+        again = _probe(device, db, model, probe, 10, 2, include_delta=False)
+        assert len(again.feature_ids) == 0
+        # a non-empty answer is cached and a repeat hits it
+        full = _probe(device, db, model, probe, 10, N_LISTS)
+        hit = _probe(device, db, model, probe, 10, N_LISTS)
+        assert hit.cache_hit
+        assert hit.feature_ids.tolist() == full.feature_ids.tolist()
+
+
+def _mutate(device, db, model, rng, victims=(7, 40), updated=9):
     """Plant winners, insert noise, delete clustered rows, update one."""
     probe = rng.normal(0, 1, DIM).astype(np.float32)
-    _plant_winners(device, db, search, probe, 6)
+    _plant_winners(device, db, model, probe, 6)
     device.insert_db(db, rng.normal(0, 1, (12, DIM)).astype(np.float32))
-    winners = search.exact_topk(probe, 3)
+    winners = _exact(device, db, model, probe, 3)
     device.delete_db_rows(db, [int(winners[0]), *victims])
     device.update_db_row(db, updated, rng.normal(0, 1, DIM).astype(np.float32))
     return probe
 
 
-class TestDeltaAwareSearchDifferential:
-    """``query`` equals an in-test reference over the same candidates.
+class TestProbedSearchDifferential:
+    """``IndexedDevice.query`` equals an in-test reference.
 
     The reference takes the router's probed lists, keeps the visible
-    ids (plus the delta when asked), scores them with one plain
+    ids (plus the store's delta when asked), scores them with one plain
     ``graph.forward`` and ranks them with :func:`oracle_topk`.
     """
 
-    def _reference(self, device, model, search, probe, k, n_probe,
-                   include_delta):
-        store = search.store
+    def _reference(self, device, db, model, probe, k, nprobe, include_delta):
+        store = device.lifecycle(db).store
+        index = device.index_for(db)
+        graph = device._models[model]
         visible = set(store.visible_ids().tolist())
-        decision = search.router.route(probe, n_probe, device._score_features)
+        router = CentroidRouter(
+            index.centroids, device._system("ssd"), graph,
+            feature_bytes=DIM * 4,
+        )
+        decision = router.route(probe, nprobe, device._score_features)
         candidates = [
-            fid for fid in search.lists.probed_ids(decision.list_ids).tolist()
+            fid for fid in index.lists.probed_ids(decision.list_ids).tolist()
             if fid in visible
         ]
         if include_delta:
             candidates += store.delta_ids().tolist()
-        graph = device._models[model]
         q_id, d_id = graph.input_ids
         rows = store.rows(candidates)
         queries = np.repeat(probe.reshape(1, -1), len(candidates), axis=0)
@@ -171,27 +240,28 @@ class TestDeltaAwareSearchDifferential:
         scores[candidates] = out
         return oracle_topk(store.features(), candidates, scores, k)
 
-    @pytest.mark.parametrize("n_probe", [1, 3, 8])
+    @pytest.mark.parametrize("nprobe", [1, 3, 8])
     @pytest.mark.parametrize("include_delta", [False, True])
-    def test_query_equals_reference(self, rig, rng, n_probe, include_delta):
-        device, db, model, search = rig
-        probe = _mutate(device, db, search, rng)
-        result = search.query(probe, 10, n_probe, include_delta=include_delta)
+    def test_query_equals_reference(self, rig, rng, nprobe, include_delta):
+        device, db, model = rig
+        probe = _mutate(device, db, model, rng)
+        result = _probe(device, db, model, probe, 10, nprobe, include_delta)
         expected = self._reference(
-            device, model, search, probe, 10, n_probe, include_delta
+            device, db, model, probe, 10, nprobe, include_delta
         )
         assert result.feature_ids.tolist() == [fid for _, fid in expected]
         assert result.scores.tolist() == [score for score, _ in expected]
 
     def test_full_probe_with_delta_is_exact(self, rig, rng):
-        device, db, _, search = rig
-        probe = _mutate(device, db, search, rng)
-        full = search.query(probe, 10, search.lists.n_lists, include_delta=True)
+        device, db, model = rig
+        probe = _mutate(device, db, model, rng)
+        full = _probe(device, db, model, probe, 10, N_LISTS)
         np.testing.assert_array_equal(
-            full.feature_ids, search.exact_topk(probe, 10)
+            full.feature_ids, _exact(device, db, model, probe, 10)
         )
         # tombstoned clustered rows still cost reads: 3 deletes + 1 update
-        assert full.probed_rows == full.total_visible + 4
+        visible = len(device.lifecycle(db).store.visible_ids())
+        assert full.probed_rows == visible + 4
 
 
 class TestCompactionPolicy:
@@ -218,9 +288,9 @@ class TestCompactionPolicy:
             CompactionPolicy(delta_threshold=float("nan"))
 
     def test_due_follows_the_delta_threshold(self, rig, rng):
-        device, db, _, search = rig
+        device, db, _ = rig
         job = CompactionJob(
-            device, db, search=search,
+            device, db,
             policy=CompactionPolicy(delta_threshold=0.1),
         )
         assert not job.due()
@@ -232,18 +302,24 @@ class TestCompactionPolicy:
 
 class TestCompactionJob:
     def test_chunked_run_absorbs_the_delta(self, rig, rng):
-        device, db, _, search = rig
+        device, db, _ = rig
         inserted = device.insert_db(
             db, rng.normal(0, 1, (50, DIM)).astype(np.float32)
         )
         device.delete_db_rows(db, [0, 1, 2])
         sim = Simulator()
         seen = []
+        before = device.index_for(db)
+
+        def done(report):
+            seen.append(report)
+            device.reindex(db)
+
         job = CompactionJob(
-            device, db, search=search,
+            device, db,
             policy=CompactionPolicy(chunk_rows=16),
         )
-        job.start(sim, on_done=seen.append)
+        job.start(sim, on_done=done)
         sim.run()
         report = job.report
         assert report is not None and seen == [report]
@@ -254,13 +330,17 @@ class TestCompactionJob:
         assert report.write_seconds > 0
         assert report.duration_s >= report.write_seconds * 0.5
         assert not job.active
-        assert search.rebuilds == 1
+        # the callback re-indexed: a new index over the surviving rows
+        after = device.index_for(db)
+        assert after is not before
+        assert after.report.rows == 256 - 3 + len(inserted)
+        assert device.metrics.snapshot()["index.reindexes"] == 1
 
     def test_mutations_after_snapshot_land_in_next_delta(self, rig, rng):
-        device, db, _, search = rig
+        device, db, _ = rig
         device.insert_db(db, rng.normal(0, 1, (20, DIM)).astype(np.float32))
         sim = Simulator()
-        job = CompactionJob(device, db, search=search)
+        job = CompactionJob(device, db)
         job.start(sim)
         late = device.insert_db(
             db, rng.normal(0, 1, (5, DIM)).astype(np.float32)
@@ -270,11 +350,11 @@ class TestCompactionJob:
         assert set(store.delta_ids().tolist()) == set(int(i) for i in late)
 
     def test_queries_preempt_pending_chunks(self, rig, rng):
-        device, db, model, search = rig
+        device, db, model = rig
         device.insert_db(db, rng.normal(0, 1, (48, DIM)).astype(np.float32))
         sim = Simulator()
         job = CompactionJob(
-            device, db, search=search,
+            device, db,
             policy=CompactionPolicy(chunk_rows=8),
         )
         job.start(sim)
@@ -294,15 +374,15 @@ class TestCompactionJob:
         assert report.rows_rewritten == 48
 
     def test_preempt_is_a_noop_when_idle(self, rig):
-        device, db, _, search = rig
-        job = CompactionJob(device, db, search=search)
+        device, db, _ = rig
+        job = CompactionJob(device, db)
         assert not job.preempt(1.0)
 
     def test_double_start_rejected(self, rig, rng):
-        device, db, _, search = rig
+        device, db, _ = rig
         device.insert_db(db, rng.normal(0, 1, (8, DIM)).astype(np.float32))
         sim = Simulator()
-        job = CompactionJob(device, db, search=search)
+        job = CompactionJob(device, db)
         job.start(sim)
         with pytest.raises(IngestError):
             job.start(sim)
@@ -322,10 +402,10 @@ class TestCompactionRows:
         return dead, delta
 
     def test_matches_the_per_row_rule(self, rig, rng):
-        device, db, _, search = rig
-        _mutate(device, db, search, rng)
+        device, db, model = rig
+        _mutate(device, db, model, rng)
         device.compact_db(db)
-        _mutate(device, db, search, rng, victims=(8, 41), updated=12)
+        _mutate(device, db, model, rng, victims=(8, 41), updated=12)
         state = device.lifecycle(db)
         snap = state.store.snapshot()
         dead, delta = state.dead_rows(snap), state.delta_rows(snap)
@@ -333,7 +413,7 @@ class TestCompactionRows:
         assert dead and delta and dead == sorted(dead)
 
     def test_job_and_device_trim_and_rewrite_alike(self, rig, rng, monkeypatch):
-        device, db, model, _ = rig
+        device, db, model = rig
         twin = LifecycleDevice()
         twin_db = twin.write_db(device.read_db(db))
         twin.load_graph(APP.build_scn(seed=1))
@@ -396,6 +476,11 @@ class TestLifecycleConfigValidation:
         with pytest.raises(IngestError, match="n_probe"):
             LifecycleConfig(n_clusters=4, n_probe=5)
 
+    def test_more_clusters_than_base_rows_rejected(self):
+        with pytest.raises(IngestError, match="n_clusters.*n_base"):
+            LifecycleConfig(n_base=8)
+        LifecycleConfig(n_base=16)  # n_clusters == n_base is fine
+
     @pytest.mark.parametrize("load", [-0.1, 1.5, float("nan")])
     def test_bad_interference_load_rejected(self, load):
         with pytest.raises(IngestError, match="interference_loads"):
@@ -455,3 +540,22 @@ class TestRunLifecycle:
         import json
 
         json.dumps(card)  # must be JSON-clean for the perf gate
+
+
+class TestSmallLifecycles:
+    """Regression: deletes can tombstone every clustered row.
+
+    Then the stale probe reads only dead slots (an empty top-K, recall
+    0) and later rounds have nothing left to delete; the loop must run
+    on, at the CLI's default rounds and probe count.
+    """
+
+    @pytest.mark.parametrize("n_base", [16, 32, 64, 96])
+    def test_runs_to_completion(self, n_base):
+        report = run_lifecycle(
+            LifecycleConfig(n_base=n_base, rounds=3, probe_queries=6)
+        )
+        assert len(report.staleness) == 4
+        assert report.compaction.rows_rewritten > 0
+        if n_base == 96:
+            assert report.staleness[-1].stale_recall == 0.0
