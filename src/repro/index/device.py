@@ -32,7 +32,7 @@ probes.  The contract that keeps the base reproduction honest:
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,26 +73,16 @@ class IndexedDevice(LifecycleDevice):
         graph = self._models.get(model_id)
         if graph is None:
             raise DeepStoreApiError(f"unknown model id {model_id}")
-        store = self._store(db_id)
         meta = self.ssd.ftl.get(db_id)
-        state = self._lifecycles.get(db_id)
-        if state is not None:
-            snap = state.store.snapshot()
-            ids = np.asarray(state.store.visible_ids(snap), dtype=np.int64)
-            boundary = snap.n_rows
-        else:
-            ids = np.arange(len(store), dtype=np.int64)
-            boundary = len(store)
-        if len(ids) == 0:
-            raise DeepStoreApiError(f"database {db_id} has no visible rows")
         cfg = config or IndexBuildConfig(
             n_lists=n_lists, iterations=iterations, seed=seed
         )
+        ids, boundary = self._indexable_rows(db_id, cfg.n_lists)
         index = build_ivf_index(
             self.ssd,
             self._system("ssd"),
             graph,
-            store[ids],
+            self._store(db_id)[ids],
             ids,
             meta,
             cfg,
@@ -101,10 +91,31 @@ class IndexedDevice(LifecycleDevice):
         )
         self._indexes[db_id] = index
         self._index_models[db_id] = model_id
+        state = self._lifecycles.get(db_id)
         if state is not None:
             state.write_seconds += index.report.total_seconds
         self.metrics.counter("index.builds").inc()
         return index
+
+    def _indexable_rows(self, db_id: int, n_lists: int) -> Tuple[np.ndarray, int]:
+        """The visible ids an index over ``db_id`` covers, and its boundary.
+
+        Rejects a build whose ``n_lists`` exceeds the visible rows.
+        """
+        state = self._lifecycles.get(db_id)
+        if state is not None:
+            snap = state.store.snapshot()
+            ids = np.asarray(state.store.visible_ids(snap), dtype=np.int64)
+            boundary = snap.n_rows
+        else:
+            boundary = len(self._store(db_id))
+            ids = np.arange(boundary, dtype=np.int64)
+        if len(ids) < n_lists:
+            raise DeepStoreApiError(
+                f"n_lists={n_lists} needs at least as many visible rows; "
+                f"database {db_id} has {len(ids)}"
+            )
+        return ids, boundary
 
     def index_for(self, db_id: int) -> IvfIndex:
         """The database's built index, or raise if none exists."""
@@ -225,7 +236,13 @@ class IndexedDevice(LifecycleDevice):
     # compaction-triggered re-indexing
     # ------------------------------------------------------------------
     def compact_db(self, db_id: int) -> DeviceCompaction:
-        """Compact, then rebuild the index over the surviving rows."""
+        """Compact, then rebuild the index over the surviving rows.
+
+        Compaction keeps the visible rows, so a re-index they cannot
+        fill is rejected first and leaves store and index untouched.
+        """
+        if self.index_mode == "ivf" and db_id in self._indexes:
+            self._indexable_rows(db_id, self._indexes[db_id].n_lists)
         outcome = super().compact_db(db_id)
         rebuilt = self.reindex(db_id)
         if rebuilt is None:

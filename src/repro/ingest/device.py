@@ -109,7 +109,11 @@ class LifecycleDevice(DeepStoreDevice):
         region_pages_per_block: int = 64,
         injector=None,
     ) -> None:
-        """Arm a database for mutation (idempotent until first mutation)."""
+        """Arm a database for mutation (idempotent until first mutation).
+
+        The ingest region must hold the base rows; a region too small
+        for them is rejected before anything is armed.
+        """
         if db_id in self._lifecycles:
             return
         meta = self.ssd.ftl.get(db_id)
@@ -122,6 +126,13 @@ class LifecycleDevice(DeepStoreDevice):
             blocks=region_blocks,
             pages_per_block=region_pages_per_block,
         )
+        capacity = writepath.free_pages * writepath.rows_per_page
+        if store.n_rows > capacity:
+            raise DeepStoreApiError(
+                f"region_blocks={region_blocks} (x {region_pages_per_block} "
+                f"pages) holds {capacity} rows; it must hold the "
+                f"{store.n_rows} base rows of database {db_id}"
+            )
         # the base rows are already on flash (written by write_db); seed
         # the page map so deletes/compactions can address them, then
         # zero the counters so WA reflects mutation traffic only

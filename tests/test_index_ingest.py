@@ -12,7 +12,10 @@ run the same device on a random one):
   of a fresh build;
 * the layout region is sized by the ``region_blocks_for`` audit, so a
   scaled build grows its region instead of exhausting logical flash
-  space (the ``--bench-scale 10`` regression).
+  space (the ``--bench-scale 10`` regression);
+* a build or re-index over fewer visible rows than ``n_lists`` is
+  rejected with both counts, and ``compact_db`` rejects it before it
+  compacts, so the store and the index stay as they were.
 """
 
 import math
@@ -21,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.api import DeepStoreApiError
 from repro.index import IndexedDevice, region_blocks_for
 from repro.index.scorecard import GATE_CONFIG, make_index_workload
 from repro.ingest import IngestError, IngestWritePath
@@ -210,3 +214,52 @@ class TestRegionAudit:
         assert report.region_blocks == region_blocks_for(
             report.rows, APP.feature_bytes, page_bytes
         )
+
+
+class TestReindexNeedsRows:
+    LISTS = 8
+
+    def _thinned(self):
+        """An 8-list index over 32 rows, 27 of them then deleted."""
+        rng = np.random.default_rng(5)
+        device = IndexedDevice()
+        db = device.write_db(rng.normal(0, 1, (32, DIM)).astype(np.float32))
+        model = device.load_graph(GRAPH)
+        device.enable_ingest(db, region_blocks=8, region_pages_per_block=16)
+        device.build_index(db, model, self.LISTS, iterations=2)
+        device.delete_db_rows(db, list(range(27)))
+        return device, db, model
+
+    def test_build_and_reindex_name_both_counts(self):
+        device, db, model = self._thinned()
+        with pytest.raises(DeepStoreApiError, match=r"n_lists=8 .* has 5$"):
+            device.build_index(db, model, self.LISTS)
+        with pytest.raises(DeepStoreApiError, match=r"n_lists=8 .* has 5$"):
+            device.reindex(db)
+        # a static database counts all of its rows
+        static = IndexedDevice()
+        sdb = static.write_db(np.ones((4, DIM), np.float32))
+        smodel = static.load_graph(GRAPH)
+        with pytest.raises(DeepStoreApiError, match=r"n_lists=5 .* has 4$"):
+            static.build_index(sdb, smodel, 5)
+
+    def test_compact_db_rejects_before_compacting(self):
+        device, db, _ = self._thinned()
+        state = device.lifecycle(db)
+        index = device.index_for(db)
+
+        def observed():
+            return (
+                state.store.n_tombstones,
+                state.store.delta_fraction(),
+                state.writepath.live_rows,
+                state.compactions,
+                state.write_seconds,
+                device.metrics.snapshot(),
+            )
+
+        before = observed()
+        with pytest.raises(DeepStoreApiError, match=r"n_lists=8 .* has 5$"):
+            device.compact_db(db)
+        assert observed() == before
+        assert device.index_for(db) is index

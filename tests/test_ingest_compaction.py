@@ -520,6 +520,13 @@ class TestRunLifecycle:
             report.fresh_baseline_recall, abs=0.01
         )
 
+    def test_reindex_is_the_fresh_baseline(self, report):
+        # one build at set-up, one re-index when compaction finishes:
+        # the baseline is that re-index, not a third build
+        assert report.metrics["index.builds"] == 2
+        assert report.metrics["index.reindexes"] == 1
+        assert report.fresh_baseline_recall == report.post_compaction_recall
+
     def test_write_amplification_is_consistent(self, report):
         assert report.write_amplification >= 1.0
         assert report.host_writes > 0
@@ -549,6 +556,29 @@ class TestSmallLifecycles:
     0) and later rounds have nothing left to delete; the loop must run
     on, at the CLI's default rounds and probe count.
     """
+
+    def test_default_config_runs(self):
+        report = run_lifecycle()
+        assert report.config == LifecycleConfig()
+        assert len(report.staleness) == report.config.rounds + 1
+        assert report.compaction.rows_rewritten > 0
+
+    def test_base_larger_than_its_region_rejected(self):
+        # 8 blocks x 16 pages hold 1920 TextQA rows
+        with pytest.raises(
+            DeepStoreApiError, match=r"region_blocks=8 .* 2048 base rows"
+        ):
+            run_lifecycle(LifecycleConfig(n_base=2048))
+
+    def test_reindex_over_fewer_rows_than_lists_rejected(self):
+        # every base row deleted but two: the compaction's re-index
+        # cannot fill 16 lists
+        config = LifecycleConfig(
+            n_base=16, rounds=1, planted_per_round=0, random_per_round=1,
+            probe_queries=1, deletes_per_round=16, updates_per_round=0,
+        )
+        with pytest.raises(DeepStoreApiError, match=r"n_lists=16 .* has 2$"):
+            run_lifecycle(config)
 
     @pytest.mark.parametrize("n_base", [16, 32, 64, 96])
     def test_runs_to_completion(self, n_base):

@@ -4,8 +4,11 @@ Three maintenance paths keep bookkeeping whose cost should track the
 work it records, and each must stay bit-identical to the simple
 implementation it replaced:
 
-* ``train_kmeans`` converts the data to float64 once per training; the
-  reference converts it on every assignment pass and member mean;
+* ``train_kmeans`` scores centroid-major in row blocks from one float64
+  copy and sums float32 member gathers in float64; the reference keeps
+  the plain formula in-test — row-major ``2·(x·c) − |c|²`` scores
+  converted on every pass, argmax over each row, masked float64
+  ``.mean()`` — so it shares no code with the function under test;
 * ``DeepStoreDevice.append_db`` appends into a buffer with slack; the
   reference concatenates the whole store on every call, and arrays
   taken before an append must keep their rows;
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.api import DeepStoreApiError, DeepStoreDevice
-from repro.index.kmeans import assign_canonical, train_kmeans
+from repro.index.kmeans import assign_canonical, centroid_scores, train_kmeans
 from repro.ingest import IngestWritePath, LifecycleDevice
 from repro.ingest.writepath import WriteOp
 from repro.ssd import Ssd
@@ -31,15 +34,27 @@ from repro.ssd import Ssd
 # ----------------------------------------------------------------------
 # train_kmeans
 # ----------------------------------------------------------------------
+def _reference_scores(data, centroids):
+    """``(n, k)`` scores, row-major: ``2·(x·c) − |c|²`` in float64."""
+    data = np.asarray(data, dtype=np.float64)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    return 2.0 * (data @ centroids.T) - (centroids * centroids).sum(axis=1)
+
+
+def _reference_assign(data, centroids):
+    """First-max argmax over each row's scores: the ``(-score, id)`` rule."""
+    return np.argmax(_reference_scores(data, centroids), axis=1).astype(np.int64)
+
+
 def _reference_kmeans(data, n_lists, iterations, seed):
-    """The Lloyd loop converting to float64 on every pass and mean."""
+    """The plain Lloyd loop: per-pass conversion, masked float64 means."""
     data = np.asarray(data, dtype=np.float32)
     rng = np.random.default_rng(seed)
     centroids = data[rng.choice(len(data), size=n_lists, replace=False)].astype(
         np.float64
     )
     for _ in range(iterations):
-        assignments = assign_canonical(data, centroids)
+        assignments = _reference_assign(data, centroids)
         for j in range(n_lists):
             members = data[assignments == j]
             if len(members):
@@ -49,7 +64,7 @@ def _reference_kmeans(data, n_lists, iterations, seed):
                 pool = np.flatnonzero(assignments == biggest)
                 centroids[j] = data[pool[int(rng.integers(0, len(pool)))]]
     centroids32 = centroids.astype(np.float32)
-    return centroids32, assign_canonical(data, centroids32)
+    return centroids32, _reference_assign(data, centroids32)
 
 
 @st.composite
@@ -99,6 +114,63 @@ class TestTrainKmeans:
         want = _reference_kmeans(data.astype(np.float32), 7, 3, 1)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+    def test_bit_equal_at_workload_shape(self):
+        # the benchmark's shape, scaled down: BLAS blocking, several
+        # uneven score blocks, lists of hundreds of members
+        rng = np.random.default_rng(10)
+        # magnitudes spread over eight decades, so that float64 sums
+        # and dot products round, and a change of order shows
+        data = rng.normal(0, 1, (10_000, 512)) * 10.0 ** rng.uniform(
+            -4, 4, (10_000, 1)
+        )
+        data = data.astype(np.float32)
+        centroids, assignments = train_kmeans(data, 64, 8, 3)
+        ref_centroids, ref_assignments = _reference_kmeans(data, 64, 8, 3)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        assert assignments.tobytes() == ref_assignments.tobytes()
+
+    @pytest.mark.parametrize("dim, n_lists, seed", [(1, 1, 0), (2, 2, 1)])
+    def test_member_means_keep_summation_order(self, dim, n_lists, seed):
+        # the +-1e30 rows cancel, so a mean depends on which ones are
+        # summed before the -1e30 row: any change of order shows in
+        # float32.  One column: the float64 mean sums it pairwise, where
+        # a float32 column cast in 8192-row buffers groups differently.
+        # Two lists: a list's members must be summed in row order.
+        data = np.ones((20_000, dim), np.float32)
+        if dim == 2:
+            data[1::2, 0] = -1  # even and odd rows: two lists
+        data[2, -1], data[10_002, -1] = 1e30, -1e30
+        got = train_kmeans(data, n_lists, 1, seed)
+        want = _reference_kmeans(data, n_lists, 1, seed)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestKmeansScores:
+    @settings(max_examples=60, deadline=None)
+    @given(_kmeans_cases())
+    def test_small_shapes_bit_equal(self, case):
+        data, n_lists, _, seed = case
+        centroids = np.random.default_rng(seed).normal(0, 1, (n_lists, data.shape[1]))
+        want = _reference_scores(data, centroids)
+        got = centroid_scores(data, centroids)
+        assert got.shape == want.shape == (len(data), n_lists)
+        assert got.tobytes() == want.tobytes()
+        assert assign_canonical(data, centroids).tobytes() == (
+            _reference_assign(data, centroids).tobytes()
+        )
+
+    def test_workload_shape_bit_equal(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(0, 1, (9_000, 512)).astype(np.float32)
+        centroids = rng.normal(0, 1, (64, 512)).astype(np.float32)
+        assert centroid_scores(data, centroids).tobytes() == (
+            _reference_scores(data, centroids).tobytes()
+        )
+        assert assign_canonical(data, centroids).tobytes() == (
+            _reference_assign(data, centroids).tobytes()
+        )
 
 
 # ----------------------------------------------------------------------
