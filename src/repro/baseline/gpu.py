@@ -88,15 +88,6 @@ class GpuModel:
         """Time to score ``batch`` database feature vectors on the GPU."""
         return sum(self.layer_seconds(s, batch) for s in graph.layer_stats())
 
-    def scn_seconds_per_feature(self, graph: Graph, batch: int) -> float:
-        """Per-feature SCN time at the given batch size."""
-        return self.scn_batch_seconds(graph, batch) / batch
-
-    def sustained_flops(self, graph: Graph, batch: int) -> float:
-        """Achieved FLOP/s over the whole SCN at this batch size."""
-        seconds = self.scn_batch_seconds(graph, batch)
-        return graph.total_flops() * batch / seconds if seconds > 0 else 0.0
-
 
 def _size(shape: Tuple[int, ...]) -> int:
     n = 1

@@ -43,7 +43,6 @@ from repro.obs.slo import SloMonitor, default_chaos_monitor
 from repro.recovery import (
     CheckpointPolicy,
     DurableStore,
-    RecoveryError,
     plan_resync,
     recover,
 )

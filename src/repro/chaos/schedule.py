@@ -101,29 +101,6 @@ class ChaosSchedule:
         return ", ".join(parts) if parts else "empty schedule"
 
     # ------------------------------------------------------------------
-    def to_fault_plan(self, base: FaultPlan) -> FaultPlan:
-        """Fold the schedule's *permanent* outages into a fault plan.
-
-        A kill with no later restart of the same replica is a hard
-        shard failure the static plan can carry; transient kills and
-        crashes stay schedule-only (the harness drives them at
-        runtime).  Crucially this only *appends failures* — it never
-        touches the plan's rate fields, so the per-operation fault
-        draws (domains 1–8) are byte-identical with or without chaos.
-        """
-        plan = base
-        for event in self.of_kind("kill"):
-            restarted = any(
-                r.at_s > event.at_s
-                and r.shard == event.shard
-                and r.replica == event.replica
-                for r in self.of_kind("restart")
-            )
-            if not restarted:
-                plan = plan.fail_shard(
-                    event.shard, replica=event.replica, at_s=event.at_s
-                )
-        return plan
 
     # ------------------------------------------------------------------
     @classmethod

@@ -166,10 +166,6 @@ class ClusterConfig:
         dead.update(self.fault_plan.dead_shard_replicas())
         return tuple(sorted(dead))
 
-    def is_dead(self, shard: int, replica: int) -> bool:
-        """Whether one replica SSD is out of service."""
-        return (shard, replica) in set(self.dead_replicas())
-
     def live_replicas(self, shard: int) -> Tuple[int, ...]:
         """Replica indices of ``shard`` still in service."""
         dead = set(self.dead_replicas())

@@ -229,12 +229,6 @@ class DeepStoreCluster:
         """Return one replica to service (restart complete)."""
         self._down.discard((shard, replica))
 
-    def down_replicas(self) -> Tuple[Tuple[int, int], ...]:
-        """All currently-dead (shard, replica) pairs: config + runtime."""
-        dead = set(self.config.dead_replicas())
-        dead.update(self._down)
-        return tuple(sorted(dead))
-
     # ------------------------------------------------------------------
     # ingest / models / cache
     # ------------------------------------------------------------------

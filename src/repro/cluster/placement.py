@@ -66,13 +66,6 @@ class ShardPlacement:
         ideal = self.n_features / self.n_shards
         return max(sizes) / ideal if ideal > 0 else 1.0
 
-    def shard_of(self) -> np.ndarray:
-        """Inverse map: ``shard_of()[global_id]`` = owning shard."""
-        out = np.empty(self.n_features, dtype=np.int64)
-        for shard, ids in enumerate(self.owners):
-            out[ids] = shard
-        return out
-
     def non_empty_shards(self) -> List[int]:
         """Shards owning at least one feature (the scatter set)."""
         return [s for s, ids in enumerate(self.owners) if len(ids) > 0]

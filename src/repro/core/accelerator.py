@@ -158,12 +158,6 @@ class InStorageAccelerator:
             precision=self.precision.name,
         )
 
-    def average_power_w(self, meta: DatabaseMetadata, seconds_per_feature: float) -> float:
-        """Average accelerator power at the given feature rate."""
-        if seconds_per_feature <= 0:
-            raise ValueError("seconds_per_feature must be positive")
-        return self.feature_energy(meta).total_j / seconds_per_feature
-
     # ------------------------------------------------------------------
     # event-driven stripe scan (channel-level fidelity path)
     # ------------------------------------------------------------------

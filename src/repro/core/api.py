@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -53,6 +54,32 @@ def is_count(value: object, low: int = 0) -> bool:
         isinstance(value, numbers.Integral)
         and not isinstance(value, bool)
         and value >= low
+    )
+
+
+def check_counts(
+    config: object,
+    counts: Iterable[Tuple[str, int]],
+    error: Callable[[str], Exception] = ValueError,
+) -> None:
+    """Raise ``error`` naming the first ``(field, low)`` that is not a count."""
+    for name, low in counts:
+        value = getattr(config, name)
+        if not is_count(value, low):
+            raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def is_real(value: object, low: float = -math.inf) -> bool:
+    """Whether ``value`` is a real number greater than ``low``.
+
+    Bools and NaN are not: like :func:`is_count`, this rejects a size
+    or time that arrives as ``True`` or ``nan`` instead of letting it
+    fail deep inside a run.
+    """
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and value > low
     )
 
 
@@ -183,7 +210,6 @@ class DeepStoreDevice:
         self._results: Dict[int, QueryResult] = {}
         self._cache: Optional[QueryCache] = None
         self._cache_lookup_seconds_per_entry = 0.0
-        self._ingest_seconds: Dict[int, float] = {}
         #: per-database mutation epoch; query-cache entries are tagged
         #: ``(db_id, epoch)`` so results cached before a mutation can
         #: never satisfy queries issued after it
@@ -209,15 +235,6 @@ class DeepStoreDevice:
             raise DeepStoreApiError("accelerator index cannot be negative")
         self._failed_accels.add(index)
 
-    def repair_accelerator(self, index: int) -> None:
-        """Bring a previously failed accelerator back into service."""
-        self._failed_accels.discard(index)
-
-    @property
-    def failed_accelerators(self) -> frozenset:
-        """Indices of currently hard-failed accelerators."""
-        return frozenset(self._failed_accels)
-
     # ------------------------------------------------------------------
     # database management (writeDB / appendDB / readDB)
     # ------------------------------------------------------------------
@@ -231,7 +248,6 @@ class DeepStoreDevice:
         self._feature_buffers[meta.db_id] = buffer
         self._feature_store[meta.db_id] = buffer
         self.ssd.dram.allocate(f"db{meta.db_id}-metadata", meta.METADATA_BYTES)
-        self._ingest_seconds[meta.db_id] = self.ssd.database_write_seconds(meta)
         self._db_epochs[meta.db_id] = 0
         return meta.db_id
 
@@ -262,16 +278,6 @@ class DeepStoreDevice:
             buffer = self._feature_buffers[db_id] = grown
         buffer[n : n + added] = features
         self._feature_store[db_id] = buffer[: n + added]
-        appended = DatabaseMetadata(
-            db_id=db_id,
-            feature_bytes=meta.feature_bytes,
-            feature_count=max(1, features.shape[0]),
-            page_bytes=meta.page_bytes,
-        )
-        self._ingest_seconds[db_id] = (
-            self._ingest_seconds.get(db_id, 0.0)
-            + self.ssd.database_write_seconds(appended)
-        )
         self._note_mutation(db_id)
 
     def read_db(self, db_id: int, start: int = 0, num: Optional[int] = None) -> np.ndarray:
@@ -284,15 +290,6 @@ class DeepStoreDevice:
                 f"range [{start}, {start + num}) out of bounds for db {db_id}"
             )
         return store[start : start + num].copy()
-
-    def database_metadata(self, db_id: int) -> DatabaseMetadata:
-        """The FTL's metadata record for a database."""
-        return self.ssd.ftl.get(db_id)
-
-    def ingest_seconds(self, db_id: int) -> float:
-        """Modelled time spent writing/appending this database to flash."""
-        self.ssd.ftl.get(db_id)  # validate the handle
-        return self._ingest_seconds.get(db_id, 0.0)
 
     def db_epoch(self, db_id: int) -> int:
         """The database's mutation epoch (0 = never mutated)."""

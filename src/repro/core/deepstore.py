@@ -376,10 +376,6 @@ class DeepStoreSystem:
         return total
 
     # ------------------------------------------------------------------
-    def scan_power_w(self, app: AppSpec, meta: DatabaseMetadata) -> float:
-        """Aggregate accelerator power during a scan (all instances)."""
-        latency = self.query_latency(app, meta)
-        return latency.power_w
 
     def supports(self, graph: Graph) -> bool:
         """Whether this placement can execute the model."""

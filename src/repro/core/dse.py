@@ -87,12 +87,6 @@ class ConfigCandidate:
     power_w: float
     feasible: bool
 
-    @property
-    def perf_per_watt(self) -> float:
-        if self.mean_seconds_per_feature <= 0 or self.power_w <= 0:
-            return 0.0
-        return 1.0 / (self.mean_seconds_per_feature * self.power_w)
-
 
 def search_configurations(
     level: str,

@@ -18,9 +18,7 @@ accelerator's stripe is remapped onto survivors, see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
-from repro.core.topk import merge_topk
 from repro.ssd.timing import SsdConfig
 
 
@@ -169,9 +167,3 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # functional reduce
     # ------------------------------------------------------------------
-    @staticmethod
-    def merge_results(
-        partials: List[List[Tuple[float, int]]], k: int
-    ) -> List[Tuple[float, int]]:
-        """Merge per-accelerator top-K lists (delegates to topk)."""
-        return merge_topk(partials, k)

@@ -64,15 +64,6 @@ class EventQueryResult:
     setup_seconds: float = 0.0
 
     @property
-    def overhead_components(self) -> Dict[str, float]:
-        """Named serial overheads for breakdown reporting."""
-        return {
-            "dispatch": self.dispatch_seconds,
-            "merge": self.merge_seconds,
-            "setup": self.setup_seconds,
-        }
-
-    @property
     def channel_skew(self) -> float:
         """Slowest / fastest stripe completion (1.0 = perfectly even)."""
         finite = [t for t in self.per_channel_seconds if t > 0]

@@ -51,19 +51,6 @@ class SharedScanReport:
         """Speedup over running the queries back-to-back."""
         return self.n_queries * self.single_query_seconds / self.scan_seconds
 
-    @property
-    def queries_per_second(self) -> float:
-        return self.n_queries / self.scan_seconds if self.scan_seconds else 0.0
-
-    @property
-    def marginal_cost(self) -> float:
-        """Extra time per additional query, as a fraction of one scan."""
-        if self.n_queries <= 1:
-            return 0.0
-        return (self.scan_seconds - self.single_query_seconds) / (
-            (self.n_queries - 1) * self.single_query_seconds
-        )
-
 
 class MultiQueryScheduler:
     """Scan sharing on top of a :class:`DeepStoreSystem`."""

@@ -127,16 +127,6 @@ class EnergyModel:
             flash_j=t.flash_j_for_pages(flash_pages_per_feature),
         )
 
-    def host_transfer_energy(self, nbytes: float) -> EnergyBreakdown:
-        """Baseline-only: moving bytes over PCIe into host memory."""
-        return EnergyBreakdown(host_j=nbytes * self.tables.pcie_j_per_byte)
-
-    def gpu_energy(self, seconds: float, power_w: float) -> float:
-        """Measured-power accounting, like the paper's nvidia-smi method."""
-        if seconds < 0 or power_w < 0:
-            raise ValueError("negative time or power")
-        return seconds * power_w
-
     # ------------------------------------------------------------------
     def accelerator_power_w(
         self,

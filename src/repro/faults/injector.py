@@ -27,7 +27,7 @@ by advancing the epoch via :meth:`FaultInjector.begin_epoch`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
@@ -168,13 +168,6 @@ class ReliabilityCounters:
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"ReliabilityCounters({fields})"
-
-    @property
-    def observed_retry_rate(self) -> float:
-        """Fraction of page reads that needed at least one retry."""
-        if self.page_reads == 0:
-            return 0.0
-        return self.pages_with_retry / self.page_reads
 
 
 @dataclass
@@ -362,40 +355,12 @@ class FaultInjector:
             return _unit(self.seed, _DOMAIN_ACCEL_AMBIENT, index) < rate
         return False
 
-    def failed_accelerators(self, count: int, now: float = 0.0) -> List[int]:
-        """Indices of dead accelerators among ``count`` instances."""
-        if not self.plan.injects_hard_failures:
-            return []
-        return [i for i in range(count) if self.accelerator_dead(i, now)]
-
     def note_failed_read(self) -> None:
         """Record one page read lost to a dead chip/plane."""
         self.counts.failed_reads += 1
-
-    def note_dispatch_timeout(self) -> None:
-        """Record one accelerator dispatch attempt that timed out."""
-        self.counts.dispatch_timeouts += 1
 
     # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
         """Whether this injector can perturb anything at all."""
         return not self.plan.is_zero
-
-    def scheduled_dead_accels(self) -> Set[int]:
-        """Accelerators with scheduled (time-based) failures."""
-        return set(self._dead_accels)
-
-
-def maybe_injector(
-    plan: Optional[FaultPlan], seed: int = 0
-) -> Optional[FaultInjector]:
-    """``None`` for missing/zero plans, else a bound injector.
-
-    The hooks in the SSD models treat ``injector is None`` as the
-    zero-overhead fast path, so builders funnel plan construction
-    through this helper to guarantee idle plans cost nothing.
-    """
-    if plan is None or plan.is_zero:
-        return None
-    return FaultInjector(plan=plan, seed=seed)

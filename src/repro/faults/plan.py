@@ -139,21 +139,6 @@ class FaultPlan:
         )
 
     @property
-    def injects_read_faults(self) -> bool:
-        """Whether page reads need a fault check at all."""
-        return self.read_retry_rate > 0.0
-
-    @property
-    def injects_transfer_faults(self) -> bool:
-        """Whether bus transfers need a fault check at all."""
-        return self.crc_error_rate > 0.0
-
-    @property
-    def injects_program_faults(self) -> bool:
-        """Whether page programs (the write path) need a fault check."""
-        return self.program_fail_rate > 0.0
-
-    @property
     def injects_hard_failures(self) -> bool:
         """Whether any component can be dead during the run."""
         return (
@@ -171,20 +156,6 @@ class FaultPlan:
         """Copy with accelerator ``index`` hard-failed at ``at_s``."""
         return self.with_failure(
             ComponentFailure(kind="accelerator", index=index, at_s=at_s)
-        )
-
-    def fail_chip(self, channel: int, chip: int, at_s: float = 0.0) -> "FaultPlan":
-        """Copy with one chip hard-failed at ``at_s``."""
-        return self.with_failure(
-            ComponentFailure(kind="chip", channel=channel, chip=chip, at_s=at_s)
-        )
-
-    def fail_shard(
-        self, shard: int, replica: int = 0, at_s: float = 0.0
-    ) -> "FaultPlan":
-        """Copy with one replica SSD of cluster shard ``shard`` dead."""
-        return self.with_failure(
-            ComponentFailure(kind="shard", index=shard, replica=replica, at_s=at_s)
         )
 
     def dead_shard_replicas(self) -> Tuple[Tuple[int, int], ...]:

@@ -53,10 +53,6 @@ class InvertedLists:
     def sizes(self) -> List[int]:
         return [len(lst) for lst in self._lists]
 
-    @property
-    def indexed_count(self) -> int:
-        return int(self.layout_offsets[-1])
-
     def list_ids(self, list_id: int) -> np.ndarray:
         """The feature ids posted to one list, in ascending id order."""
         return self._lists[list_id]

@@ -53,10 +53,6 @@ class RoutingDecision:
     #: SCN scores of every centroid (``None`` on the full-probe shortcut)
     centroid_scores: Optional[np.ndarray] = None
 
-    @property
-    def full_probe(self) -> bool:
-        return self.centroid_scores is None
-
 
 class CentroidRouter:
     """Route queries to inverted lists via SCN-scored centroids."""

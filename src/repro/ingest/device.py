@@ -152,10 +152,6 @@ class LifecycleDevice(DeepStoreDevice):
             )
         return state
 
-    def ingest_enabled(self, db_id: int) -> bool:
-        """Whether ``db_id`` has been armed for mutation."""
-        return db_id in self._lifecycles
-
     # ------------------------------------------------------------------
     # mutation verbs
     # ------------------------------------------------------------------

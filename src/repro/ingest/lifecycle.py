@@ -35,7 +35,7 @@ from repro.ingest.compaction import (
     CompactionPolicy,
     CompactionReport,
 )
-from repro.core.api import is_count
+from repro.core.api import check_counts
 from repro.ingest.store import IngestError
 from repro.obs.dtrace import TraceCollector
 from repro.obs.metrics import MetricsRegistry
@@ -75,19 +75,13 @@ class LifecycleConfig:
     def __post_init__(self) -> None:
         # every count the loop slices, sizes or divides by; a round
         # must delete and insert something or its batches are empty
-        counts = (
+        check_counts(self, (
             ("n_base", 1), ("rounds", 0), ("planted_per_round", 0),
             ("random_per_round", 1), ("deletes_per_round", 1),
             ("updates_per_round", 0), ("probe_queries", 1), ("k", 1),
             ("n_clusters", 1), ("n_probe", 1), ("region_blocks", 1),
             ("region_pages_per_block", 1),
-        )
-        for name, low in counts:
-            value = getattr(self, name)
-            if not is_count(value, low):
-                raise IngestError(
-                    f"{name} must be an integer >= {low}, got {value!r}"
-                )
+        ), IngestError)
         if self.n_clusters > self.n_base:
             raise IngestError(
                 f"n_clusters must be at most n_base={self.n_base}, "
@@ -248,6 +242,24 @@ def run_lifecycle(
         region_pages_per_block=config.region_pages_per_block,
     )
     state = device.lifecycle(db)
+    # every insert and update takes a fresh row slot, and the loop
+    # compacts only after its rounds, so the rows must all fit up front
+    planted = max(1, config.planted_per_round // config.probe_queries)
+    planted *= config.probe_queries
+    rows = config.n_base + config.rounds * (
+        planted + config.random_per_round + config.updates_per_round
+    )
+    capacity = state.writepath.ftl.logical_pages * state.writepath.rows_per_page
+    if rows > capacity:
+        raise IngestError(
+            f"n_base={config.n_base} + rounds={config.rounds} x "
+            f"(planted_per_round={config.planted_per_round} -> {planted} + "
+            f"random_per_round={config.random_per_round} + "
+            f"updates_per_round={config.updates_per_round}) = {rows} rows, "
+            f"but region_blocks x region_pages_per_block = "
+            f"{config.region_blocks} x {config.region_pages_per_block} "
+            f"holds {capacity} rows"
+        )
     device.build_index(db, model, n_lists=config.n_clusters, seed=config.seed)
     probes = rng.normal(0, 1, (config.probe_queries, dim)).astype(np.float32)
 

@@ -161,10 +161,6 @@ class MutableFeatureStore:
         return self._n_rows
 
     @property
-    def n_visible(self) -> int:
-        return self._n_rows - len(self._deleted_at)
-
-    @property
     def n_tombstones(self) -> int:
         return len(self._deleted_at)
 

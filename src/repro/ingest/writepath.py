@@ -159,10 +159,6 @@ class IngestWritePath:
         return self.ftl.stats
 
     @property
-    def live_rows(self) -> int:
-        return len(self._row_lpn)
-
-    @property
     def free_pages(self) -> int:
         return len(self._free_lpns)
 

@@ -240,10 +240,6 @@ class Graph:
         """Per-sample FLOPs summed over all layers (MAC = 2 FLOPs)."""
         return sum(s.flops for s in self.layer_stats())
 
-    def total_macs(self) -> int:
-        """Per-sample multiply-accumulates summed over all layers."""
-        return sum(s.macs for s in self.layer_stats())
-
     def count_layers(self) -> Dict[str, int]:
         """Layer-class counts in Table-1 terms (conv / fc / elementwise)."""
         counts = {"conv": 0, "fc": 0, "elementwise": 0}

@@ -104,8 +104,3 @@ def graph_from_bytes(blob: bytes) -> Graph:
         tensor = tensor.reshape(meta["shape"]).copy()
         graph.params.setdefault(meta["node"], {})[meta["key"]] = tensor
     return graph
-
-
-def model_size_bytes(graph: Graph) -> int:
-    """Size of the serialized blob without actually serializing payloads."""
-    return len(graph_to_bytes(graph))

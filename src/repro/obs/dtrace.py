@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import percentile
 from repro.obs.tracer import Tracer
@@ -216,12 +216,6 @@ class TraceCollector:
     def trace_ids(self) -> List[int]:
         """Distinct trace ids with at least one closed span, sorted."""
         return sorted({s.trace_id for s in self.spans})
-
-    def spans_of(self, trace_id: int) -> List[QuerySpan]:
-        """One trace's closed spans, ordered by (start, span id)."""
-        spans = [s for s in self.spans if s.trace_id == trace_id]
-        spans.sort(key=lambda s: (s.start_s, s.span_id))
-        return spans
 
     def root(self, trace_id: int) -> Optional[QuerySpan]:
         """The trace's parentless span (None while still open)."""

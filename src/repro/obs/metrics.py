@@ -212,18 +212,6 @@ class TimeSeries:
         """Most recent sampled value (None when empty)."""
         return self.samples[-1][1] if self.samples else None
 
-    def window_stats(self, at_s: float) -> Dict[str, float]:
-        """count/mean/min/max over one window (all 0.0 when empty)."""
-        values = self.window(at_s)
-        if not values:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-        }
-
     def as_dict(self) -> Dict[str, object]:
         """Summary snapshot for reports and JSON."""
         return {

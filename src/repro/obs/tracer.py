@@ -31,7 +31,7 @@ components resolve their track handles to ``None`` up front.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class TrackHandle(NamedTuple):
@@ -211,10 +211,6 @@ class Tracer:
         return sum(1 for s in self.spans if s.cat == cat) + sum(
             1 for i in self.instants if i.cat == cat
         )
-
-    def spans_in(self, cat: str) -> Iterator[Span]:
-        """Spans of one category, in emission order."""
-        return (s for s in self.spans if s.cat == cat)
 
     @property
     def end_time(self) -> float:

@@ -21,7 +21,7 @@ logged-but-unapplied mutation (it was acked), which replay guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # tracing is optional — avoid an import at runtime

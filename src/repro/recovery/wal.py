@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ingest.store import IngestError, Mutation
+from repro.ingest.store import IngestError
 from repro.ingest.writepath import IngestWritePath, WriteOp
 
 #: WAL record kinds (the store's two mutation ops plus the compaction
@@ -71,12 +71,6 @@ class WalRecord:
         """Serialized size the flash write path is charged for."""
         payload = 0 if self.payload is None else self.payload.nbytes
         return _HEADER_BYTES + 8 * len(self.ids) + payload
-
-    def as_mutation(self) -> Mutation:
-        """The store-log view of a mutating record."""
-        if self.op == "compact":
-            raise RecoveryError("compact records are not store mutations")
-        return Mutation(epoch=self.epoch, op=self.op, ids=self.ids)
 
 
 class WriteAheadLog:
@@ -190,10 +184,6 @@ class WriteAheadLog:
         op = self.writepath.delete(doomed_slots)
         self.truncate_seconds += op.seconds
         return op
-
-    def records_after(self, lsn: int) -> Tuple[WalRecord, ...]:
-        """Records strictly newer than ``lsn``, lsn order."""
-        return tuple(r for r in self._records if r.lsn > lsn)
 
     def records_in_epochs(
         self, after_epoch: int, through_epoch: int

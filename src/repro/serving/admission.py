@@ -46,8 +46,6 @@ class QueuedQuery:
     priority: int = 0
     #: batch-compatibility key (same app/SCN ⇒ may share a scan)
     compat: str = ""
-    #: latency already accrued before admission (e.g. cache lookup)
-    penalty_s: float = 0.0
     intent: int = -1
     qfv: Any = None
 

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.api import check_counts, is_real
 from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
 from repro.core.query_cache import EmbeddingComparator, QueryCache
@@ -53,7 +54,7 @@ from repro.serving.arrivals import INGEST_COMPAT, ArrivalEvent, offered_qps_of
 from repro.serving.batcher import BatchCostModel, BatchPolicy
 from repro.sim import Simulator, fastpath
 from repro.ssd import Ssd
-from repro.workloads.apps import AppSpec, get_app
+from repro.workloads.apps import ALL_APPS, APP_NAMES, AppSpec, get_app
 
 #: per-entry QCN lookup cost (paper §6.5: 0.3 ms for a 1 K-entry cache)
 CACHE_LOOKUP_SECONDS_PER_ENTRY = 0.3e-6
@@ -107,43 +108,39 @@ class ServingConfig:
         # config fails at construction with a clear message instead of
         # deep inside a sweep (where the same ValueError used to
         # surface from AdmissionQueue or the batcher mid-run)
-        if self.ingest_rows_per_op <= 0:
-            raise ValueError("ingest_rows_per_op must be positive")
-        if self.index_lists < 0:
-            raise ValueError("index_lists cannot be negative")
+        check_counts(self, (
+            ("features", 1), ("queue_bound", 1), ("max_batch", 1),
+            ("n_servers", 1), ("cache_entries", 0), ("n_shards", 1),
+            ("n_replicas", 1), ("ingest_rows_per_op", 1),
+            ("index_lists", 0), ("index_nprobe", 0),
+        ))
+        if not isinstance(self.app, str) or self.app.lower() not in ALL_APPS:
+            raise ValueError(
+                f"unknown app {self.app!r}; expected one of {APP_NAMES}"
+            )
         if self.index_lists > 0 and not 0 < self.index_nprobe <= self.index_lists:
             raise ValueError(
                 "index_nprobe must be in [1, index_lists] when indexed"
             )
         if self.index_lists == 0 and self.index_nprobe != 0:
             raise ValueError("index_nprobe needs index_lists > 0")
-        if self.features <= 0:
-            raise ValueError("features must be positive")
-        if self.n_servers <= 0:
-            raise ValueError("n_servers must be positive")
-        if self.cache_entries < 0:
-            raise ValueError("cache_entries cannot be negative")
-        if self.n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        if self.n_replicas <= 0:
-            raise ValueError("n_replicas must be positive")
-        if self.queue_bound <= 0:
-            raise ValueError("queue_bound must be positive")
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"
             )
-        if self.policy == "deadline" and (
-            self.deadline_s is None or self.deadline_s <= 0
-        ):
-            raise ValueError("deadline policy needs a positive deadline_s")
+        if self.policy == "deadline" and not is_real(self.deadline_s, 0.0):
+            raise ValueError(
+                f"deadline policy needs a positive deadline_s, "
+                f"got {self.deadline_s!r}"
+            )
         if self.policy != "deadline" and self.deadline_s is not None:
             raise ValueError("deadline_s only applies to the deadline policy")
-        if self.cache_entries > 0 and not 0.0 < self.cache_threshold < 1.0:
+        if self.cache_entries > 0 and not (
+            is_real(self.cache_threshold, 0.0) and self.cache_threshold < 1.0
+        ):
             raise ValueError(
-                "cache_threshold must be in (0, 1) when the cache is enabled"
+                "cache_threshold must be in (0, 1) when the cache is enabled, "
+                f"got {self.cache_threshold!r}"
             )
         if self.fidelity not in ("analytic", "event"):
             raise ValueError(
@@ -469,7 +466,7 @@ class QueryServer:
             batch_start: Optional[float] = None,
             service: float = 0.0,
         ) -> None:
-            latency = now - query.arrival_s + query.penalty_s
+            latency = now - query.arrival_s
             state.completed += 1
             state.last_completion = max(state.last_completion, now)
             if slo is not None:
@@ -597,7 +594,6 @@ class QueryServer:
                 arrival_s=sim.now - penalty_s,
                 priority=event.priority,
                 compat=event.compat,
-                penalty_s=0.0,
                 intent=event.intent,
                 qfv=event.qfv,
             )

@@ -172,12 +172,6 @@ class ChannelController:
             return 0.0
         return self._latency_sum / self.pages_delivered
 
-    def delivered_bandwidth(self, over_seconds: float) -> float:
-        """Bytes/second delivered over the given window."""
-        if over_seconds <= 0:
-            return 0.0
-        return self.bytes_delivered / over_seconds
-
     def stats(self) -> Dict[str, float]:
         """Counter snapshot for reporting and tests."""
         return {

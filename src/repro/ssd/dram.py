@@ -4,15 +4,12 @@ Modern SSD controllers carry a few GB of DRAM at 15-26 GB/s (paper §4.5;
 we use the paper's 20 GB/s working number).  DeepStore uses it for the
 query cache, cached database metadata, staged model weights, and per-
 accelerator result buffers.  The model tracks named allocations against
-capacity and provides both an analytic transfer-time helper and an
-event-driven port (a shared :class:`~repro.sim.Resource`).
+capacity and provides an analytic transfer-time helper.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.sim import Resource, Simulator
+from typing import Dict
 
 
 class DramError(RuntimeError):
@@ -22,18 +19,12 @@ class DramError(RuntimeError):
 class SsdDram:
     """Capacity + bandwidth model of the SSD's DRAM."""
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        bandwidth_bytes_per_s: float,
-        sim: Optional[Simulator] = None,
-    ):
+    def __init__(self, capacity_bytes: int, bandwidth_bytes_per_s: float):
         if capacity_bytes <= 0 or bandwidth_bytes_per_s <= 0:
             raise ValueError("DRAM capacity and bandwidth must be positive")
         self.capacity_bytes = capacity_bytes
         self.bandwidth = bandwidth_bytes_per_s
         self._allocations: Dict[str, int] = {}
-        self._port = Resource(sim, name="dram-port") if sim is not None else None
         self.bytes_transferred = 0
 
     # ------------------------------------------------------------------
@@ -80,10 +71,3 @@ class SsdDram:
             raise DramError("sharers must be positive")
         self.bytes_transferred += nbytes
         return nbytes / (self.bandwidth / sharers)
-
-    def transfer_event(self, nbytes: int, on_done: Callable[[], None]) -> None:
-        """Event-driven transfer through the shared DRAM port."""
-        if self._port is None:
-            raise DramError("DRAM was constructed without a simulator")
-        self.bytes_transferred += nbytes
-        self._port.acquire(nbytes / self.bandwidth, on_done)

@@ -93,14 +93,6 @@ class FlashChip:
         #: controller when tracing; None keeps the hooks free)
         self.track: Optional["TrackHandle"] = None
 
-    @property
-    def plane_count(self) -> int:
-        return len(self._planes)
-
-    def plane_queue_depth(self, plane: int) -> int:
-        """Pending reads queued behind one plane."""
-        return len(self._planes[plane].queue)
-
     def read(self, request: PageReadRequest) -> None:
         """Queue an array read; ``on_buffered`` fires when the page lands
         in the plane's page buffer (channel transfer is the caller's job).

@@ -211,11 +211,6 @@ class BlockFtl:
             self._append_buffers[db_id] = buffered + feature_count
         return meta
 
-    def buffered_features(self, db_id: int) -> int:
-        """Features awaiting a full page before being flushed to flash."""
-        self.get(db_id)
-        return self._append_buffers.get(db_id, 0)
-
     def get(self, db_id: int) -> DatabaseMetadata:
         """Metadata for a database id; raises FtlError when unknown."""
         meta = self._databases.get(db_id)
@@ -226,8 +221,3 @@ class BlockFtl:
     def databases(self) -> List[DatabaseMetadata]:
         """All registered database metadata records."""
         return list(self._databases.values())
-
-    @property
-    def metadata_cache_bytes(self) -> int:
-        """DRAM footprint of the cached metadata table."""
-        return len(self._databases) * DatabaseMetadata.METADATA_BYTES

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.ssd.geometry import SsdGeometry
-
 
 class GcError(RuntimeError):
     """Raised when the write path runs out of space."""
@@ -122,17 +120,6 @@ class PageMappedFtl:
         self._map: Dict[int, tuple] = {}
         self.stats = GcStats()
 
-    @classmethod
-    def for_geometry(cls, geometry: SsdGeometry, channel: int = 0,
-                     op_fraction: float = 0.07) -> "PageMappedFtl":
-        """An FTL sized like one channel of ``geometry``."""
-        blocks = geometry.chips_per_channel * geometry.planes_per_chip \
-            * geometry.blocks_per_plane
-        capacity = blocks * geometry.pages_per_block
-        logical = int(capacity * (1 - op_fraction))
-        logical = min(logical, capacity - 2 * geometry.pages_per_block)
-        return cls(blocks, geometry.pages_per_block, logical)
-
     # ------------------------------------------------------------------
     @property
     def free_blocks(self) -> int:
@@ -227,16 +214,3 @@ class PageMappedFtl:
         victim.erase()
         self.stats.erases += 1
         self._free.append(victim.block_id)
-
-    # ------------------------------------------------------------------
-    def erase_counts(self) -> List[int]:
-        """Per-block erase counters (wear analysis)."""
-        return [b.erase_count for b in self._blocks]
-
-    def wear_imbalance(self) -> float:
-        """Max/mean erase-count ratio (1.0 = perfectly level)."""
-        counts = self.erase_counts()
-        mean = sum(counts) / len(counts)
-        if mean == 0:
-            return 1.0
-        return max(counts) / mean

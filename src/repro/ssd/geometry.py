@@ -78,10 +78,6 @@ class SsdGeometry:
     def capacity_bytes(self) -> int:
         return self.total_pages * self.page_bytes
 
-    @property
-    def block_bytes(self) -> int:
-        return self.pages_per_block * self.page_bytes
-
     # ------------------------------------------------------------------
     # addressing
     # ------------------------------------------------------------------
@@ -98,33 +94,6 @@ class SsdGeometry:
         page = rest % self.pages_per_block
         block = rest // self.pages_per_block
         return PhysicalPageAddress(channel, chip, plane, block, page)
-
-    def address_to_ppn(self, addr: PhysicalPageAddress) -> int:
-        """Inverse of :meth:`ppn_to_address`."""
-        self._check_address(addr)
-        rest = addr.block
-        rest = rest * self.pages_per_block + addr.page
-        rest = rest * self.planes_per_chip + addr.plane
-        rest = rest * self.chips_per_channel + addr.chip
-        return rest * self.channels + addr.channel
-
-    def _check_address(self, addr: PhysicalPageAddress) -> None:
-        bounds = (
-            ("channel", addr.channel, self.channels),
-            ("chip", addr.chip, self.chips_per_channel),
-            ("plane", addr.plane, self.planes_per_chip),
-            ("block", addr.block, self.blocks_per_plane),
-            ("page", addr.page, self.pages_per_block),
-        )
-        for name, value, limit in bounds:
-            if not 0 <= value < limit:
-                raise ValueError(f"{name}={value} out of range [0, {limit})")
-
-    def pages_for_bytes(self, nbytes: int) -> int:
-        """Number of pages needed to hold ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("negative byte count")
-        return -(-nbytes // self.page_bytes)
 
     def scaled(self, channels: int) -> "SsdGeometry":
         """Same geometry with a different channel count (Fig. 10 sweeps)."""

@@ -11,10 +11,6 @@ models the policy space around that choice:
   slice of every channel bus, slowing I/O-bound scans;
 * ``"host-priority"`` — host traffic is serviced first and the scan runs
   in the leftover bandwidth.
-
-Both an analytic model and an event-driven injection (host page reads
-competing with the accelerator's stripe scan on a real channel
-controller) are provided; tests check they agree.
 """
 
 from __future__ import annotations
@@ -22,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim import Simulator
-from repro.ssd.controller import ChannelController
-from repro.ssd.geometry import PhysicalPageAddress
 from repro.ssd.timing import SsdConfig
 
 POLICIES = ("preempt", "share", "host-priority")
@@ -103,61 +96,3 @@ class InterferenceModel:
             host_throughput_fraction=served,
         )
 
-
-def simulate_shared_channel(
-    config: SsdConfig,
-    scan_pages: int = 192,
-    host_pages: int = 96,
-    channel: int = 0,
-) -> float:
-    """Event-driven check: a stripe scan with interleaved host reads.
-
-    Issues ``scan_pages`` query reads and ``host_pages`` host reads on
-    one channel under FIFO arbitration (the "share" policy) and returns
-    the scan's slowdown relative to running alone.
-    """
-    def run(with_host: bool) -> float:
-        sim = Simulator()
-        controller = ChannelController(sim, config.geometry, config.timing, channel)
-        done = {"scan": 0}
-        geo = config.geometry
-
-        def address(i: int, block: int) -> PhysicalPageAddress:
-            return PhysicalPageAddress(
-                channel=channel,
-                chip=i % geo.chips_per_channel,
-                plane=(i // geo.chips_per_channel) % geo.planes_per_chip,
-                block=block,
-                page=i // geo.planes_per_channel % geo.pages_per_block,
-            )
-
-        scan_done_at = {"t": 0.0}
-
-        def scan_delivered(_addr) -> None:
-            done["scan"] += 1
-            if done["scan"] == scan_pages:
-                scan_done_at["t"] = sim.now
-
-        # Interleave the two request streams so they contend under FIFO
-        # arbitration the way concurrently-arriving traffic would.
-        requests = [(i, 0, scan_delivered) for i in range(scan_pages)]
-        if with_host:
-            stride = max(1, scan_pages // max(1, host_pages))
-            merged = []
-            host_iter = iter(range(host_pages))
-            for idx, req in enumerate(requests):
-                merged.append(req)
-                if idx % stride == stride - 1:
-                    h = next(host_iter, None)
-                    if h is not None:
-                        merged.append((h, 1, lambda a: None))
-            merged.extend((h, 1, lambda a: None) for h in host_iter)
-            requests = merged
-        for i, block, callback in requests:
-            controller.read_page(address(i, block=block), callback)
-        sim.run(stop_when=lambda: done["scan"] >= scan_pages)
-        return scan_done_at["t"] or sim.now
-
-    alone = run(with_host=False)
-    shared = run(with_host=True)
-    return shared / alone

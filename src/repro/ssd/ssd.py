@@ -51,9 +51,7 @@ class Ssd:
             for i in range(geo.channels)
         ]
         self.ftl = BlockFtl(geo)
-        self.dram = SsdDram(
-            self.config.dram_bytes, self.config.dram_bandwidth, sim=self.sim
-        )
+        self.dram = SsdDram(self.config.dram_bytes, self.config.dram_bandwidth)
 
     # ------------------------------------------------------------------
     # analytic interface
@@ -94,24 +92,6 @@ class Ssd:
         per_relocation = timing.array_read_latency_s + timing.program_latency_s
         busy = relocations * per_relocation + erases * timing.erase_latency_s
         return busy / self.config.geometry.channels
-
-    def channel_scan_seconds(self, nbytes_on_channel: int) -> float:
-        """Steady-state time for one channel to stream ``nbytes``.
-
-        The channel bus is the sequential-scan bottleneck whenever
-        ``planes_per_channel * page_time > array_latency``, which holds
-        for every configuration in the paper; otherwise the array limits.
-        """
-        timing = self.config.timing
-        geo = self.config.geometry
-        page_time = (
-            timing.transfer_seconds(geo.page_bytes) + timing.command_overhead_s
-        )
-        array_rate_limit = timing.array_read_latency_s / geo.planes_per_channel
-        per_page = max(page_time, array_rate_limit)
-        pages = geo.pages_for_bytes(nbytes_on_channel)
-        # Fill the pipeline once with a single array read.
-        return timing.array_read_latency_s + pages * per_page
 
     # ------------------------------------------------------------------
     # event-driven interface

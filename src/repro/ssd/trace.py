@@ -207,13 +207,3 @@ def stripe_page_count(
     # Clamp to the logical page count (the final extent may be oversized
     # relative to `total_pages` only when appends buffered a tail).
     return min(total, meta.total_pages)
-
-
-def stripe_feature_count(
-    meta: DatabaseMetadata, geometry: SsdGeometry, channel: int
-) -> float:
-    """Approximate number of features a channel's stripe holds."""
-    pages = stripe_page_count(meta, geometry, channel)
-    if meta.page_aligned:
-        return pages / meta.pages_per_feature
-    return min(float(meta.feature_count), pages * meta.features_per_page)

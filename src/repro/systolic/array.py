@@ -65,10 +65,6 @@ class SystolicConfig:
     def num_pes(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def cycle_seconds(self) -> float:
-        return 1.0 / self.frequency_hz
-
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count to seconds at this clock."""
         return cycles / self.frequency_hz
@@ -108,10 +104,6 @@ class LayerProfile:
     macs: float
     batch: int  # feature vectors amortized over these cycles
     accesses: AccessCounts = field(default_factory=AccessCounts)
-
-    @property
-    def cycles_per_feature(self) -> float:
-        return self.cycles / max(1, self.batch)
 
     def utilization(self, num_pes: int) -> float:
         """Achieved MACs per PE-cycle over this layer's execution."""
@@ -219,9 +211,6 @@ class SystolicArray:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def peak_macs_per_second(self) -> float:
-        """Ideal MAC throughput of the full array."""
-        return self.config.num_pes * self.config.frequency_hz
 
 
 def best_aspect_ratio(

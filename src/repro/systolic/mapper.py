@@ -76,10 +76,6 @@ class GraphProfile:
         return sum(layer.compute_seconds_per_feature for layer in self.layers)
 
     @property
-    def cycles_per_feature(self) -> float:
-        return sum(layer.profile.cycles_per_feature for layer in self.layers)
-
-    @property
     def macs_per_feature(self) -> float:
         return sum(
             layer.profile.macs / max(1, layer.profile.batch) for layer in self.layers

@@ -100,17 +100,9 @@ class WeightedFairQueue:
         """Live queued queries across every tenant."""
         return len(self)
 
-    def depth_of(self, tenant: str) -> int:
-        """One tenant's live queue depth."""
-        return len(self._queues[tenant])
-
     def counters(self, tenant: str) -> AdmissionCounters:
         """One tenant's conservation ledger (live object)."""
         return self._queues[tenant].counters
-
-    def deficit_of(self, tenant: str) -> float:
-        """The tenant's current DRR credit (for tests/diagnostics)."""
-        return self._deficit[tenant]
 
     # ------------------------------------------------------------------
     def offer(self, tenant: str, query: QueuedQuery, now: float) -> bool:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.api import check_counts, is_real
 from repro.tenancy.autoscale import AutoscalerConfig
 
 #: recognized deadline classes and their (latency SLO seconds,
@@ -277,16 +278,21 @@ class TenancyConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
-        if self.day_s <= 0:
-            raise ValueError("day_s must be positive")
-        if self.features <= 0:
-            raise ValueError("features must be positive")
-        if self.n_shards <= 0 or self.n_replicas <= 0:
-            raise ValueError("n_shards and n_replicas must be positive")
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if self.initial_backends <= 0:
-            raise ValueError("initial_backends must be positive")
+        check_counts(self, (
+            ("seed", 0), ("features", 1), ("n_shards", 1), ("n_replicas", 1),
+            ("max_batch", 1), ("initial_backends", 1), ("min_inserts", 1),
+        ))
+        for name, bound in (
+            ("day_s", 0.0), ("quantum", 0.0), ("skew_threshold", 1.0)
+        ):
+            value = getattr(self, name)
+            if not is_real(value, bound):
+                raise ValueError(f"{name} must exceed {bound:g}, got {value!r}")
+        if not (is_real(self.rebalance_row_seconds) and self.rebalance_row_seconds >= 0):
+            raise ValueError(
+                "rebalance_row_seconds must be >= 0, "
+                f"got {self.rebalance_row_seconds!r}"
+            )
         if not (
             self.autoscaler.min_backends
             <= self.initial_backends
@@ -296,8 +302,6 @@ class TenancyConfig:
                 "initial_backends must lie within the autoscaler's "
                 "[min_backends, max_backends]"
             )
-        if self.quantum <= 0:
-            raise ValueError("quantum must be positive")
         if self.failure is not None:
             if self.failure.shard >= self.n_shards:
                 raise ValueError("failure.shard out of range")
@@ -308,12 +312,6 @@ class TenancyConfig:
                     "a shard failure needs n_replicas >= 2 (with one "
                     "replica the shard would have no live copy to serve)"
                 )
-        if self.skew_threshold <= 1.0:
-            raise ValueError("skew_threshold must exceed 1.0")
-        if self.min_inserts < 1:
-            raise ValueError("min_inserts must be positive")
-        if self.rebalance_row_seconds < 0:
-            raise ValueError("rebalance_row_seconds cannot be negative")
 
     # ------------------------------------------------------------------
     def tenant(self, name: str) -> TenantSpec:

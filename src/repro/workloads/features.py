@@ -12,7 +12,7 @@ top-K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -50,28 +50,6 @@ def make_clustered_features(
     features = (centroids[labels] + noise).astype(np.float32)
     return features, labels
 
-
-def iter_feature_chunks(
-    spec: FeatureDatasetSpec, chunk: int = 4096
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stream (features, labels) chunks without holding the whole DB.
-
-    Deterministic: the same spec always yields the same database, chunked
-    or not, because per-chunk RNG state is derived from the chunk index.
-    """
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    centroids = spec.centroids()
-    produced = 0
-    index = 0
-    while produced < spec.n_features:
-        n = min(chunk, spec.n_features - produced)
-        rng = np.random.default_rng((spec.seed + 1, index))
-        labels = rng.integers(0, spec.n_intents, n)
-        noise = rng.normal(0.0, spec.noise, (n, spec.dim))
-        yield (centroids[labels] + noise).astype(np.float32), labels
-        produced += n
-        index += 1
 
 
 def plant_neighbors(

@@ -123,9 +123,3 @@ class QueryStream:
             noise = rng.normal(0.0, sigma, self.dim)
             qfv = (centroids[intent] + noise).astype(np.float32)
             yield QueryRecord(qfv=qfv, intent=intent, sequence=i)
-
-    def intent_probabilities(self) -> np.ndarray:
-        """The popularity law over intents."""
-        if self.distribution == "zipf":
-            return ZipfSampler(self.n_intents, self.alpha).probabilities
-        return np.full(self.n_intents, 1.0 / self.n_intents)

@@ -17,8 +17,6 @@ provides that plumbing:
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Callable, List
 
@@ -57,34 +55,6 @@ class QueryTrace:
         return len(self.queries) / self.duration_s
 
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize to a compact npz payload."""
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            header=np.frombuffer(
-                json.dumps({"app": self.app, "n": len(self.queries)}).encode(),
-                dtype=np.uint8,
-            ),
-            arrivals=np.array([q.arrival_s for q in self.queries]),
-            intents=np.array([q.intent for q in self.queries], dtype=np.int64),
-            qfvs=np.stack([q.qfv for q in self.queries]) if self.queries
-            else np.zeros((0, 0), dtype=np.float32),
-        )
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "QueryTrace":
-        data = np.load(io.BytesIO(blob))
-        header = json.loads(bytes(data["header"]).decode())
-        trace = cls(app=header["app"])
-        for arrival, intent, qfv in zip(
-            data["arrivals"], data["intents"], data["qfvs"]
-        ):
-            trace.queries.append(
-                TracedQuery(float(arrival), qfv.astype(np.float32), int(intent))
-            )
-        return trace
 
 
 def capture_trace(
@@ -115,10 +85,6 @@ class LatencyDistribution:
     latencies_s: np.ndarray
     busy_s: float
     span_s: float
-
-    @property
-    def mean_s(self) -> float:
-        return float(self.latencies_s.mean()) if len(self.latencies_s) else 0.0
 
     def percentile(self, p: float) -> float:
         """The p-th percentile latency in seconds."""

@@ -32,7 +32,9 @@ class TestGpuModel:
 
     def test_sustained_flops_below_peak(self, tir_app):
         gpu = GpuModel(VOLTA_TITAN_V)
-        sustained = gpu.sustained_flops(tir_app.build_scn(), 50000)
+        graph = tir_app.build_scn()
+        seconds = gpu.scn_batch_seconds(graph, 50000)
+        sustained = graph.total_flops() * 50000 / seconds
         assert 0 < sustained < VOLTA_TITAN_V.peak_fp32_flops
 
     def test_invalid_batch(self, tir_app):

@@ -15,12 +15,11 @@ from repro.cluster import (
     cluster_metrics_snapshot,
     normalize_fail_shards,
 )
-from repro.faults import FaultPlan
+from repro.faults import ComponentFailure, FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.serving import QueryServer, ServingConfig
 from repro.serving.batcher import BatchCostModel, BatchPolicy
 from repro.ssd.ftl import DatabaseMetadata
-from repro.workloads import get_app
 
 N = 240
 K = 5
@@ -76,10 +75,13 @@ class TestClusterConfig:
         cfg = ClusterConfig(n_shards=4, n_replicas=3, fail_shards=(0, (0, 2)))
         assert cfg.live_replicas(0) == (1,)
         assert cfg.live_replicas(1) == (0, 1, 2)
-        assert cfg.is_dead(0, 0) and not cfg.is_dead(1, 0)
+        assert (0, 0) in cfg.dead_replicas()
+        assert (1, 0) not in cfg.dead_replicas()
 
     def test_fault_plan_shard_failures_merge_in(self):
-        plan = FaultPlan().fail_shard(2, replica=1)
+        plan = FaultPlan().with_failure(
+            ComponentFailure(kind="shard", index=2, replica=1)
+        )
         cfg = ClusterConfig(
             n_shards=4, n_replicas=2, fail_shards=(0,), fault_plan=plan
         )

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cluster import ClusterConfig, DeepStoreCluster
 from repro.core.api import DeepStoreDevice
-from repro.workloads import get_app
 
 LEVELS = ("ssd", "channel", "chip")
 

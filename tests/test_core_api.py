@@ -34,7 +34,7 @@ class TestDatabaseApi:
 
     def test_write_registers_ftl_metadata(self, device, rng):
         db = device.write_db(rng.normal(0, 1, (100, 512)).astype(np.float32))
-        meta = device.database_metadata(db)
+        meta = device.ssd.ftl.get(db)
         assert meta.feature_bytes == 2048
         assert meta.feature_count == 100
 
@@ -43,7 +43,7 @@ class TestDatabaseApi:
         b = rng.normal(0, 1, (30, 64)).astype(np.float32)
         db = device.write_db(a)
         device.append_db(db, b)
-        assert device.database_metadata(db).feature_count == 80
+        assert device.ssd.ftl.get(db).feature_count == 80
         np.testing.assert_array_equal(device.read_db(db, 50, 30), b)
 
     def test_append_size_mismatch(self, device, rng):
@@ -149,7 +149,7 @@ class TestQueryApi:
 
     def test_object_ids_are_physical_addresses(self, device, tir_db, tir_model, rng):
         db, _ = tir_db
-        meta = device.database_metadata(db)
+        meta = device.ssd.ftl.get(db)
         qfv = rng.normal(0, 1, 512).astype(np.float32)
         res = device.get_results(device.query(qfv, 5, tir_model, db))
         start_byte = meta.start_ppn * meta.page_bytes

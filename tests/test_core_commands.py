@@ -90,7 +90,7 @@ class TestTransport:
                     more.tobytes())
         )
         assert completion.ok
-        assert transport.device.database_metadata(db_id).feature_count == 15
+        assert transport.device.ssd.ftl.get(db_id).feature_count == 15
 
     def test_full_query_flow(self, transport, rng):
         app = get_app("tir")

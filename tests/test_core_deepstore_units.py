@@ -123,7 +123,7 @@ class TestSystemBehaviour:
     def test_scan_power_w(self, ssd):
         app = get_app("mir")
         meta = make_db(ssd, app.feature_bytes, gigabytes=1.0)
-        power = DeepStoreSystem.at_level("channel").scan_power_w(app, meta)
+        power = DeepStoreSystem.at_level("channel").query_latency(app, meta).power_w
         assert 20.0 < power < 100.0  # base + accelerators, under the slot
 
     def test_latency_for_without_appspec(self, ssd):

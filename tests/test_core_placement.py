@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CHANNEL_LEVEL, CHIP_LEVEL, LEVELS, SSD_LEVEL
 from repro.core.engine import EngineCosts, QueryEngine
+from repro.core.topk import merge_topk
 from repro.core.placement import AcceleratorPlacement, UnsupportedModelError
 from repro.systolic import SystolicConfig
 from repro.workloads import get_app
@@ -123,9 +124,8 @@ class TestQueryEngine:
         with pytest.raises(ValueError):
             engine.energy_j(-1)
 
-    def test_functional_merge(self, ssd_config):
-        engine = QueryEngine(ssd_config)
-        merged = engine.merge_results([[(0.9, 1)], [(0.95, 2)]], 1)
+    def test_functional_merge(self):
+        merged = merge_topk([[(0.9, 1)], [(0.95, 2)]], 1)
         assert merged == [(0.95, 2)]
 
     def test_validation(self, ssd_config):

@@ -121,7 +121,7 @@ class TestEveryPlan:
         assert degraded.probed_rows == healthy.probed_rows
         assert degraded.routing_seconds == healthy.routing_seconds
 
-        meta = device.database_metadata(db)
+        meta = device.ssd.ftl.get(db)
         charged = _charged_rows(device, db, degraded, plan)
         expected = device._system(device.level).degraded_latency_for(
             GRAPH,

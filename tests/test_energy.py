@@ -139,16 +139,6 @@ class TestEnergyModel:
             )
             assert power < 2.2, f"{app_name} draws {power:.2f} W"
 
-    def test_gpu_energy(self):
-        model = EnergyModel()
-        assert model.gpu_energy(2.0, 235.0) == pytest.approx(470.0)
-        with pytest.raises(ValueError):
-            model.gpu_energy(-1, 235)
-
-    def test_host_transfer_energy(self):
-        model = EnergyModel()
-        assert model.host_transfer_energy(1e9).host_j == pytest.approx(6e-3)
-
     def test_power_requires_positive_time(self):
         model = EnergyModel()
         with pytest.raises(ValueError):

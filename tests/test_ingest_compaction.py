@@ -570,6 +570,23 @@ class TestSmallLifecycles:
         ):
             run_lifecycle(LifecycleConfig(n_base=2048))
 
+    def test_rounds_that_overflow_the_region_rejected_up_front(
+        self, monkeypatch
+    ):
+        # the base fits, but 1536 + 4 x (96 + 64 + 8) = 2208 rows do not;
+        # the loop compacts only after its rounds, so it must refuse
+        # before the first one
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran before the fit check")
+
+        monkeypatch.setattr("repro.ingest.lifecycle._measure_recall", no_round)
+        with pytest.raises(
+            IngestError,
+            match=r"^n_base=1536 \+ rounds=4 .* = 2208 rows, but "
+            r"region_blocks x region_pages_per_block = 8 x 16 holds 1920 rows$",
+        ):
+            run_lifecycle(LifecycleConfig(n_base=1536))
+
     def test_reindex_over_fewer_rows_than_lists_rejected(self):
         # every base row deleted but two: the compaction's re-index
         # cannot fill 16 lists

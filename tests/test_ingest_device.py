@@ -34,7 +34,6 @@ class TestWritePath:
         op = path.append(range(10))
         assert op.seconds > 0
         assert op.pages_written >= 1
-        assert path.live_rows == 10
         assert all(path.has_row(i) for i in range(10))
 
     @staticmethod
@@ -66,13 +65,13 @@ class TestWritePath:
         op = path.delete(range(path.rows_per_page))
         assert op.pages_trimmed == 1
         assert path.free_pages == free_before + 1
-        assert path.live_rows == 0
+        assert not any(path.has_row(i) for i in range(path.rows_per_page))
 
     def test_rewrite_moves_rows(self, path):
         path.append(range(6))
         op = path.rewrite(range(6))
         assert op.pages_written >= 1
-        assert path.live_rows == 6
+        assert all(path.has_row(i) for i in range(6))
 
     def test_invalid_ops_rejected(self, path):
         path.append([0])
@@ -104,7 +103,6 @@ class TestDeviceVerbs:
             device.insert_db(db, np.ones((1, DIM), dtype=np.float32))
         with pytest.raises(DeepStoreApiError):
             device.lifecycle(db)
-        assert not device.ingest_enabled(db)
 
     def test_insert_extends_the_scannable_database(self, device):
         db, model, rng = _seeded(device)

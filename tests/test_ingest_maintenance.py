@@ -200,7 +200,7 @@ class TestAppendDb:
             assert store.dtype == np.float32 and store.flags.c_contiguous
             assert store.tobytes() == reference.tobytes()
             assert device.read_db(db).tobytes() == reference.tobytes()
-            assert device.database_metadata(db).feature_count == len(reference)
+            assert device.ssd.ftl.get(db).feature_count == len(reference)
             taken.append((store, reference.copy()))
         # every array taken before a later append still holds its rows
         for array, rows in taken:
@@ -232,7 +232,7 @@ class TestAppendDb:
         with pytest.raises(DeepStoreApiError):
             device.append_db(db, np.zeros((2, self.DIM + 1), np.float32))
         assert device._store(db) is store
-        assert device.database_metadata(db).feature_count == 5
+        assert device.ssd.ftl.get(db).feature_count == 5
 
 
 # ----------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_visible_count_conservation(n_insert, n_delete, seed):
     """visible = base + inserted - deleted, for any operation counts."""
     store = _fresh_store(seed=seed)
     rng = np.random.default_rng(seed)
-    base = store.n_visible
+    base = len(store.visible_ids())
     store_inserted = 0
     if n_insert:
         store.insert(rng.normal(0, 1, (n_insert, DIM)).astype(np.float32))
@@ -138,5 +138,5 @@ def test_visible_count_conservation(n_insert, n_delete, seed):
     doomed = [int(i) for i in alive[: min(n_delete, len(alive))]]
     if doomed:
         store.delete(doomed)
-    assert store.n_visible == base + store_inserted - len(doomed)
+    assert len(store.visible_ids()) == base + store_inserted - len(doomed)
     assert store.n_tombstones == len(doomed)

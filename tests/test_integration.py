@@ -15,7 +15,6 @@ from repro.index import IndexedDevice
 from repro.core.scheduler import MultiQueryScheduler
 from repro.nn import graph_from_bytes, graph_to_bytes
 from repro.nn.quantization import quantize_graph
-from repro.ssd import Ssd
 from repro.workloads import (
     FeatureDatasetSpec,
     QueryStream,
@@ -90,7 +89,7 @@ class TestEvaluationConsistency:
             device.query(rng.normal(0, 1, 512).astype(np.float32), 5, model, db)
         )
         system = DeepStoreSystem.at_level("channel")
-        meta = device.database_metadata(db)
+        meta = device.ssd.ftl.get(db)
         expected = system.query_latency(app, meta, graph=device._models[model])
         assert result.latency.total_seconds == pytest.approx(
             expected.total_seconds, rel=1e-6
@@ -156,7 +155,7 @@ class TestCacheUnderRealisticStream:
             return result.seconds
 
         dist = replay_trace(trace, service)
-        assert dist.mean_s > 0
+        assert dist.latencies_s.mean() > 0
         assert dist.p99_s >= dist.p50_s
 
 

@@ -113,7 +113,6 @@ class TestAccounting:
         g = small_scn()
         stats = g.layer_stats()
         assert g.total_flops() == sum(s.flops for s in stats)
-        assert g.total_macs() == sum(s.macs for s in stats)
 
     def test_parameter_count(self):
         g = small_scn()

@@ -10,7 +10,7 @@ from repro.nn import (
     graph_from_bytes,
     graph_to_bytes,
 )
-from repro.nn.onnx_lite import SerializationError, model_size_bytes
+from repro.nn.onnx_lite import SerializationError
 from repro.nn.training import make_pair_dataset
 
 
@@ -102,8 +102,8 @@ class TestSerialization:
 
     def test_blob_size_dominated_by_weights(self):
         g = tiny_scn()
-        assert model_size_bytes(g) >= g.weight_bytes()
-        assert model_size_bytes(g) < g.weight_bytes() + 8192
+        assert len(graph_to_bytes(g)) >= g.weight_bytes()
+        assert len(graph_to_bytes(g)) < g.weight_bytes() + 8192
 
     def test_bad_magic_rejected(self):
         with pytest.raises(SerializationError):

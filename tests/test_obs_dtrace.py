@@ -45,7 +45,7 @@ class TestTraceCollector:
         assert dt.open_count == 0
         assert dt.span_count == 2
         assert dt.trace_ids() == [root.trace_id]
-        spans = dt.spans_of(root.trace_id)
+        spans = [s for s in dt.spans if s.trace_id == root.trace_id]
         assert {s.name for s in spans} == {"query 0", "leg"}
         assert dt.root(root.trace_id).name == "query 0"
         kids = dt.children(root.span_id)

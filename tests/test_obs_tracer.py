@@ -82,13 +82,6 @@ class TestRecording:
         t.instant(track, "b", 5.0)
         assert t.end_time == 5.0
 
-    def test_spans_in_filters_by_category(self):
-        t = Tracer()
-        track = t.track("p", "t")
-        t.complete(track, "a", 0.0, 1.0, cat="keep")
-        t.complete(track, "b", 1.0, 1.0, cat="drop")
-        assert [s.name for s in t.spans_in("keep")] == ["a"]
-
 
 class TestNullTracer:
     def test_disabled_and_inert(self):
@@ -145,8 +138,8 @@ class TestZeroPerturbation:
         )
         # every dispatched callback left exactly one sim.event instant
         assert tracer.count("sim.event") > 0
-        flash_spans = list(tracer.spans_in("ssd.flash"))
-        bus_spans = list(tracer.spans_in("ssd.bus"))
+        flash_spans = [s for s in tracer.spans if s.cat == "ssd.flash"]
+        bus_spans = [s for s in tracer.spans if s.cat == "ssd.bus"]
         assert flash_spans and bus_spans
         # every array read and bus transfer happened within the query
         for span in flash_spans + bus_spans:

@@ -95,7 +95,7 @@ class TestAccountingProperties:
     @settings(max_examples=30, deadline=None)
     def test_flops_at_least_twice_macs(self, graph_and_dim):
         graph, _ = graph_and_dim
-        assert graph.total_flops() >= 2 * graph.total_macs()
+        assert graph.total_flops() >= 2 * sum(s.macs for s in graph.layer_stats())
 
     @given(two_branch_graphs())
     @settings(max_examples=30, deadline=None)

@@ -58,11 +58,6 @@ class TestWalRecord:
         )
         assert record.nbytes == 28 + 8 * 2 + payload.nbytes
 
-    def test_compact_is_not_a_store_mutation(self):
-        record = WalRecord(lsn=1, epoch=1, op="compact", compact_epoch=1)
-        with pytest.raises(RecoveryError):
-            record.as_mutation()
-
 
 class TestWriteAheadLog:
     def test_append_assigns_monotonic_lsns(self):
@@ -113,7 +108,6 @@ class TestWriteAheadLog:
         wal.append("insert", 1, ids=(0,), payload=_rows(1))
         wal.append("compact", 1, compact_epoch=1)
         wal.append("delete", 2, ids=(0,))
-        assert [r.lsn for r in wal.records_after(1)] == [2, 3]
         # resync replay skips compact markers
         assert [r.epoch for r in wal.records_in_epochs(0, 2)] == [1, 2]
 

@@ -1,6 +1,5 @@
 """Mixed read/write serving: arrivals, per-class admission, write cost."""
 
-import numpy as np
 import pytest
 
 from repro.serving import (

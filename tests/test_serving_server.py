@@ -192,7 +192,7 @@ class TestObservability:
 
         assert tracer.count("serving.queue") > 0   # depth instants
         assert tracer.count("serving.shed") == result.shed
-        batches = list(tracer.spans_in("serving.batch"))
+        batches = [s for s in tracer.spans if s.cat == "serving.batch"]
         assert sum(s.args["n"] for s in batches) == result.completed
 
     def test_runs_without_instruments(self):

@@ -7,10 +7,32 @@ in a sweep, after earlier points had already run.  Now every knob
 combination is validated at ``ServingConfig`` construction.
 """
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.api import is_count, is_real
 from repro.serving.server import ServingConfig
 from repro.serving.sweep import sweep_offered_load
+from repro.tenancy.spec import TenancyConfig, TenantSpec
+from repro.workloads.apps import APP_NAMES
+
+#: any value a caller might pass for a size or a time: counts, floats
+#: (NaN and infinities included), bools, strings and None
+ANY_VALUE = st.one_of(
+    st.integers(-3, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+def _rejects_naming(build, field, value):
+    """``build(field=value)`` raises one ValueError naming ``field``."""
+    with pytest.raises(ValueError, match=field):
+        build(**{field: value})
 
 
 class TestServingConfigValidation:
@@ -92,3 +114,91 @@ class TestSweepValidation:
     def test_non_positive_queries_rejected(self):
         with pytest.raises(ValueError, match="n_queries"):
             sweep_offered_load(self.CONFIG, n_queries=0)
+
+
+class TestConfigConstructorFuzz:
+    """Every bad size or time raises one ValueError that names its field.
+
+    A valid value constructs; an invalid one never reaches a run (where
+    it used to die as a ``TypeError`` or ``KeyError`` deep inside the
+    batcher, the server loop, numpy or the app table).
+    """
+
+    SERVING_COUNTS = (
+        ("features", 1), ("queue_bound", 1), ("max_batch", 1),
+        ("n_servers", 1), ("cache_entries", 0), ("n_shards", 1),
+        ("n_replicas", 1), ("ingest_rows_per_op", 1),
+    )
+    TENANCY_COUNTS = (
+        ("seed", 0), ("features", 1), ("n_shards", 1), ("n_replicas", 1),
+        ("max_batch", 1), ("min_inserts", 1),
+    )
+    TENANCY_REALS = (("day_s", 0.0), ("quantum", 0.0), ("skew_threshold", 1.0))
+
+    @staticmethod
+    def _tenancy(**kwargs):
+        return TenancyConfig(tenants=(TenantSpec(name="t"),), **kwargs)
+
+    @given(st.sampled_from(SERVING_COUNTS), ANY_VALUE)
+    def test_serving_counts(self, field_low, value):
+        field, low = field_low
+        if is_count(value, low):
+            assert getattr(ServingConfig(**{field: value}), field) == value
+        else:
+            _rejects_naming(ServingConfig, field, value)
+
+    @given(st.one_of(ANY_VALUE, st.sampled_from(APP_NAMES)))
+    def test_serving_app(self, value):
+        if isinstance(value, str) and value.lower() in APP_NAMES:
+            ServingConfig(app=value)
+        else:
+            _rejects_naming(ServingConfig, "app", value)
+
+    @given(ANY_VALUE)
+    def test_serving_deadline_and_threshold(self, value):
+        deadline = functools.partial(ServingConfig, policy="deadline")
+        cached = functools.partial(ServingConfig, cache_entries=4)
+        if is_real(value, 0.0):
+            deadline(deadline_s=value)
+        else:
+            _rejects_naming(deadline, "deadline_s", value)
+        if is_real(value, 0.0) and value < 1.0:
+            cached(cache_threshold=value)
+        else:
+            _rejects_naming(cached, "cache_threshold", value)
+
+    @given(st.sampled_from(TENANCY_COUNTS), ANY_VALUE)
+    def test_tenancy_counts(self, field_low, value):
+        field, low = field_low
+        if is_count(value, low):
+            assert getattr(self._tenancy(**{field: value}), field) == value
+        else:
+            _rejects_naming(self._tenancy, field, value)
+
+    @given(
+        st.sampled_from(TENANCY_REALS + (("rebalance_row_seconds", None),)),
+        ANY_VALUE,
+    )
+    def test_tenancy_reals(self, field_bound, value):
+        field, bound = field_bound
+        if bound is None:  # rebalance_row_seconds may be exactly 0
+            valid = is_real(value) and value >= 0
+        else:
+            valid = is_real(value, bound)
+        if valid:
+            self._tenancy(**{field: value})
+        else:
+            _rejects_naming(self._tenancy, field, value)
+
+    def test_failures_seen_before_validation(self):
+        # each of these used to be accepted, or to die deep in a run
+        for kwargs in (
+            {"n_servers": 1.5}, {"max_batch": 2.5}, {"max_batch": True},
+            {"queue_bound": 2.5}, {"features": float("nan")},
+            {"app": "bogus"}, {"n_servers": "2"},
+        ):
+            (field,) = kwargs
+            _rejects_naming(ServingConfig, field, kwargs[field])
+        for kwargs in ({"n_shards": 1.5}, {"features": float("nan")}):
+            (field,) = kwargs
+            _rejects_naming(self._tenancy, field, kwargs[field])

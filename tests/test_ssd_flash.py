@@ -111,7 +111,7 @@ class TestChannelController:
             ctrl.read_page(a, lambda a: done.__setitem__("n", done["n"] + 1))
         sim.run()
         assert done["n"] == n_pages
-        bw = ctrl.delivered_bandwidth(sim.now)
+        bw = ctrl.bytes_delivered / sim.now
         assert bw == pytest.approx(800e6, rel=0.12)
 
     def test_high_latency_barely_matters_with_many_planes(self):

@@ -87,9 +87,7 @@ class TestBlockFtl:
         ftl.append(meta.db_id, 2)  # fits the current tail page
         assert meta.feature_count == 7
         assert meta.total_pages == 1
-        assert ftl.buffered_features(meta.db_id) == 2
         ftl.append(meta.db_id, 4)  # overflows into a new page
-        assert ftl.buffered_features(meta.db_id) == 0
         assert meta.total_pages == 2
         assert len(meta.extents) == 2
 
@@ -99,13 +97,6 @@ class TestBlockFtl:
             ftl.get(42)
         with pytest.raises(FtlError):
             ftl.append(42, 1)
-
-    def test_metadata_cache_bytes(self):
-        ftl = BlockFtl(SsdGeometry())
-        for _ in range(20):
-            ftl.create_database(2048, 10)
-        # 32 bytes per database (paper §4.7.2)
-        assert ftl.metadata_cache_bytes == 20 * 32
 
     def test_page_offset_to_ppn_through_extents(self):
         ftl = BlockFtl(SsdGeometry())
@@ -161,10 +152,6 @@ class TestSsdDram:
         assert dram.transfer_seconds(20_000_000_000) == pytest.approx(1.0)
         assert dram.transfer_seconds(1e9, sharers=2) == pytest.approx(0.1)
         assert dram.bytes_transferred == 20_000_000_000 + 1e9
-
-    def test_transfer_event_requires_sim(self):
-        with pytest.raises(DramError):
-            SsdDram(1024, 1e9).transfer_event(100, lambda: None)
 
     def test_validation(self):
         with pytest.raises(ValueError):

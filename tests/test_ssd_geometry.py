@@ -1,9 +1,8 @@
 """Tests for SSD geometry and addressing."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.ssd import PhysicalPageAddress, SsdGeometry
+from repro.ssd import SsdGeometry
 
 
 class TestCapacities:
@@ -17,9 +16,6 @@ class TestCapacities:
         assert geo.total_planes == 1024
         # 32ch * 4chips * 8planes * 512blocks * 128pages * 16KB = 1 TiB
         assert geo.capacity_bytes == 1024**4
-
-    def test_block_bytes(self):
-        assert SsdGeometry().block_bytes == 128 * 16 * 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -40,17 +36,15 @@ class TestAddressing:
         assert geo.ppn_to_address(0).chip == 0
         assert geo.ppn_to_address(32).chip == 1
 
-    def test_roundtrip_specific(self):
-        geo = SsdGeometry()
-        addr = PhysicalPageAddress(channel=5, chip=2, plane=3, block=100, page=77)
-        assert geo.ppn_to_address(geo.address_to_ppn(addr)) == addr
-
-    @given(st.integers(min_value=0))
-    def test_roundtrip_all(self, ppn):
+    def test_decoding_is_a_bijection(self):
         geo = SsdGeometry(channels=4, chips_per_channel=2, planes_per_chip=2,
                           blocks_per_plane=8, pages_per_block=4)
-        ppn = ppn % geo.total_pages
-        assert geo.address_to_ppn(geo.ppn_to_address(ppn)) == ppn
+        addrs = {geo.ppn_to_address(ppn) for ppn in range(geo.total_pages)}
+        assert len(addrs) == geo.total_pages
+        assert all(
+            a.channel < 4 and a.chip < 2 and a.plane < 2 and a.block < 8
+            and a.page < 4 for a in addrs
+        )
 
     def test_out_of_range_ppn(self):
         geo = SsdGeometry()
@@ -58,20 +52,6 @@ class TestAddressing:
             geo.ppn_to_address(geo.total_pages)
         with pytest.raises(ValueError):
             geo.ppn_to_address(-1)
-
-    def test_out_of_range_address(self):
-        geo = SsdGeometry()
-        with pytest.raises(ValueError):
-            geo.address_to_ppn(PhysicalPageAddress(32, 0, 0, 0, 0))
-
-    def test_pages_for_bytes(self):
-        geo = SsdGeometry()
-        assert geo.pages_for_bytes(0) == 0
-        assert geo.pages_for_bytes(1) == 1
-        assert geo.pages_for_bytes(16 * 1024) == 1
-        assert geo.pages_for_bytes(16 * 1024 + 1) == 2
-        with pytest.raises(ValueError):
-            geo.pages_for_bytes(-1)
 
     def test_scaled_changes_only_channels(self):
         geo = SsdGeometry().scaled(8)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ssd import Ssd, SsdConfig
-from repro.ssd.trace import scan_trace, stripe_feature_count, stripe_page_count
+from repro.ssd.trace import scan_trace, stripe_page_count
 
 
 class TestScanTrace:
@@ -47,12 +47,6 @@ class TestScanTrace:
             expected = len(list(scan_trace(meta, geo, channel=ch)))
             assert stripe_page_count(meta, geo, ch) == expected
 
-    def test_stripe_feature_count(self, ssd):
-        meta = ssd.ftl.create_database(2048, 32000)
-        geo = ssd.config.geometry
-        per_channel = stripe_feature_count(meta, geo, 0)
-        assert per_channel == pytest.approx(32000 / 32, rel=0.05)
-
 
 class TestScanMeasurement:
     def test_full_ssd_scan_near_internal_bandwidth(self):
@@ -72,14 +66,6 @@ class TestScanMeasurement:
         ssd = Ssd()
         m = ssd.read_pages([])
         assert m.pages == 0 and m.seconds == 0.0
-
-    def test_event_matches_analytic_channel_scan(self):
-        ssd = Ssd()
-        meta = ssd.ftl.create_database(2048, 200000)
-        trace = list(scan_trace(meta, ssd.config.geometry, channel=0, max_pages=500))
-        event = ssd.read_pages(trace).seconds
-        analytic = ssd.channel_scan_seconds(500 * 16384)
-        assert event == pytest.approx(analytic, rel=0.1)
 
     def test_latency_insensitivity_of_scan(self):
         # Fig. 9's substrate claim: 4x array latency costs ~10% or less

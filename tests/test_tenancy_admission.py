@@ -69,8 +69,8 @@ class TestWeightedFairQueueUnit:
             assert wfq.offer("a", _q(i, 0.0), 0.0) == (i < 2)
         # a's overflow never touches b's slots
         assert wfq.offer("b", _q(10, 0.0), 0.0)
-        assert wfq.depth_of("a") == 2
-        assert wfq.depth_of("b") == 1
+        assert wfq.ledger()["a"]["depth"] == 2
+        assert wfq.ledger()["b"]["depth"] == 1
         assert wfq.counters("a").rejected == 2
         assert wfq.counters("b").rejected == 0
         assert wfq.conserved()
@@ -193,7 +193,7 @@ def test_per_tenant_conservation_under_interleaving(
                 assert tenant == "" and wfq.depth == 0
         wfq.take_shed()
         for name in TENANTS:
-            assert wfq.depth_of(name) <= bound
+            assert wfq.ledger()[name]["depth"] <= bound
         assert wfq.conserved(), wfq.ledger()
     # final ledger identities, bit-exact per tenant
     for name, row in wfq.ledger().items():

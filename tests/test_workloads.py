@@ -12,7 +12,6 @@ from repro.workloads import (
     make_clustered_features,
     plant_neighbors,
 )
-from repro.workloads.features import iter_feature_chunks
 
 
 class TestTable1Calibration:
@@ -75,13 +74,6 @@ class TestFeatureDatasets:
         own = np.linalg.norm(features - centroids[labels], axis=1)
         other = np.linalg.norm(features - centroids[(labels + 1) % 8], axis=1)
         assert (own < other).mean() > 0.97
-
-    def test_chunked_iteration_deterministic(self):
-        spec = FeatureDatasetSpec(n_features=1000, dim=16, seed=3)
-        a = np.concatenate([c for c, _ in iter_feature_chunks(spec, chunk=128)])
-        b = np.concatenate([c for c, _ in iter_feature_chunks(spec, chunk=128)])
-        np.testing.assert_array_equal(a, b)
-        assert len(a) == 1000
 
     def test_plant_neighbors(self, rng):
         features = rng.normal(0, 1, (100, 16)).astype(np.float32)
@@ -165,14 +157,6 @@ class TestQueryStream:
             QueryStream(dim=8, n_intents=4, distribution="pareto")
         with pytest.raises(ValueError):
             QueryStream(dim=8, n_intents=4).generate(0)
-
-    def test_intent_probabilities(self):
-        uniform = QueryStream(dim=8, n_intents=10).intent_probabilities()
-        assert np.allclose(uniform, 0.1)
-        zipf = QueryStream(
-            dim=8, n_intents=10, distribution="zipf", alpha=0.7
-        ).intent_probabilities()
-        assert zipf[0] > zipf[-1]
 
 
 class TestPretrained:
