@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
+from repro.core.api import is_count
 from repro.core.engine import DispatchPolicy
 from repro.core.placement import LEVELS
 from repro.faults.plan import FaultPlan
@@ -42,21 +43,33 @@ class ClusterError(RuntimeError):
 
 def normalize_fail_shards(
     fail_shards: Tuple[Union[int, Tuple[int, int]], ...],
+    n_shards: int,
+    n_replicas: int,
+    error: Callable[[str], Exception] = ClusterError,
 ) -> Tuple[Tuple[int, int], ...]:
     """Normalize dead-replica specs to sorted (shard, replica) pairs.
 
     A bare shard id kills that shard's replica 0 (its primary copy);
-    an explicit pair kills one specific replica.
+    an explicit pair kills one specific replica.  Every entry must be
+    an integer id, or a pair of them, inside the ``n_shards`` x
+    ``n_replicas`` deployment; anything else raises ``error``.
     """
+    if not isinstance(fail_shards, (tuple, list)):
+        raise error(f"fail_shards must be a tuple, got {fail_shards!r}")
     dead = set()
     for spec in fail_shards:
-        if isinstance(spec, tuple):
-            shard, replica = spec
-        else:
-            shard, replica = spec, 0
-        if shard < 0 or replica < 0:
-            raise ClusterError(f"negative fail-shard spec {spec!r}")
-        dead.add((int(shard), int(replica)))
+        pair = spec if isinstance(spec, tuple) else (spec, 0)
+        if not (
+            len(pair) == 2
+            and is_count(pair[0]) and pair[0] < n_shards
+            and is_count(pair[1]) and pair[1] < n_replicas
+        ):
+            raise error(
+                f"fail_shards entry {spec!r} must be a shard id or a "
+                f"(shard, replica) pair of integers in [0, {n_shards}) "
+                f"x [0, {n_replicas})"
+            )
+        dead.add((int(pair[0]), int(pair[1])))
     return tuple(sorted(dead))
 
 
@@ -156,7 +169,8 @@ class ClusterConfig:
                 "straggler_spread must be a finite non-negative number"
             )
         object.__setattr__(
-            self, "fail_shards", normalize_fail_shards(tuple(self.fail_shards))
+            self, "fail_shards",
+            normalize_fail_shards(self.fail_shards, self.n_shards, self.n_replicas),
         )
 
     # ------------------------------------------------------------------

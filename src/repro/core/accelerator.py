@@ -9,12 +9,18 @@ SCN graph and SSD configuration, exposing:
   the compute model through the bounded ``FLASH_DFV`` queue (paper
   Fig. 5), used to validate the analytic path and to answer latency-
   sensitivity questions with real queueing behaviour.
+
+:func:`stream_pages` is that page pipeline — prefetch, bounded queue,
+per-page compute — for every event simulator: the stripe scan here,
+and the whole-device and chip-level scans in
+:mod:`repro.core.event_query`.  :func:`page_compute` is the one
+per-page compute rule they share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultInjector
@@ -27,7 +33,7 @@ from repro.sim import BoundedQueue, Simulator, fastpath
 from repro.ssd.controller import ChannelController
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.timing import SsdConfig
-from repro.ssd.trace import scan_trace_bulk
+from repro.ssd.trace import PageAccess, scan_trace_bulk
 from repro.systolic import GraphMapper, GraphProfile
 
 
@@ -51,6 +57,103 @@ class StripeScanResult:
         if self.pages == 0:
             return 1.0
         return (self.pages - self.pages_failed) / self.pages
+
+
+def page_compute(
+    meta: DatabaseMetadata, seconds_per_feature: float
+) -> Tuple[float, float]:
+    """Accelerator ``(seconds, features)`` for one flash page of ``meta``.
+
+    A page-aligned feature spans ``pages_per_feature`` pages; otherwise
+    one page packs ``features_per_page`` whole features.
+    """
+    if meta.page_aligned:
+        return seconds_per_feature / meta.pages_per_feature, 1.0 / meta.pages_per_feature
+    return seconds_per_feature * meta.features_per_page, float(meta.features_per_page)
+
+
+@dataclass
+class PageStream:
+    """Progress of one :func:`stream_pages` pipeline."""
+
+    pages: int
+    done: int = 0
+    failed: int = 0
+
+    @property
+    def finished(self) -> bool:
+        """Every page computed or lost to a dead chip."""
+        return self.done + self.failed >= self.pages
+
+
+def stream_pages(
+    sim: Simulator,
+    trace: Sequence[PageAccess],
+    queue_depth: int,
+    compute_per_page: float,
+    controller_for: Callable[[PageAccess], ChannelController],
+    track: Tuple[str, str],
+    queue_name: str = "FLASH_DFV",
+    on_page: Optional[Callable[[], None]] = None,
+    on_finished: Optional[Callable[[], None]] = None,
+) -> PageStream:
+    """Stream ``trace`` through a bounded FLASH_DFV queue into one accelerator.
+
+    The flash controller prefetches up to ``queue_depth`` pages; a full
+    queue stalls the prefetch (compute-bound), an empty one stalls the
+    accelerator (flash-bound), which computes ``compute_per_page``
+    seconds per page.  ``controller_for`` picks the controller that
+    reads a page.  ``on_page`` runs after each computed page, and
+    ``on_finished`` once every page is computed or failed.  ``track``
+    names the accelerator's trace lane, made before the first read.
+    ``trace`` must be non-empty.
+    """
+    stream = PageStream(len(trace))
+    queue = BoundedQueue(sim, queue_depth, name=queue_name)
+    accel_track = sim.tracer.track(*track) if sim.tracer is not None else None
+    cursor = 0
+
+    def page_failed(_addr) -> None:
+        stream.failed += 1
+        if not stream.finished:
+            issue_next()
+        elif on_finished is not None:
+            on_finished()
+
+    def issue_next() -> None:
+        nonlocal cursor
+        if cursor >= len(trace):
+            return
+        access = trace[cursor]
+        cursor += 1
+        controller_for(access).read_page(
+            access.address,
+            lambda addr: queue.put(addr, issue_next),
+            on_failed=page_failed,
+        )
+
+    def got(_page) -> None:
+        if accel_track is not None:
+            # accelerator occupancy: one span per page's SCN compute
+            sim.tracer.complete(
+                accel_track, "scn-compute", sim.now,
+                compute_per_page, cat="accel.compute",
+            )
+        sim.schedule_after(compute_per_page, computed)
+
+    def computed() -> None:
+        stream.done += 1
+        if on_page is not None:
+            on_page()
+        if not stream.finished:
+            queue.get(got)
+        elif on_finished is not None:
+            on_finished()
+
+    for _ in range(min(queue_depth, len(trace))):
+        issue_next()
+    queue.get(got)
+    return stream
 
 
 class InStorageAccelerator:
@@ -186,74 +289,22 @@ class InStorageAccelerator:
         controller = ChannelController(
             sim, self.ssd.geometry, self.ssd.timing, channel, injector=injector
         )
-        accel_track = (
-            sim.tracer.track(f"channel {channel}", "accelerator")
-            if sim.tracer is not None
-            else None
-        )
-        queue = BoundedQueue(sim, queue_depth, name="FLASH_DFV")
         trace = scan_trace_bulk(
             meta, self.ssd.geometry, channel=channel, max_pages=max_pages
         )
         if not trace:
             return StripeScanResult(0.0, 0, 0.0)
-
-        cursor = {"next": 0}
-        done = {"pages": 0}
-        failed = {"pages": 0}
-
-        def page_failed(_addr) -> None:
-            failed["pages"] += 1
-            issue_next()
-
-        def issue_next() -> None:
-            i = cursor["next"]
-            if i >= len(trace):
-                return
-            cursor["next"] = i + 1
-            controller.read_page(
-                trace[i].address,
-                lambda addr: queue.put(addr, issue_next),
-                on_failed=page_failed,
-            )
-
-        # Per page, the accelerator computes over the features it holds.
-        if meta.page_aligned:
-            compute_per_page = (
-                self.compute_seconds_per_feature() / meta.pages_per_feature
-            )
-            features_per_page = 1.0 / meta.pages_per_feature
-        else:
-            compute_per_page = (
-                self.compute_seconds_per_feature() * meta.features_per_page
-            )
-            features_per_page = float(meta.features_per_page)
-
-        def consume() -> None:
-            def got(_page) -> None:
-                if accel_track is not None:
-                    sim.tracer.complete(
-                        accel_track, "scn-compute", sim.now,
-                        compute_per_page, cat="accel.compute",
-                    )
-                sim.schedule_after(compute_per_page, finished)
-
-            def finished() -> None:
-                done["pages"] += 1
-                if done["pages"] + failed["pages"] < len(trace):
-                    consume()
-
-            queue.get(got)
-
-        for _ in range(min(queue_depth, len(trace))):
-            issue_next()
-        consume()
-        sim.run(
-            stop_when=lambda: done["pages"] + failed["pages"] >= len(trace)
+        compute_per_page, features_per_page = page_compute(
+            meta, self.compute_seconds_per_feature()
         )
+        stream = stream_pages(
+            sim, trace, queue_depth, compute_per_page, lambda _a: controller,
+            track=(f"channel {channel}", "accelerator"),
+        )
+        sim.run(stop_when=lambda: stream.finished)
         return StripeScanResult(
-            features=features_per_page * done["pages"],
+            features=features_per_page * stream.done,
             pages=len(trace),
             seconds=sim.now,
-            pages_failed=failed["pages"],
+            pages_failed=stream.failed,
         )

@@ -22,11 +22,12 @@ correctly at degraded speed.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.accelerator import InStorageAccelerator
+from repro.core.accelerator import InStorageAccelerator, page_compute, stream_pages
 from repro.core.engine import DispatchPolicy, QueryEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Tracer
 from repro.core.placement import AcceleratorPlacement, CHANNEL_LEVEL
 from repro.nn.graph import Graph
-from repro.sim import BoundedQueue, Simulator
+from repro.sim import Simulator
 from repro.ssd.controller import ChannelController
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.timing import SsdConfig
@@ -147,13 +148,8 @@ class EventQuerySimulator:
         tracing = sim.tracer is not None
         engine = QueryEngine(self.ssd)
 
-        spf = accel.compute_seconds_per_feature(
-            int(max(1, meta.feature_count / geo.channels))
-        )
-        if meta.page_aligned:
-            compute_per_page = spf / meta.pages_per_feature
-        else:
-            compute_per_page = spf * meta.features_per_page
+        spf = accel.compute_seconds_per_feature(int(max(1, meta.feature_count / geo.channels)))
+        compute_per_page, _ = page_compute(meta, spf)
 
         per_channel_done: Dict[int, float] = {}
         # one enumeration + group-by instead of `channels` full
@@ -197,10 +193,13 @@ class EventQuerySimulator:
                 traces[survivors[j % len(survivors)]].append(access)
 
         remaining_channels = {"n": sum(1 for t in traces.values() if t)}
-        failed_pages = {"n": 0}
         controllers: Dict[int, ChannelController] = {}
+        streams = []
 
-        def controller_for(channel: int) -> ChannelController:
+        def controller_for(access) -> ChannelController:
+            # remapped pages are read through the bus of the channel
+            # that stores them, not the consuming accelerator's
+            channel = access.address.channel
             controller = controllers.get(channel)
             if controller is None:
                 controller = ChannelController(
@@ -210,77 +209,23 @@ class EventQuerySimulator:
                 controllers[channel] = controller
             return controller
 
-        def start_channel(ch: int, trace: list) -> None:
-            """Per-channel closures, bound via this factory (a plain loop
-            body would late-bind the recursive `consume` reference to the
-            last iteration's function)."""
-            queue = BoundedQueue(sim, self.queue_depth, name=f"dfv-{ch}")
-            cursor = {"next": 0}
-            done = {"pages": 0}
-            failed = {"pages": 0}
-            accel_track = (
-                sim.tracer.track(f"channel {ch}", "accelerator")
-                if tracing
-                else None
-            )
-
-            def channel_finished() -> None:
-                per_channel_done[ch] = sim.now
-                remaining_channels["n"] -= 1
-
-            def page_failed(_addr) -> None:
-                failed["pages"] += 1
-                failed_pages["n"] += 1
-                if done["pages"] + failed["pages"] >= len(trace):
-                    channel_finished()
-                else:
-                    issue_next()
-
-            def issue_next() -> None:
-                i = cursor["next"]
-                if i >= len(trace):
-                    return
-                cursor["next"] = i + 1
-                # remapped pages are read through the bus of the channel
-                # that stores them, not the consuming accelerator's
-                controller_for(trace[i].address.channel).read_page(
-                    trace[i].address,
-                    lambda addr: queue.put(addr, issue_next),
-                    on_failed=page_failed,
-                )
-
-            def consume() -> None:
-                def got(_page) -> None:
-                    if accel_track is not None:
-                        # accelerator occupancy: one span per page's SCN
-                        # compute (duration is predetermined)
-                        sim.tracer.complete(
-                            accel_track, "scn-compute", sim.now,
-                            compute_per_page, cat="accel.compute",
-                        )
-                    sim.schedule_after(compute_per_page, finished)
-
-                def finished() -> None:
-                    done["pages"] += 1
-                    if done["pages"] + failed["pages"] < len(trace):
-                        consume()
-                    else:
-                        channel_finished()
-
-                queue.get(got)
-
-            for _ in range(min(self.queue_depth, len(trace))):
-                issue_next()
-            consume()
+        def channel_finished(ch: int) -> None:
+            per_channel_done[ch] = sim.now
+            remaining_channels["n"] -= 1
 
         for ch, trace in traces.items():
             if not trace:
                 per_channel_done[ch] = 0.0
                 continue
-            start_channel(ch, trace)
+            streams.append(stream_pages(
+                sim, trace, self.queue_depth, compute_per_page, controller_for,
+                track=(f"channel {ch}", "accelerator"), queue_name=f"dfv-{ch}",
+                on_finished=functools.partial(channel_finished, ch),
+            ))
 
         sim.run(stop_when=lambda: remaining_channels["n"] <= 0)
         scan_seconds = sim.now
+        failed_pages = sum(stream.failed for stream in streams)
         if failed_channels:
             policy = policy or DispatchPolicy()
             survivors_n = geo.channels - len(failed_channels)
@@ -321,7 +266,7 @@ class EventQuerySimulator:
             per_channel_seconds=[per_channel_done.get(ch, 0.0)
                                  for ch in range(geo.channels)],
             pages=total_pages,
-            pages_failed=failed_pages["n"],
+            pages_failed=failed_pages,
             failed_channels=failed_channels,
             remapped_pages=remapped_pages,
             dispatch_seconds=dispatch,
@@ -331,7 +276,7 @@ class EventQuerySimulator:
         if metrics is not None:
             metrics.counter("engine.queries").inc()
             metrics.counter("engine.pages_scanned").inc(
-                total_pages - failed_pages["n"]
+                total_pages - failed_pages
             )
             metrics.histogram("engine.query_s").observe(total_seconds)
             metrics.gauge("engine.channel_skew").set(result.channel_skew)
@@ -382,15 +327,10 @@ def simulate_chip_channel(
     sim = Simulator(tracer=tracer)
     controller = ChannelController(sim, geo, ssd.timing, channel)
 
-    spf = accel.compute_seconds_per_feature(
-        int(max(1, meta.feature_count / (geo.channels * geo.chips_per_channel)))
+    stripe = int(max(1, meta.feature_count / (geo.channels * geo.chips_per_channel)))
+    compute_per_page, features_per_page = page_compute(
+        meta, accel.compute_seconds_per_feature(stripe)
     )
-    if meta.page_aligned:
-        compute_per_page = spf / meta.pages_per_feature
-        features_per_page = 1.0 / meta.pages_per_feature
-    else:
-        compute_per_page = spf * meta.features_per_page
-        features_per_page = float(meta.features_per_page)
 
     window = CHIP_LEVEL.dfv_buffer_features(app.feature_bytes)
     features_per_round = window * geo.chips_per_channel
@@ -404,14 +344,12 @@ def simulate_chip_channel(
         chip: [a for a in trace if a.address.chip == chip]
         for chip in range(geo.chips_per_channel)
     }
-    state = {
-        "pages_done": 0,
-        "features_since_broadcast": 0.0,
-        "broadcasts": 0,
-        "remaining": sum(1 for t in per_chip.values() if t),
-    }
+    state = {"features_since_broadcast": 0.0, "broadcasts": 0}
 
-    def maybe_broadcast() -> None:
+    def page_computed() -> None:
+        # one lockstep window of features later, the channel-level
+        # accelerator re-broadcasts the weights over the shared bus
+        state["features_since_broadcast"] += features_per_page
         if state["features_since_broadcast"] >= features_per_round:
             state["features_since_broadcast"] -= features_per_round
             state["broadcasts"] += 1
@@ -419,57 +357,16 @@ def simulate_chip_channel(
                 weight_bytes, lambda: None, label="weight-broadcast"
             )
 
-    def start_chip(chip_index: int, chip_trace: list) -> None:
-        """Factory-bound per-chip closures (avoids late-binding the
-        recursive `consume`)."""
-        queue = BoundedQueue(sim, queue_depth, name="chip-dfv")
-        cursor = {"next": 0}
-        done = {"pages": 0}
-        accel_track = (
-            sim.tracer.track(f"channel {channel}", f"chip {chip_index} accel")
-            if sim.tracer is not None
-            else None
+    streams = [
+        stream_pages(
+            sim, chip_trace, queue_depth, compute_per_page, lambda _a: controller,
+            track=(f"channel {channel}", f"chip {chip_index} accel"),
+            queue_name="chip-dfv", on_page=page_computed,
         )
-
-        def issue_next() -> None:
-            i = cursor["next"]
-            if i >= len(chip_trace):
-                return
-            cursor["next"] = i + 1
-            controller.read_page(
-                chip_trace[i].address, lambda addr: queue.put(addr, issue_next)
-            )
-
-        def consume() -> None:
-            def got(_page) -> None:
-                if accel_track is not None:
-                    sim.tracer.complete(
-                        accel_track, "scn-compute", sim.now,
-                        compute_per_page, cat="accel.compute",
-                    )
-                sim.schedule_after(compute_per_page, finished)
-
-            def finished() -> None:
-                done["pages"] += 1
-                state["pages_done"] += 1
-                state["features_since_broadcast"] += features_per_page
-                maybe_broadcast()
-                if done["pages"] < len(chip_trace):
-                    consume()
-                else:
-                    state["remaining"] -= 1
-
-            queue.get(got)
-
-        for _ in range(min(queue_depth, len(chip_trace))):
-            issue_next()
-        consume()
-
-    for chip_index, chip_trace in per_chip.items():
-        if chip_trace:
-            start_chip(chip_index, chip_trace)
-
-    sim.run(stop_when=lambda: state["remaining"] <= 0)
+        for chip_index, chip_trace in per_chip.items()
+        if chip_trace
+    ]
+    sim.run(stop_when=lambda: all(stream.finished for stream in streams))
     return ChipChannelResult(
         seconds=sim.now,
         features=features_per_page * len(trace),

@@ -19,9 +19,10 @@ re-indexes on this layer's :class:`IndexedDevice`.
   page-mapped FTL write path, with a region-sizing audit so scaled
   builds cannot exhaust logical flash space;
 * :mod:`repro.index.device` — :class:`IndexedDevice`, a drop-in
-  :class:`~repro.ingest.device.LifecycleDevice` whose ``index_mode=off``
-  path is bit-identical to the exhaustive scan, with the one probed ±
-  delta row rule and the one re-index path (``reindex``);
+  :class:`~repro.ingest.device.LifecycleDevice` that is bit-identical
+  to the exhaustive scan until an index is built, with the one probed
+  ± delta row rule and the one re-index path (``reindex``), always
+  over the store's clustered rows;
 * :mod:`repro.index.sweep` — recall-vs-latency Pareto curves per
   accelerator level (``nprobe`` sweep), validated on the DES timeline;
 * :mod:`repro.index.scorecard` — the perf-gate index leg.

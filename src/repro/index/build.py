@@ -14,7 +14,7 @@ flash space (the same class of bug the scaled ingest benchmark hit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,15 +78,11 @@ class IvfIndex:
 
     centroids: np.ndarray
     lists: InvertedLists
-    #: feature ids strictly below this were visible at build time; rows
-    #: at or above it are the unindexed delta
+    #: the clustered row boundary at build time: rows at or above it
+    #: are the unindexed delta
     boundary: int
-    #: device epoch the build observed (staleness bookkeeping)
-    epoch: int
     report: IndexBuildReport
     config: IndexBuildConfig
-    #: ids actually indexed (visible at the build snapshot)
-    indexed_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
     def n_lists(self) -> int:
@@ -102,7 +98,6 @@ def build_ivf_index(
     meta: DatabaseMetadata,
     config: IndexBuildConfig,
     boundary: int,
-    epoch: int = 0,
 ) -> IvfIndex:
     """Train, lay out, and price one IVF index over ``(ids, features)``."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -154,8 +149,6 @@ def build_ivf_index(
         centroids=centroids,
         lists=lists,
         boundary=int(boundary),
-        epoch=int(epoch),
         report=report,
         config=config,
-        indexed_ids=ids,
     )

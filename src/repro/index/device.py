@@ -7,9 +7,8 @@ probes.  The contract that keeps the base reproduction honest:
 * :meth:`IndexedDevice.query` only chooses the rows that the shared
   :meth:`~repro.core.api.DeepStoreDevice._run_query` scores and prices:
   the probed lists (± delta) once an index is built, the inherited plan
-  under ``index_mode="off"`` or with no index — byte-identical results,
-  latencies, and cache behaviour; the index layer costs nothing until
-  it is switched on.
+  with no index — byte-identical results, latencies, and cache
+  behaviour; the index layer costs nothing until it is built.
 * At ``nprobe == n_lists`` the probe degenerates to the exhaustive
   scan: routing is skipped (0.0 s), the probed ids are exactly
   ``arange(db_start, db_end)``, and the functional scan runs the same
@@ -17,16 +16,21 @@ probes.  The contract that keeps the base reproduction honest:
   :meth:`~repro.core.api.DeepStoreDevice._scan` — so ids, scores,
   *and* seconds are bit-identical
   (the differential oracle pins this down per accelerator level).
-* Mutations degrade recall honestly: rows inserted after the build are
-  the **unindexed delta**; ``include_delta=True`` (default) scans them
-  alongside the probed lists (buying recall back at delta-scan cost),
-  tombstoned rows stay in the lists — and keep costing flash reads —
-  until :meth:`compact_db` reclaims them and triggers a re-index.  A
+* The index covers exactly the store's clustered layout: the visible
+  rows below :attr:`~repro.ingest.store.MutableFeatureStore.clustered_rows`.
+  Rows join it only at compaction, so a build or re-index never folds
+  in an uncompacted delta.
+* Mutations degrade recall honestly: rows inserted after the last
+  compaction are the **unindexed delta**; ``include_delta=True``
+  (default) scans them alongside the probed lists (buying recall back
+  at delta-scan cost); tombstoned rows stay in the lists — and keep
+  costing flash reads — until :meth:`compact_db` reclaims them and
+  triggers a re-index.  A
   probe whose lists hold only dead rows returns an empty top-K, still
   charged for the slots it read.
 * :meth:`reindex` is the one re-index path: :meth:`compact_db` calls
   it, and so does the lifecycle loop's background compaction job.
-  :func:`query_exhaustive` is the one index-off query helper.
+  :func:`query_exhaustive` is the one exhaustive query helper.
 """
 
 from __future__ import annotations
@@ -47,15 +51,10 @@ from repro.ssd.ftl import DatabaseMetadata
 class IndexedDevice(LifecycleDevice):
     """``LifecycleDevice`` + IVF probe routing, one subclass."""
 
-    def __init__(self, *args, index_mode: str = "ivf", **kwargs):
-        if index_mode not in ("ivf", "off"):
-            raise DeepStoreApiError(
-                f"unknown index_mode {index_mode!r}; choose 'ivf' or 'off'"
-            )
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.index_mode = index_mode
         self._indexes: Dict[int, IvfIndex] = {}
-        self._index_models: Dict[int, int] = {}
+        self._indexed_models: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # build / inspect
@@ -69,7 +68,7 @@ class IndexedDevice(LifecycleDevice):
         seed: int = 0,
         config: Optional[IndexBuildConfig] = None,
     ) -> IvfIndex:
-        """Train + lay out an IVF index over the database's visible rows."""
+        """Train + lay out an IVF index over the database's clustered rows."""
         graph = self._models.get(model_id)
         if graph is None:
             raise DeepStoreApiError(f"unknown model id {model_id}")
@@ -87,10 +86,9 @@ class IndexedDevice(LifecycleDevice):
             meta,
             cfg,
             boundary=boundary,
-            epoch=self._db_epochs.get(db_id, 0),
         )
         self._indexes[db_id] = index
-        self._index_models[db_id] = model_id
+        self._indexed_models[db_id] = model_id
         state = self._lifecycles.get(db_id)
         if state is not None:
             state.write_seconds += index.report.total_seconds
@@ -98,23 +96,21 @@ class IndexedDevice(LifecycleDevice):
         return index
 
     def _indexable_rows(self, db_id: int, n_lists: int) -> Tuple[np.ndarray, int]:
-        """The visible ids an index over ``db_id`` covers, and its boundary.
+        """The ids an index over ``db_id`` covers, and its boundary.
 
-        Rejects a build whose ``n_lists`` exceeds the visible rows.
+        Under ingest that is the clustered layout: the visible rows below
+        the store's clustered boundary.  Rejects a build whose
+        ``n_lists`` exceeds the rows.
         """
         state = self._lifecycles.get(db_id)
         if state is not None:
-            snap = state.store.snapshot()
-            ids = np.asarray(state.store.visible_ids(snap), dtype=np.int64)
-            boundary = snap.n_rows
+            boundary = state.store.clustered_rows
+            ids = state.store.visible_ids()
+            ids = ids[ids < boundary]
         else:
             boundary = len(self._store(db_id))
             ids = np.arange(boundary, dtype=np.int64)
-        if len(ids) < n_lists:
-            raise DeepStoreApiError(
-                f"n_lists={n_lists} needs at least as many visible rows; "
-                f"database {db_id} has {len(ids)}"
-            )
+        _check_lists(n_lists, len(ids), db_id)
         return ids, boundary
 
     def index_for(self, db_id: int) -> IvfIndex:
@@ -129,16 +125,6 @@ class IndexedDevice(LifecycleDevice):
     def indexed(self, db_id: int) -> bool:
         """Whether the database has a built index."""
         return db_id in self._indexes
-
-    def delta_rows(self, db_id: int) -> int:
-        """Visible rows the index does not cover (the unindexed delta)."""
-        index = self.index_for(db_id)
-        state = self._lifecycles.get(db_id)
-        if state is None:
-            return max(0, len(self._store(db_id)) - index.boundary)
-        snap = state.store.snapshot()
-        visible = state.store.visible_ids(snap)
-        return int(np.count_nonzero(visible >= index.boundary))
 
     # ------------------------------------------------------------------
     # query (probed-lists plan)
@@ -158,11 +144,11 @@ class IndexedDevice(LifecycleDevice):
         """``query`` through the database's IVF index, when one is built.
 
         ``nprobe`` lists (default ``n_lists // 4``, at least 1) are
-        probed; ``include_delta`` also scans rows inserted after the
-        build.  Without an index (or with ``index_mode="off"``) this is
-        the inherited query, byte for byte.
+        probed; ``include_delta`` also scans the rows outside the
+        clustered layout.  Without an index this is the inherited query,
+        byte for byte.
         """
-        if self.index_mode != "ivf" or db_id not in self._indexes:
+        if db_id not in self._indexes:
             return super().query(
                 qfv, k, model_id, db_id, db_start, db_end, accel_level
             )
@@ -238,11 +224,12 @@ class IndexedDevice(LifecycleDevice):
     def compact_db(self, db_id: int) -> DeviceCompaction:
         """Compact, then rebuild the index over the surviving rows.
 
-        Compaction keeps the visible rows, so a re-index they cannot
+        Compaction clusters every visible row, so a re-index they cannot
         fill is rejected first and leaves store and index untouched.
         """
-        if self.index_mode == "ivf" and db_id in self._indexes:
-            self._indexable_rows(db_id, self._indexes[db_id].n_lists)
+        if db_id in self._indexes:
+            visible = self.lifecycle(db_id).store.visible_ids()
+            _check_lists(self._indexes[db_id].n_lists, len(visible), db_id)
         outcome = super().compact_db(db_id)
         rebuilt = self.reindex(db_id)
         if rebuilt is None:
@@ -255,22 +242,31 @@ class IndexedDevice(LifecycleDevice):
         )
 
     def reindex(self, db_id: int) -> Optional[IvfIndex]:
-        """Rebuild the database's index over its visible rows.
+        """Rebuild the database's index over its clustered rows.
 
         Keeps the old build's config; a no-op (``None``) without an
-        index or under ``index_mode="off"``.
+        index.
         """
-        if self.index_mode != "ivf" or db_id not in self._indexes:
+        if db_id not in self._indexes:
             return None
         old = self._indexes[db_id]
         rebuilt = self.build_index(
             db_id,
-            self._index_models[db_id],
+            self._indexed_models[db_id],
             old.config.n_lists,
             config=old.config,
         )
         self.metrics.counter("index.reindexes").inc()
         return rebuilt
+
+
+def _check_lists(n_lists: int, rows: int, db_id: int) -> None:
+    """Reject an index of more lists than the rows it would cover."""
+    if rows < n_lists:
+        raise DeepStoreApiError(
+            f"n_lists={n_lists} needs at least as many visible rows; "
+            f"database {db_id} has {rows}"
+        )
 
 
 def query_exhaustive(
@@ -281,11 +277,6 @@ def query_exhaustive(
     db_id: int,
     level: Optional[str] = None,
 ) -> QueryResult:
-    """One query down the inherited exhaustive path (index off)."""
-    prev = device.index_mode
-    device.index_mode = "off"
-    try:
-        handle = device.query(qfv, k, model_id, db_id, accel_level=level)
-    finally:
-        device.index_mode = prev
+    """One query down the inherited exhaustive path, past the index."""
+    handle = LifecycleDevice.query(device, qfv, k, model_id, db_id, accel_level=level)
     return device.get_results(handle)

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.api import DeepStoreApiError, DeepStoreDevice, PlannedScan, QueryHandle
 from repro.core.topk import topk_order, topk_select
-from repro.ingest.store import MutableFeatureStore, Snapshot
+from repro.ingest.store import IngestError, MutableFeatureStore, Snapshot
 from repro.ingest.writepath import IngestWritePath, WriteOp
 from repro.nn import Graph
 from repro.obs.metrics import MetricsRegistry
@@ -156,7 +156,11 @@ class LifecycleDevice(DeepStoreDevice):
     # mutation verbs
     # ------------------------------------------------------------------
     def insert_db(self, db_id: int, features: np.ndarray) -> np.ndarray:
-        """Stream new rows in; returns their stable feature ids."""
+        """Stream new rows in; returns their stable feature ids.
+
+        A batch the ingest region cannot hold is rejected before the
+        store, device rows, epoch, cache or write path change.
+        """
         state = self.lifecycle(db_id)
         features = self._check_rows(state, features)
         ids = state.store.insert(features)
@@ -184,8 +188,9 @@ class LifecycleDevice(DeepStoreDevice):
     def update_db_row(self, db_id: int, fid: int, feature: np.ndarray) -> int:
         """Replace one row (tombstone + re-insert); returns the new id.
 
-        The replacement is validated before the old row is tombstoned,
-        so a bad row leaves the store, epoch and write path untouched.
+        The replacement is validated (and must fit the ingest region)
+        before the old row is tombstoned, so a bad row leaves the store,
+        epoch and write path untouched.
         """
         row = self._check_rows(self.lifecycle(db_id), np.reshape(feature, (1, -1)))
         self.delete_db_rows(db_id, [fid])
@@ -369,6 +374,13 @@ class LifecycleDevice(DeepStoreDevice):
             raise DeepStoreApiError(
                 f"row dim {features.shape[1]} does not match the "
                 f"database's dim {state.store.dim}"
+            )
+        room = state.writepath.free_rows
+        if len(features) > room:
+            raise IngestError(
+                f"logical flash space exhausted: the ingest region has room "
+                f"for {room} more rows, not {len(features)}; compact before "
+                f"ingesting more"
             )
         return features
 

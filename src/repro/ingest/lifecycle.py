@@ -13,7 +13,7 @@ story the subsystem exists to tell:
 2. **Compaction** — a :class:`CompactionJob` runs on a DES timeline
    while exhaustive foreground queries preempt its chunks, and
    re-indexes the device when it finishes — a from-scratch build over
-   the surviving rows, so its recall is also the fresh baseline.
+   the rows it clustered, so its recall is also the fresh baseline.
 3. **Interference** — a sweep of background ingest load (scaled by the
    *measured* write amplification) through the host-I/O interference
    model, yielding the query-slowdown-vs-write-pressure curve.
@@ -290,10 +290,9 @@ def run_lifecycle(
             rng.normal(0, 1, (config.random_per_round, dim)).astype(np.float32),
         )
         visible = state.store.visible_ids()
-        clustered = set(int(i) for i in state.store.clustered_ids)
-        victims = [int(i) for i in visible if int(i) in clustered]
+        victims = visible[visible < state.store.clustered_rows]
         # once every clustered row is dead there is nothing to delete
-        if victims:
+        if len(victims):
             doomed = rng.choice(
                 victims, size=min(config.deletes_per_round, len(victims)),
                 replace=False,

@@ -31,6 +31,8 @@ implementation of the same semantics.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,9 +83,8 @@ class MutableFeatureStore:
         self._inserted_at_boundaries: List[Tuple[int, int]] = [(0, base.shape[0])]
         self.epoch = 0
         self.log: List[Mutation] = []
-        #: ids covered by the current clustered layout (compaction moves
-        #: this forward); everything visible beyond it is the delta region
-        self._clustered_ids: np.ndarray = np.arange(base.shape[0], dtype=np.int64)
+        #: the epoch the clustered layout was last built at (compaction
+        #: moves it forward): the one record of which rows are clustered
         self.clustered_epoch = 0
         #: rows physically occupying flash (tombstones included until a
         #: compaction reclaims them)
@@ -96,7 +97,7 @@ class MutableFeatureStore:
         """The store's complete logical state as plain values.
 
         Everything a bit-exact reconstruction needs: row data, epoch,
-        tombstone map, insert boundaries, clustered/delta bookkeeping,
+        tombstone map, insert boundaries, clustered epoch, physical rows
         and the mutation log.  :meth:`from_state` inverts it; the
         recovery property suite asserts the round trip is lossless.
         """
@@ -105,7 +106,6 @@ class MutableFeatureStore:
             self.epoch,
             tuple(sorted(self._deleted_at.items())),
             tuple(self._inserted_at_boundaries),
-            self._clustered_ids.copy(),
             self.clustered_epoch,
             self._physical_rows,
             tuple(self.log),
@@ -118,7 +118,6 @@ class MutableFeatureStore:
         epoch: int,
         deleted_at: Sequence[Tuple[int, int]],
         boundaries: Sequence[Tuple[int, int]],
-        clustered_ids: np.ndarray,
         clustered_epoch: int,
         physical_rows: int,
         log: Sequence[Mutation],
@@ -131,7 +130,6 @@ class MutableFeatureStore:
         store._inserted_at_boundaries = [
             (int(e), int(n)) for e, n in boundaries
         ]
-        store._clustered_ids = np.asarray(clustered_ids, dtype=np.int64).copy()
         store.clustered_epoch = int(clustered_epoch)
         store._physical_rows = int(physical_rows)
         store.log = list(log)
@@ -143,9 +141,7 @@ class MutableFeatureStore:
         return (
             a[0].shape == b[0].shape
             and bool(np.array_equal(a[0], b[0]))
-            and a[1:4] == b[1:4]
-            and bool(np.array_equal(a[4], b[4]))
-            and a[5:] == b[5:]
+            and a[1:] == b[1:]
         )
 
     # ------------------------------------------------------------------
@@ -170,9 +166,17 @@ class MutableFeatureStore:
         return self._physical_rows
 
     @property
+    def clustered_rows(self) -> int:
+        """Row high-water mark at the clustered epoch.
+
+        Rows at or above it joined after the last compaction: the delta.
+        """
+        return self._rows_at_epoch(self.clustered_epoch)
+
+    @property
     def clustered_ids(self) -> np.ndarray:
-        """Ids covered by the clustered layout (read-only view)."""
-        return self._clustered_ids
+        """Ids the clustered layout was built over (visible at its epoch)."""
+        return self.visible_ids(self.snapshot_at(self.clustered_epoch))
 
     # ------------------------------------------------------------------
     # mutations
@@ -236,12 +240,9 @@ class MutableFeatureStore:
 
     def _rows_at_epoch(self, epoch: int) -> int:
         """Row high-water mark as of ``epoch``."""
-        rows = 0
-        for boundary_epoch, n_rows in self._inserted_at_boundaries:
-            if boundary_epoch > epoch:
-                break
-            rows = n_rows
-        return rows
+        # boundaries ascend by epoch: the last one at or before ``epoch``
+        i = bisect.bisect_right(self._inserted_at_boundaries, (epoch, math.inf))
+        return self._inserted_at_boundaries[i - 1][1] if i else 0
 
     def snapshot_at(self, epoch: int) -> Snapshot:
         """Reconstruct the snapshot any past epoch would have taken."""
@@ -298,15 +299,7 @@ class MutableFeatureStore:
     def delta_ids(self, snapshot: Optional[Snapshot] = None) -> np.ndarray:
         """Visible ids NOT covered by the clustered layout."""
         visible = self.visible_ids(snapshot)
-        if len(self._clustered_ids) == 0:
-            return visible
-        boundary = int(self._clustered_ids.max()) + 1
-        in_cluster = np.zeros(boundary, dtype=bool)
-        in_cluster[self._clustered_ids] = True
-        covered = (visible < boundary) & np.where(
-            visible < boundary, in_cluster[np.minimum(visible, boundary - 1)], False
-        )
-        return visible[~covered]
+        return visible[visible >= self.clustered_rows]
 
     def delta_fraction(self, snapshot: Optional[Snapshot] = None) -> float:
         """Fraction of the visible database living outside the index.
@@ -326,13 +319,10 @@ class MutableFeatureStore:
         snapshot; tombstones at or before it are physically reclaimed
         (scan cost drops).  Returns the number of reclaimed rows.
         """
-        visible = self.visible_ids(snapshot)
-        reclaimed = self._physical_rows - (
-            len(visible) + (self._n_rows - snapshot.n_rows)
-        )
-        self._clustered_ids = visible
+        physical = len(self.visible_ids(snapshot)) + (self._n_rows - snapshot.n_rows)
+        reclaimed = self._physical_rows - physical
         self.clustered_epoch = snapshot.epoch
-        self._physical_rows = len(visible) + (self._n_rows - snapshot.n_rows)
+        self._physical_rows = physical
         return max(0, reclaimed)
 
 

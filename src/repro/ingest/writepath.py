@@ -162,6 +162,13 @@ class IngestWritePath:
     def free_pages(self) -> int:
         return len(self._free_lpns)
 
+    @property
+    def free_rows(self) -> int:
+        """Fresh rows :meth:`append` can still place: the open page's
+        slack plus every free logical page."""
+        slack = 0 if self._open_lpn is None else self.rows_per_page - self._open_count
+        return slack + self.free_pages * self.rows_per_page
+
     def has_row(self, fid: int) -> bool:
         """Whether a feature id currently occupies flash pages."""
         return int(fid) in self._row_lpn

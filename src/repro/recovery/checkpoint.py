@@ -58,6 +58,8 @@ class Checkpoint:
     rows: np.ndarray
     deleted_at: Tuple[Tuple[int, int], ...]
     boundaries: Tuple[Tuple[int, int], ...]
+    #: the clustered layout's ids, written out with the image although
+    #: ``clustered_epoch`` alone determines them
     clustered_ids: np.ndarray
     clustered_epoch: int
     physical_rows: int
@@ -81,7 +83,6 @@ class Checkpoint:
             epoch=self.epoch,
             deleted_at=self.deleted_at,
             boundaries=self.boundaries,
-            clustered_ids=self.clustered_ids,
             clustered_epoch=self.clustered_epoch,
             physical_rows=self.physical_rows,
             log=self.log,
@@ -95,9 +96,7 @@ def take_checkpoint(
     now_s: float,
 ) -> Checkpoint:
     """Freeze the store's current state into a checkpoint image."""
-    rows, epoch, deleted, boundaries, clustered, cepoch, physical, log = (
-        store.state_tuple()
-    )
+    rows, epoch, deleted, boundaries, cepoch, physical, log = store.state_tuple()
     return Checkpoint(
         checkpoint_id=checkpoint_id,
         epoch=epoch,
@@ -106,7 +105,7 @@ def take_checkpoint(
         rows=rows,
         deleted_at=deleted,
         boundaries=boundaries,
-        clustered_ids=clustered,
+        clustered_ids=store.clustered_ids,
         clustered_epoch=cepoch,
         physical_rows=physical,
         log=log,

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.api import check_counts, is_real
+from repro.core.api import check_counts, is_count, is_real
 from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
 from repro.core.query_cache import EmbeddingComparator, QueryCache
@@ -114,6 +114,18 @@ class ServingConfig:
             ("n_replicas", 1), ("ingest_rows_per_op", 1),
             ("index_lists", 0), ("index_nprobe", 0),
         ))
+        # lazy import: repro.cluster imports this package's batcher
+        from repro.cluster.config import normalize_fail_shards
+
+        normalize_fail_shards(self.fail_shards, self.n_shards, self.n_replicas, ValueError)
+        if not (
+            isinstance(self.failed_accels, tuple)
+            and all(is_count(i) for i in self.failed_accels)
+        ):
+            raise ValueError(
+                f"failed_accels must be a tuple of integers >= 0, "
+                f"got {self.failed_accels!r}"
+            )
         if not isinstance(self.app, str) or self.app.lower() not in ALL_APPS:
             raise ValueError(
                 f"unknown app {self.app!r}; expected one of {APP_NAMES}"

@@ -29,6 +29,7 @@ simulated day.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -131,57 +132,46 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant needs a nonempty name")
-        if self.weight <= 0:
-            raise ValueError(f"tenant {self.name!r}: weight must be positive")
-        if self.base_qps <= 0:
-            raise ValueError(f"tenant {self.name!r}: base_qps must be positive")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError(
-                f"tenant {self.name!r}: amplitude must be in [0, 1) "
-                f"(>= 1 would drive the rate negative)"
-            )
-        if not 0.0 <= self.phase < 1.0:
-            raise ValueError(f"tenant {self.name!r}: phase must be in [0, 1)")
+
+        def bad(message: str) -> ValueError:
+            return ValueError(f"tenant {self.name!r}: {message}")
+
+        check_counts(self, (
+            ("n_intents", 1), ("ingest_key_universe", 1), ("queue_bound", 1),
+        ), bad)
+        # each test is written so that NaN, bools and strings fail it
+        unit = "in [0, 1)"
+        for name, ok, rule in (
+            ("weight", is_real(self.weight, 0.0), "positive"),
+            ("base_qps", is_real(self.base_qps, 0.0), "positive"),
+            ("amplitude", is_real(self.amplitude) and 0 <= self.amplitude < 1,
+             f"{unit} (>= 1 would drive the rate negative)"),
+            ("phase", is_real(self.phase) and 0 <= self.phase < 1, unit),
+            ("write_fraction",
+             is_real(self.write_fraction) and 0 <= self.write_fraction < 1, unit),
+            ("zipf_alpha", is_real(self.zipf_alpha) and 0 <= self.zipf_alpha < math.inf,
+             "finite and >= 0"),
+            ("ingest_key_alpha",
+             is_real(self.ingest_key_alpha) and 0 <= self.ingest_key_alpha < math.inf,
+             "finite and >= 0"),
+        ):
+            if not ok:
+                raise bad(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if not self.apps:
-            raise ValueError(f"tenant {self.name!r}: empty app mix")
+            raise bad("empty app mix")
         total = 0.0
         for app, fraction in self.apps:
             if app not in KNOWN_APPS:
-                raise ValueError(
-                    f"tenant {self.name!r}: unknown app {app!r}; "
-                    f"expected one of {KNOWN_APPS}"
-                )
-            if fraction <= 0:
-                raise ValueError(
-                    f"tenant {self.name!r}: app fractions must be positive"
-                )
+                raise bad(f"unknown app {app!r}; expected one of {KNOWN_APPS}")
+            if not is_real(fraction, 0.0):
+                raise bad("app fractions must be positive")
             total += fraction
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(
-                f"tenant {self.name!r}: app-mix fractions sum to {total}, "
-                f"expected 1.0"
-            )
-        if self.zipf_alpha < 0 or self.ingest_key_alpha < 0:
-            raise ValueError(
-                f"tenant {self.name!r}: Zipf alphas cannot be negative"
-            )
-        if self.n_intents <= 0 or self.ingest_key_universe <= 0:
-            raise ValueError(
-                f"tenant {self.name!r}: intent/key universes must be positive"
-            )
-        if not 0.0 <= self.write_fraction < 1.0:
-            raise ValueError(
-                f"tenant {self.name!r}: write_fraction must be in [0, 1)"
-            )
+            raise bad(f"app-mix fractions sum to {total}, expected 1.0")
         if self.deadline_class not in DEADLINE_CLASSES:
-            raise ValueError(
-                f"tenant {self.name!r}: unknown deadline class "
-                f"{self.deadline_class!r}; expected one of "
-                f"{tuple(DEADLINE_CLASSES)}"
-            )
-        if self.queue_bound <= 0:
-            raise ValueError(
-                f"tenant {self.name!r}: queue_bound must be positive"
+            raise bad(
+                f"unknown deadline class {self.deadline_class!r}; "
+                f"expected one of {tuple(DEADLINE_CLASSES)}"
             )
 
     # ------------------------------------------------------------------

@@ -67,9 +67,10 @@ class TestClusterConfig:
             ClusterConfig(**{field: value})
 
     def test_normalize_fail_shards(self):
-        assert normalize_fail_shards((3, (1, 1), 3)) == ((1, 1), (3, 0))
-        with pytest.raises(ClusterError):
-            normalize_fail_shards((-1,))
+        assert normalize_fail_shards((3, (1, 1), 3), 4, 2) == ((1, 1), (3, 0))
+        for bad in ((-1,), (4,), ((1, 2),), (1.5,), ((1,),)):
+            with pytest.raises(ClusterError, match="fail_shards"):
+                normalize_fail_shards(bad, 4, 2)
 
     def test_live_replicas_and_dead(self):
         cfg = ClusterConfig(n_shards=4, n_replicas=3, fail_shards=(0, (0, 2)))

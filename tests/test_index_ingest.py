@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.api import DeepStoreApiError
 from repro.index import IndexedDevice, region_blocks_for
+from repro.index.device import query_exhaustive
 from repro.index.scorecard import GATE_CONFIG, make_index_workload
 from repro.ingest import IngestError, IngestWritePath
 from repro.ssd import Ssd, SsdConfig
@@ -64,11 +65,7 @@ def _recall(device, db, model, queries, **kw):
     """Mean recall@K of the routed probe against the exhaustive scan."""
     values = []
     for probe in queries:
-        device.index_mode = "off"
-        try:
-            exact = device.get_results(device.query(probe, K, model, db))
-        finally:
-            device.index_mode = "ivf"
+        exact = query_exhaustive(device, probe, K, model, db)
         got = device.get_results(
             device.query(probe, K, model, db, nprobe=NPROBE, **kw)
         )
@@ -87,11 +84,7 @@ def _insert_near(device, db, model, queries, rng, per_query=8):
     """
     store = device._store(db)
     for probe in queries:
-        device.index_mode = "off"
-        try:
-            exact = device.get_results(device.query(probe, K, model, db))
-        finally:
-            device.index_mode = "ivf"
+        exact = query_exhaustive(device, probe, K, model, db)
         parents = store[exact.feature_ids[: per_query // 2]]
         clones = np.repeat(parents, 2, axis=0)
         clones = clones + rng.normal(0, 0.005, clones.shape)
@@ -114,7 +107,7 @@ class TestStalenessDrift:
         # monotone staleness: each wave of unindexed rows can only hurt
         assert all(a >= b for a, b in zip(drift, drift[1:]))
         assert drift[-1] <= fresh - 0.5  # the delta dominates the top-K
-        assert device.delta_rows(db) == 3 * len(queries) * 8
+        assert len(device.lifecycle(db).store.delta_ids()) == 3 * len(queries) * 8
 
     def test_include_delta_buys_recall_back(self):
         device, db, model, queries = _device_with_index()
@@ -137,7 +130,8 @@ class TestStalenessDrift:
             device.query(probe, K, model, db, nprobe=NPROBE,
                          include_delta=False)
         )
-        assert with_delta.probed_rows == without.probed_rows + device.delta_rows(db)
+        delta = device.lifecycle(db).store.delta_ids()
+        assert with_delta.probed_rows == without.probed_rows + len(delta)
 
 
 class TestCompactionReindex:
@@ -153,7 +147,7 @@ class TestCompactionReindex:
         assert stale < fresh
 
         outcome = device.compact_db(db)
-        assert device.delta_rows(db) == 0
+        assert len(device.lifecycle(db).store.delta_ids()) == 0
         assert device.metrics.snapshot()["index.reindexes"] == 1
         # the compaction bill includes the rebuild, not just the GC pass
         assert outcome.seconds > device.index_for(db).report.total_seconds

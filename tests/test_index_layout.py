@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.api import DeepStoreApiError
 from repro.index import IndexedDevice, assign_canonical, train_kmeans
+from repro.index.device import query_exhaustive
 from repro.index.kmeans import IndexError_
 from repro.workloads import FeatureDatasetSpec, get_app, make_clustered_features
 from repro.workloads.pretrained import train_scn
@@ -55,11 +56,7 @@ def _queries(seed, n=5):
 
 
 def _exact(device, qfv, model, db):
-    device.index_mode = "off"
-    try:
-        return device.get_results(device.query(qfv, K, model, db))
-    finally:
-        device.index_mode = "ivf"
+    return query_exhaustive(device, qfv, K, model, db)
 
 
 class TestTrainKmeansOnPlantedIntents:

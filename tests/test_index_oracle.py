@@ -5,16 +5,16 @@ Two contracts, pinned bit for bit:
 * at ``nprobe = n_lists`` the IVF probe degenerates to the exhaustive
   scan — identical ids, scores, latency breakdown *and* transfer
   seconds at every accelerator level;
-* with ``index_mode="off"`` (or simply no index built) the device is
-  the seed reproduction (the whole combined perf-gate scorecard,
+* down :func:`~repro.index.device.query_exhaustive` (or simply with no
+  index built) the device is the seed reproduction (the whole combined perf-gate scorecard,
   pre-index legs included, is pinned by ``tests/test_perf_gate.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.api import DeepStoreApiError
 from repro.index import IndexedDevice
+from repro.index.device import query_exhaustive
 from repro.ingest import LifecycleDevice
 from repro.serving import QueryServer, ServingConfig
 from repro.workloads import get_app
@@ -27,9 +27,9 @@ N_LISTS = 8
 K = 7
 
 
-def _make(level="channel", index_mode="ivf", seed=5):
+def _make(level="channel", seed=5):
     rng = np.random.default_rng(seed)
-    device = IndexedDevice(level=level, index_mode=index_mode)
+    device = IndexedDevice(level=level)
     db = device.write_db(rng.normal(0, 1, (N, DIM)).astype(np.float32))
     model = device.load_graph(GRAPH)
     return device, db, model, rng
@@ -60,9 +60,7 @@ class TestFullProbeOracle:
             routed = device.get_results(
                 device.query(probe, K, model, db, nprobe=N_LISTS)
             )
-            device.index_mode = "off"
-            base = device.get_results(device.query(probe, K, model, db))
-            device.index_mode = "ivf"
+            base = query_exhaustive(device, probe, K, model, db)
             _assert_bit_identical(routed, base)
             # routing is skipped entirely at full probe
             assert routed.routing_seconds == 0.0
@@ -80,11 +78,10 @@ class TestFullProbeOracle:
             routed = device.get_results(
                 device.query(probe, K, model, db, start, end, nprobe=N_LISTS)
             )
-            device.index_mode = "off"
+            # the exhaustive path over a range, past the index
             base = device.get_results(
-                device.query(probe, K, model, db, start, end)
+                LifecycleDevice.query(device, probe, K, model, db, start, end)
             )
-            device.index_mode = "ivf"
             _assert_bit_identical(routed, base)
 
     def test_oversized_nprobe_clamps_to_full_probe(self):
@@ -100,7 +97,7 @@ class TestFullProbeOracle:
 
 
 class TestOffModeParity:
-    """index_mode='off' is the seed path, even with an index built."""
+    """The exhaustive path is the seed path, even with an index built."""
 
     def test_off_mode_matches_plain_lifecycle_device(self):
         plain = LifecycleDevice()
@@ -108,27 +105,23 @@ class TestOffModeParity:
         db_p = plain.write_db(rng.normal(0, 1, (N, DIM)).astype(np.float32))
         model_p = plain.load_graph(GRAPH)
 
-        off, db_o, model_o, rng_o = _make(index_mode="off")
+        off, db_o, model_o, rng_o = _make()
         off.build_index(db_o, model_o, N_LISTS, iterations=4, seed=2)
 
         for probe in _probes(np.random.default_rng(17)):
             base = plain.get_results(plain.query(probe, K, model_p, db_p))
-            got = off.get_results(off.query(probe, K, model_o, db_o))
+            got = query_exhaustive(off, probe, K, model_o, db_o)
             _assert_bit_identical(got, base)
             assert got.routing_seconds == 0.0
             assert got.nprobe == 0
 
     def test_unindexed_device_delegates(self):
-        device, db, model, rng = _make()  # ivf mode, but no index built
+        device, db, model, rng = _make()  # no index built
         probe = _probes(rng, 1)[0]
         result = device.get_results(device.query(probe, K, model, db))
         assert result.routing_seconds == 0.0
         assert result.nprobe == 0
         assert result.probed_rows == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DeepStoreApiError, match="index_mode"):
-            IndexedDevice(index_mode="fancy")
 
 
 class TestServingIndexKnob:

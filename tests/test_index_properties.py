@@ -11,15 +11,24 @@ Hypothesis pins the four invariants the index rests on:
 * **canonical assignment** — k-means assigns each row to the argmin
   centroid under the canonical ``(-score, id)`` tie-break, with exact
   ties always resolving to the lowest list id;
-* **lifecycle safety** — arbitrary build / insert / delete / compact
-  interleavings never surface a tombstoned id from a routed query.
+* **lifecycle safety** — arbitrary build / insert / delete / update /
+  compact interleavings, background compaction jobs that take mutations
+  mid-run included, never surface a tombstoned id from a routed query,
+  and keep one record of what is indexed: the store's delta is exactly
+  the visible rows at or above the index boundary, and a build or
+  re-index lists exactly the store's clustered rows.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.index import CentroidRouter, IndexedDevice, assign_canonical
+from repro.index.device import query_exhaustive
 from repro.index.kmeans import centroid_scores, train_kmeans
+from repro.ingest import CompactionJob, CompactionPolicy
+from repro.sim import Simulator
 from repro.workloads import get_app
 
 APP = get_app("textqa")
@@ -87,11 +96,7 @@ def test_returned_ids_come_from_probed_lists(qseed, nprobe, k):
 @settings(max_examples=120, deadline=None)
 def test_recall_is_monotone_in_nprobe(qseed, k):
     probe = np.random.default_rng(qseed).normal(0, 1, DIM).astype(np.float32)
-    DEVICE.index_mode = "off"
-    try:
-        exact = DEVICE.get_results(DEVICE.query(probe, k, MODEL, DB))
-    finally:
-        DEVICE.index_mode = "ivf"
+    exact = query_exhaustive(DEVICE, probe, k, MODEL, DB)
     kth = exact.scores[-1]
     counts = []
     for nprobe in NPROBES:
@@ -143,18 +148,30 @@ def test_exact_ties_resolve_to_lowest_list(seed, n, m):
 
 
 # ----------------------------------------------------------------------
-# lifecycle interleavings never surface tombstones
+# lifecycle interleavings: no tombstones, one record of what is indexed
 # ----------------------------------------------------------------------
+mutation = st.one_of(
+    st.tuples(st.just("insert"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("delete"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(st.just("update"), st.integers(min_value=0, max_value=10**6)),
+)
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), st.integers(min_value=1, max_value=4)),
-        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=10**6)),
+        mutation,
         st.tuples(st.just("compact"), st.just(0)),
+        # a background compaction job that takes these mutations while
+        # its chunks run, and re-indexes when it finishes
+        st.tuples(st.just("job"), st.lists(mutation, max_size=3)),
         st.tuples(st.just("query"), st.integers(min_value=1, max_value=4)),
     ),
     min_size=1,
     max_size=12,
 )
+
+
+def _listed(index):
+    """Every id the index's lists hold, ascending."""
+    return index.lists.probed_ids(range(index.n_lists))
 
 
 @given(program=ops, seed=st.integers(min_value=0, max_value=2**16))
@@ -165,7 +182,9 @@ def test_interleavings_never_surface_tombstones(program, seed):
     db = device.write_db(rng.normal(0, 1, (24, DIM)).astype(np.float32))
     model = device.load_graph(GRAPH)
     device.enable_ingest(db, region_blocks=8, region_pages_per_block=16)
+    store = device.lifecycle(db).store
     device.build_index(db, model, 4, iterations=2, seed=seed)
+    assert np.array_equal(_listed(device.index_for(db)), store.clustered_ids)
     alive = list(range(24))
     dead = set()
 
@@ -178,21 +197,94 @@ def test_interleavings_never_surface_tombstones(program, seed):
         assert not (returned & dead)
         assert returned <= set(alive)
 
-    for op, arg in program:
+    def one_record():
+        # the store's delta is exactly what the index does not cover
+        visible = store.visible_ids()
+        boundary = device.index_for(db).boundary
+        assert boundary == store.clustered_rows
+        assert np.array_equal(store.delta_ids(), visible[visible >= boundary])
+
+    def mutate(op, arg):
+        # keep enough rows alive for the 4-list re-index
         if op == "insert":
             new = device.insert_db(
                 db, rng.normal(0, 1, (arg, DIM)).astype(np.float32)
             )
             alive.extend(int(i) for i in new)
-        elif op == "delete" and alive:
+        elif len(alive) > 8:
             victim = alive[arg % len(alive)]
-            device.delete_db_rows(db, [victim])
+            if op == "delete":
+                device.delete_db_rows(db, [victim])
+            else:
+                row = rng.normal(0, 1, DIM).astype(np.float32)
+                alive.append(device.update_db_row(db, victim, row))
             alive.remove(victim)
             dead.add(victim)
-        elif op == "compact":
+        one_record()
+
+    def reindexed(_report):
+        # the re-index covers the job's clustered rows that are still
+        # alive: all of them unless a delete landed mid-job
+        listed = _listed(device.reindex(db))
+        assert np.array_equal(
+            listed, np.intersect1d(store.clustered_ids, store.visible_ids())
+        )
+
+    for op, arg in program:
+        if op == "compact":
             device.compact_db(db)
-            # compaction re-indexes: the delta is folded in
-            assert device.delta_rows(db) == 0
+            assert np.array_equal(_listed(device.index_for(db)), store.clustered_ids)
+            assert len(store.delta_ids()) == 0
+        elif op == "job":
+            sim = Simulator()
+            job = CompactionJob(device, db, CompactionPolicy(chunk_rows=1))
+            job.start(sim, on_done=reindexed)
+            for i, (mop, marg) in enumerate(arg):
+                sim.schedule(i * 1e-5, functools.partial(mutate, mop, marg))
+            sim.run()
+            assert not job.active
         elif op == "query":
             check(arg)
+        else:
+            mutate(op, arg)
+        one_record()
     check(4)  # full probe + delta: still only live ids
+
+
+def _ingest_rig(n_base, n_lists):
+    rng = np.random.default_rng(4)
+    device = IndexedDevice()
+    db = device.write_db(rng.normal(0, 1, (n_base, DIM)).astype(np.float32))
+    model = device.load_graph(GRAPH)
+    device.enable_ingest(db, region_blocks=8, region_pages_per_block=16)
+    device.build_index(db, model, n_lists, iterations=2, seed=0)
+    return device, db, rng
+
+
+def test_rows_inserted_during_a_job_stay_in_both_deltas():
+    # the job clusters its start snapshot; rows that land while it runs
+    # are delta for the store and for the re-index alike
+    device, db, rng = _ingest_rig(24, 4)
+    store = device.lifecycle(db).store
+    device.insert_db(db, rng.normal(0, 1, (20, DIM)).astype(np.float32))
+    sim = Simulator()
+    job = CompactionJob(device, db)
+    job.start(sim, on_done=lambda _: device.reindex(db))
+    late = device.insert_db(db, rng.normal(0, 1, (5, DIM)).astype(np.float32))
+    sim.run()
+    visible = store.visible_ids()
+    assert np.array_equal(store.delta_ids(), late)
+    assert np.count_nonzero(visible >= device.index_for(db).boundary) == 5
+    assert len(_listed(device.index_for(db))) == 44
+
+
+def test_compaction_clusters_every_visible_row():
+    # 4 clustered rows survive the deletes, fewer than the 8 lists, but
+    # the compaction clusters all 44 visible rows, so it goes ahead
+    device, db, rng = _ingest_rig(16, 8)
+    store = device.lifecycle(db).store
+    device.insert_db(db, rng.normal(0, 1, (40, DIM)).astype(np.float32))
+    device.delete_db_rows(db, list(range(12)))
+    device.compact_db(db)
+    assert len(_listed(device.index_for(db))) == 44
+    assert len(store.delta_ids()) == 0

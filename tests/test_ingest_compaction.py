@@ -90,7 +90,7 @@ class TestProbedSearch:
         )
         # the planted winners sit in the delta; stale probing misses them
         assert stale < recall0
-        assert device.delta_rows(db) == 10
+        assert len(device.lifecycle(db).store.delta_ids()) == 10
 
     def test_scanning_the_delta_buys_recall_back(self, rig, rng):
         device, db, model = rig
@@ -116,23 +116,34 @@ class TestProbedSearch:
         visible = len(device.lifecycle(db).store.visible_ids())
         assert result.probed_rows == visible + 1
 
-    def test_reindex_restores_recall(self, rig, rng):
+    def test_compaction_reindex_restores_recall(self, rig, rng):
         device, db, model = rig
         probe = rng.normal(0, 1, DIM).astype(np.float32)
         _plant_winners(device, db, model, probe, 10)
         before = device.index_for(db)
-        assert device.reindex(db) is device.index_for(db) is not before
+        device.compact_db(db)
+        assert device.index_for(db) is not before
         exact = _exact(device, db, model, probe, 10)
         result = _probe(device, db, model, probe, 10, 6, include_delta=False)
         assert _recall(result, exact) >= 0.5
-        assert device.delta_rows(db) == 0
+        assert len(device.lifecycle(db).store.delta_ids()) == 0
         assert device.metrics.snapshot()["index.reindexes"] == 1
+
+    def test_reindex_leaves_an_uncompacted_delta_out(self, rig, rng):
+        # rows join the clustered layout only at compaction, so a direct
+        # re-index rebuilds over the clustered rows and the delta stays
+        device, db, model = rig
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        planted = _plant_winners(device, db, model, probe, 10)
+        store = device.lifecycle(db).store
+        index = device.reindex(db)
+        assert index.boundary == store.clustered_rows == 256
+        assert np.array_equal(index.lists.probed_ids(range(N_LISTS)), store.clustered_ids)
+        assert np.array_equal(store.delta_ids(), planted)
 
     def test_reindex_without_an_index_is_a_noop(self, rig):
         device, db, _ = rig
         assert device.reindex(db + 99) is None
-        device.index_mode = "off"
-        assert device.reindex(db) is None
         assert "index.reindexes" not in device.metrics.snapshot()
 
     def test_bad_construction_rejected(self, rig):

@@ -202,6 +202,68 @@ class TestDeviceVerbs:
         assert snap["ingest.db%d.tombstones" % db]["value"] == 1.0
 
 
+class TestInsertFitsOrNothing:
+    """A batch the ingest region cannot hold changes nothing; one that
+    fills it exactly runs as it always has."""
+
+    #: a 4 x 16-page region: 32 logical pages x 20 TextQA rows = 640
+    #: rows, 64 of them the base rows
+    ROOM = 576
+
+    def _rig(self, device):
+        db, model, rng = _seeded(device)
+        device.enable_ingest(db, region_blocks=4, region_pages_per_block=16)
+        device.set_qc(threshold=0.10)
+        probe = rng.normal(0, 1, DIM).astype(np.float32)
+        device.get_results(device.query(probe, 5, model, db))
+        return db, model, rng, probe
+
+    @staticmethod
+    def _state(device, db):
+        state = device.lifecycle(db)
+        return (
+            state.store.n_rows, state.store.epoch, len(device._store(db)),
+            device.db_epoch(db), state.writepath.free_rows,
+            state.write_seconds, repr(state.writepath.stats),
+        )
+
+    def test_exact_fit_is_accepted_unchanged(self, device):
+        db, model, rng, probe = self._rig(device)
+        rows = rng.normal(0, 1, (self.ROOM, DIM)).astype(np.float32)
+        ids = device.insert_db(db, rows)
+        state = device.lifecycle(db)
+        assert ids.tolist() == list(range(N_BASE, N_BASE + self.ROOM))
+        assert state.writepath.free_rows == 0
+        # the floats and GC counters of the unchecked write path
+        assert state.write_seconds == 0.0011483237499999997
+        stats = state.writepath.stats
+        assert (stats.host_writes, stats.relocations, stats.erases) == (29, 15, 1)
+        result = device.get_results(device.query(probe, 5, model, db))
+        assert result.feature_ids.tolist() == [185, 471, 628, 3, 554]
+        assert result.seconds == 0.00012998019999999999
+
+    def test_one_row_more_changes_nothing(self, device):
+        db, model, rng, probe = self._rig(device)
+        before = self._state(device, db)
+        rows = rng.normal(0, 1, (self.ROOM + 1, DIM)).astype(np.float32)
+        with pytest.raises(IngestError, match="room for 576 more rows, not 577"):
+            device.insert_db(db, rows)
+        assert self._state(device, db) == before
+        assert not device.lifecycle(db).writepath.has_row(N_BASE)
+        assert device.get_results(device.query(probe, 5, model, db)).cache_hit
+        # what fits still goes in
+        device.insert_db(db, rows[: self.ROOM])
+
+    def test_update_in_a_full_region_keeps_the_old_row(self, device):
+        db, _, rng, _ = self._rig(device)
+        device.insert_db(db, rng.normal(0, 1, (self.ROOM, DIM)).astype(np.float32))
+        before = self._state(device, db)
+        with pytest.raises(IngestError, match="logical flash space exhausted"):
+            device.update_db_row(db, 0, rng.normal(0, 1, DIM).astype(np.float32))
+        assert self._state(device, db) == before
+        assert device.lifecycle(db).store.is_visible(0)
+
+
 class TestZeroMutationParity:
     """Ingest-enabled but untouched == static device, bit for bit."""
 

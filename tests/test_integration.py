@@ -12,6 +12,7 @@ from repro import DeepStoreDevice, DeepStoreSystem
 from repro.analysis import compare_levels
 from repro.baseline import GpuSsdSystem
 from repro.index import IndexedDevice
+from repro.index.device import query_exhaustive
 from repro.core.scheduler import MultiQueryScheduler
 from repro.nn import graph_from_bytes, graph_to_bytes
 from repro.nn.quantization import quantize_graph
@@ -172,8 +173,7 @@ class TestIvfIndexOnDevice:
         rng = np.random.default_rng(12)
         qfv = (spec.centroids()[2] + rng.normal(0, 0.1, 200)).astype(np.float32)
         probed = device.get_results(device.query(qfv, 10, model, db, nprobe=2))
-        device.index_mode = "off"
-        exact = device.get_results(device.query(qfv, 10, model, db))
+        exact = query_exhaustive(device, qfv, 10, model, db)
         hits = set(probed.feature_ids.tolist()) & set(exact.feature_ids.tolist())
         assert len(hits) / 10 > 0.5
         assert probed.probed_rows / len(features) < 0.6

@@ -8,10 +8,12 @@ combination is validated at ``ServingConfig`` construction.
 """
 
 import functools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster.config import ClusterConfig, ClusterError
 from repro.core.api import is_count, is_real
 from repro.serving.server import ServingConfig
 from repro.serving.sweep import sweep_offered_load
@@ -29,9 +31,9 @@ ANY_VALUE = st.one_of(
 )
 
 
-def _rejects_naming(build, field, value):
-    """``build(field=value)`` raises one ValueError naming ``field``."""
-    with pytest.raises(ValueError, match=field):
+def _rejects_naming(build, field, value, error=ValueError):
+    """``build(field=value)`` raises one ``error`` naming ``field``."""
+    with pytest.raises(error, match=field):
         build(**{field: value})
 
 
@@ -117,7 +119,8 @@ class TestSweepValidation:
 
 
 class TestConfigConstructorFuzz:
-    """Every bad size or time raises one ValueError that names its field.
+    """Every bad size, time or failure spec raises one error naming its
+    field: a ``ValueError``, or ``ClusterError`` from ``ClusterConfig``.
 
     A valid value constructs; an invalid one never reaches a run (where
     it used to die as a ``TypeError`` or ``KeyError`` deep inside the
@@ -189,6 +192,90 @@ class TestConfigConstructorFuzz:
             self._tenancy(**{field: value})
         else:
             _rejects_naming(self._tenancy, field, value)
+
+    TENANT_COUNTS = (("n_intents", 1), ("ingest_key_universe", 1), ("queue_bound", 1))
+    #: field -> whether a real value is in range
+    TENANT_REALS = {
+        "weight": lambda v: v > 0,
+        "base_qps": lambda v: v > 0,
+        "amplitude": lambda v: 0 <= v < 1,
+        "phase": lambda v: 0 <= v < 1,
+        "write_fraction": lambda v: 0 <= v < 1,
+        "zipf_alpha": lambda v: 0 <= v < math.inf,
+        "ingest_key_alpha": lambda v: 0 <= v < math.inf,
+    }
+
+    @given(st.sampled_from(TENANT_COUNTS), ANY_VALUE)
+    def test_tenant_counts(self, field_low, value):
+        field, low = field_low
+        tenant = functools.partial(TenantSpec, name="t")
+        if is_count(value, low):
+            assert getattr(tenant(**{field: value}), field) == value
+        else:
+            _rejects_naming(tenant, field, value)
+
+    @given(st.sampled_from(sorted(TENANT_REALS)), ANY_VALUE)
+    def test_tenant_reals(self, field, value):
+        tenant = functools.partial(TenantSpec, name="t")
+        if is_real(value) and self.TENANT_REALS[field](value):
+            tenant(**{field: value})
+        else:
+            _rejects_naming(tenant, field, value)
+
+    @given(ANY_VALUE)
+    def test_failed_accels(self, value):
+        if is_count(value):
+            ServingConfig(failed_accels=(value,))
+        else:
+            _rejects_naming(ServingConfig, "failed_accels", (value,))
+
+    #: a shard id or a (shard, replica) pair, in range of a 2 x 2
+    #: deployment or not, with non-integer entries mixed in
+    FAIL_SHARD = st.one_of(
+        ANY_VALUE,
+        st.tuples(ANY_VALUE, ANY_VALUE),
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    )
+
+    @given(FAIL_SHARD)
+    def test_fail_shards(self, spec):
+        pair = spec if isinstance(spec, tuple) else (spec, 0)
+        valid = (
+            len(pair) == 2
+            and all(is_count(i) for i in pair)
+            and pair[0] < 2
+            and pair[1] < 2
+        )
+        serving = functools.partial(ServingConfig, n_shards=2, n_replicas=2)
+        cluster = functools.partial(ClusterConfig, n_shards=2, n_replicas=2)
+        if valid:
+            assert ClusterConfig(
+                n_shards=2, n_replicas=2, fail_shards=(spec,)
+            ).fail_shards == (tuple(int(i) for i in pair),)
+            serving(fail_shards=(spec,))
+        else:
+            _rejects_naming(serving, "fail_shards", (spec,))
+            _rejects_naming(cluster, "fail_shards", (spec,), ClusterError)
+
+    def test_failure_fields_seen_before_validation(self):
+        # each used to die as a TypeError inside a run, or run while
+        # silently ignoring a dead replica that does not exist
+        for kwargs in (
+            {"failed_accels": (1.5,)}, {"fail_shards": ("x",)},
+            {"fail_shards": (5,)}, {"fail_shards": 3},
+        ):
+            (field,) = kwargs
+            _rejects_naming(
+                functools.partial(ServingConfig, features=20_000, n_shards=2),
+                field, kwargs[field],
+            )
+        for kwargs in (
+            {"queue_bound": 2.5}, {"n_intents": 1.5},
+            {"weight": float("nan")}, {"base_qps": float("nan")},
+        ):
+            (field,) = kwargs
+            _rejects_naming(functools.partial(TenantSpec, name="t"), field, kwargs[field])
 
     def test_failures_seen_before_validation(self):
         # each of these used to be accepted, or to die deep in a run
