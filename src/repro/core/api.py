@@ -604,10 +604,15 @@ class DeepStoreDevice:
         n = len(features)
         q_shape = graph.shape_of(q_id)
         d_shape = graph.shape_of(d_id)
-        q_batch = np.broadcast_to(qfv.reshape(q_shape), (n, *q_shape))
+        # the query stays one row: every op reads it through a stride-0
+        # view, and the ops that hand an input to BLAS copy it first
+        q_row = np.asarray(qfv, dtype=np.float32).reshape(q_shape)
         d_batch = features.reshape((n, *d_shape))
         out = graph.forward(
-            {q_id: np.ascontiguousarray(q_batch), d_id: np.ascontiguousarray(d_batch)}
+            {
+                q_id: np.broadcast_to(q_row, (n, *q_shape)),
+                d_id: np.ascontiguousarray(d_batch),
+            }
         )
         return out.reshape(-1)
 

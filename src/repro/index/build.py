@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.api import is_count
+from repro.core.api import check_counts, is_real
 from repro.core.deepstore import DeepStoreSystem
 from repro.index.kmeans import IndexError_, train_kmeans
 from repro.index.lists import InvertedLists
@@ -41,15 +41,18 @@ class IndexBuildConfig:
     headroom: float = 2.0
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
-        checks = (
-            ("n_lists", is_count(self.n_lists, 1), "an integer >= 1"),
-            ("iterations", is_count(self.iterations, 1), "an integer >= 1"),
-            ("op_fraction", 0 <= self.op_fraction < 1, "in [0, 1)"),
-            ("headroom", 1 <= self.headroom < math.inf, "finite and at least 1"),
-            ("region_pages_per_block", self.region_pages_per_block >= 1, "at least 1"),
+        check_counts(
+            self,
+            (("n_lists", 1), ("iterations", 1), ("seed", 0),
+             ("region_pages_per_block", 1)),
+            IndexError_,
         )
-        for name, ok, rule in checks:
+        op, headroom = self.op_fraction, self.headroom
+        for name, ok, rule in (
+            ("op_fraction", is_real(op) and 0 <= op < 1, "in [0, 1)"),
+            ("headroom", is_real(headroom) and 1 <= headroom < math.inf,
+             "finite and at least 1"),
+        ):
             if not ok:
                 raise IndexError_(f"{name} must be {rule}, got {getattr(self, name)!r}")
 

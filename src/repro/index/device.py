@@ -44,6 +44,7 @@ from repro.core.api import DeepStoreApiError, PlannedScan, QueryHandle, QueryRes
 from repro.index.build import IndexBuildConfig, IvfIndex, build_ivf_index
 from repro.index.router import CentroidRouter, is_nprobe
 from repro.ingest.device import DeviceCompaction, LifecycleDevice
+from repro.ingest.store import Snapshot
 from repro.nn import Graph
 from repro.ssd.ftl import DatabaseMetadata
 
@@ -221,15 +222,20 @@ class IndexedDevice(LifecycleDevice):
     # ------------------------------------------------------------------
     # compaction-triggered re-indexing
     # ------------------------------------------------------------------
-    def compact_db(self, db_id: int) -> DeviceCompaction:
-        """Compact, then rebuild the index over the surviving rows.
+    def check_compaction(self, db_id: int, snapshot: Snapshot) -> None:
+        """Reject a compaction whose re-index could not fill ``n_lists``.
 
-        Compaction clusters every visible row, so a re-index they cannot
-        fill is rejected first and leaves store and index untouched.
+        The re-index covers the rows of ``snapshot`` still visible now
+        (a delete can land while a background job runs).  A refusal
+        leaves store and index untouched.
         """
         if db_id in self._indexes:
             visible = self.lifecycle(db_id).store.visible_ids()
-            _check_lists(self._indexes[db_id].n_lists, len(visible), db_id)
+            rows = int(np.count_nonzero(visible < snapshot.n_rows))
+            _check_lists(self._indexes[db_id].n_lists, rows, db_id)
+
+    def compact_db(self, db_id: int) -> DeviceCompaction:
+        """Compact, then rebuild the index over the surviving rows."""
         outcome = super().compact_db(db_id)
         rebuilt = self.reindex(db_id)
         if rebuilt is None:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.core.api import is_count
+from repro.core.api import check_counts, is_real
 from repro.ingest.store import IngestError, Snapshot
 from repro.sim import Event, Simulator
 
@@ -41,16 +41,12 @@ class CompactionPolicy:
     min_gap_s: float = 0.0
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
-        if not 0 < self.delta_threshold < 1:
+        if not (is_real(self.delta_threshold, 0.0) and self.delta_threshold < 1):
             raise IngestError(
                 f"delta_threshold must be in (0, 1), got {self.delta_threshold!r}"
             )
-        if not is_count(self.chunk_rows, 1):
-            raise IngestError(
-                f"chunk_rows must be an integer >= 1, got {self.chunk_rows!r}"
-            )
-        if not 0 <= self.min_gap_s < math.inf:
+        check_counts(self, (("chunk_rows", 1),), IngestError)
+        if not (is_real(self.min_gap_s) and 0 <= self.min_gap_s < math.inf):
             raise IngestError(
                 f"min_gap_s must be finite and >= 0, got {self.min_gap_s!r}"
             )
@@ -83,7 +79,9 @@ class CompactionJob:
     ``policy.chunk_rows`` rows through the device's write path and
     schedules the next chunk after the measured write time; a query can
     :meth:`preempt` the pending chunk to any later time.  On the last
-    chunk the store is marked compacted and ``on_done`` gets the report.
+    chunk the device's ``check_compaction`` may still refuse (the error
+    leaves the store unmarked and the job inactive); otherwise the store
+    is marked compacted and ``on_done`` gets the report.
     """
 
     def __init__(
@@ -187,6 +185,11 @@ class CompactionJob:
 
     def _finish(self, state, last_chunk_seconds: float) -> None:
         assert self._sim is not None and self._snapshot is not None
+        self.active = False
+        self._event = None
+        # a refusal (a re-index that could not fill its lists) comes
+        # before the store is marked, so the old layout stays on record
+        self.device.check_compaction(self.db_id, self._snapshot)
         # reclaim tombstones covered by the snapshot
         dead = state.dead_rows(self._snapshot)
         if dead:
@@ -196,8 +199,6 @@ class CompactionJob:
         state.compactions += 1
         self.device.metrics.counter("ingest.compactions").inc()
         self.device.metrics.counter("ingest.reclaimed_rows").inc(reclaimed)
-        self.active = False
-        self._event = None
         self.report = CompactionReport(
             started_s=self._started_s,
             finished_s=self._sim.now + last_chunk_seconds,

@@ -208,6 +208,7 @@ class LifecycleDevice(DeepStoreDevice):
         """
         state = self.lifecycle(db_id)
         snap = state.store.snapshot()
+        self.check_compaction(db_id, snap)
         dead, delta = state.dead_rows(snap), state.delta_rows(snap)
         seconds = 0.0
         if dead:
@@ -226,6 +227,16 @@ class LifecycleDevice(DeepStoreDevice):
             rewritten_rows=len(delta),
             write_amplification=state.writepath.write_amplification,
         )
+
+    def check_compaction(self, db_id: int, snapshot: Snapshot) -> None:
+        """Refuse to cluster ``snapshot`` before anything is rewritten.
+
+        Both compaction paths (:meth:`compact_db` and the background
+        :class:`~repro.ingest.compaction.CompactionJob`) call this before
+        they touch the store.  The plain lifecycle device accepts every
+        compaction; a device with a clustered index refuses one whose
+        re-index would fail, so the old layout stays the one record.
+        """
 
     # ------------------------------------------------------------------
     # interference coupling

@@ -14,7 +14,7 @@ systolic/energy models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class Graph:
         self.nodes: List[Node] = []
         self.params: Dict[int, Params] = {}
         self._shapes: Dict[int, Shape] = {}
+        #: per node, how many node inputs read it (counted as nodes are added)
+        self._consumers: List[int] = []
         self.output_id: Optional[int] = None
         #: bytes per stored weight scalar (set by quantization)
         self.dtype_bytes: int = 4
@@ -100,6 +102,9 @@ class Graph:
         in_shapes = tuple(self._shapes[i] for i in inputs)
         self._shapes[node_id] = op.output_shape(*in_shapes)
         self.nodes.append(node)
+        self._consumers.append(0)
+        for i in inputs:
+            self._consumers[i] += 1
         self.output_id = node_id
         return node_id
 
@@ -152,6 +157,14 @@ class Graph:
         Returns the output-node activation.  With ``keep_activations`` the
         full activation dict is stashed on ``self._last_activations`` for a
         subsequent :meth:`backward` call.
+
+        Without it the pass is inference-only and owns its buffers: each
+        activation is dropped after its last consumer, and an
+        :class:`~repro.nn.layers.Activation` overwrites its input when
+        this pass allocated that buffer and reads it no more.  A feed is
+        never written (a scan feeds views of the database), nor is a
+        buffer another node's output aliases (``Flatten`` views,
+        ``identity``).  The values are those of the training pass.
         """
         if self.output_id is None:
             raise GraphError("graph has no nodes")
@@ -162,6 +175,10 @@ class Graph:
         if len(batch_sizes) != 1:
             raise GraphError(f"inconsistent batch sizes {batch_sizes}")
         acts: Dict[int, np.ndarray] = {}
+        uses = list(self._consumers)
+        uses[self.output_id] += 1
+        #: nodes whose buffer this pass allocated and no other node aliases
+        owned: Set[int] = set()
         for node in self.nodes:
             if isinstance(node.op, Input):
                 fed = np.asarray(feeds[node.node_id], dtype=np.float32)
@@ -172,11 +189,27 @@ class Graph:
                         f"expected {expected}"
                     )
                 acts[node.node_id] = fed
+                continue
+            args = [acts[i] for i in node.inputs]
+            params = self.params.get(node.node_id, {})
+            if keep_activations:
+                acts[node.node_id] = node.op.forward(params, *args)
+                continue
+            for i in node.inputs:
+                uses[i] -= 1
+                if uses[i] == 0:
+                    del acts[i]
+            src = node.inputs[0]
+            if isinstance(node.op, Activation) and src in owned and uses[src] == 0:
+                out = node.op.forward(params, args[0], out=args[0])
+                owned.add(node.node_id)
             else:
-                args = [acts[i] for i in node.inputs]
-                acts[node.node_id] = node.op.forward(
-                    self.params.get(node.node_id, {}), *args
-                )
+                out = node.op.forward(params, *args)
+                if any(np.may_share_memory(out, a) for a in args):
+                    owned.difference_update(node.inputs)
+                else:
+                    owned.add(node.node_id)
+            acts[node.node_id] = out
         if keep_activations:
             self._last_activations = acts
         return acts[self.output_id]
@@ -184,27 +217,41 @@ class Graph:
     def backward(self, grad_out: np.ndarray) -> Dict[int, Params]:
         """Backprop ``grad_out`` through the last kept forward pass.
 
-        Returns parameter gradients keyed like :attr:`params`.
+        Returns parameter gradients keyed like :attr:`params`.  Only
+        nodes with a parameterized ancestor (or parameters of their own)
+        get a gradient: the rest, such as an SCN's query/feature gate,
+        feed no update, so the input gradients they would receive are
+        never computed.
         """
         acts = getattr(self, "_last_activations", None)
         if acts is None:
             raise GraphError("call forward(keep_activations=True) first")
+        needs_grad: Set[int] = set()
+        for node in self.nodes:
+            if node.node_id in self.params or needs_grad.intersection(node.inputs):
+                needs_grad.add(node.node_id)
         grads_act: Dict[int, np.ndarray] = {self.output_id: grad_out}
         grads_param: Dict[int, Params] = {}
         for node in reversed(self.nodes):
             if isinstance(node.op, Input) or node.node_id not in grads_act:
                 continue
             g_out = grads_act.pop(node.node_id)
+            params = self.params.get(node.node_id, {})
             inputs = [acts[i] for i in node.inputs]
-            g_params, g_inputs = node.op.backward(
-                self.params.get(node.node_id, {}),
-                inputs,
-                acts[node.node_id],
-                g_out,
-            )
-            if g_params:
+            output = acts[node.node_id]
+            wanted = bool(needs_grad.intersection(node.inputs))
+            if params:
+                g_params, g_inputs = node.op.backward(
+                    params, inputs, output, g_out, input_grads=wanted
+                )
                 grads_param[node.node_id] = g_params
+            elif wanted:
+                _, g_inputs = node.op.backward(params, inputs, output, g_out)
+            else:
+                continue
             for in_id, g in zip(node.inputs, g_inputs):
+                if in_id not in needs_grad:
+                    continue
                 if in_id in grads_act:
                     grads_act[in_id] = grads_act[in_id] + g
                 else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,12 @@ class Op(abc.ABC):
         output: np.ndarray,
         grad_out: np.ndarray,
     ) -> Tuple[Params, Tuple[np.ndarray, ...]]:
-        """Return (parameter gradients, input gradients)."""
+        """Return (parameter gradients, input gradients).
+
+        Ops with parameters also take ``input_grads``: when it is false
+        the graph needs only their parameter gradients, and the input
+        gradients come back empty.
+        """
         raise NotImplementedError(f"{type(self).__name__} has no backward")
 
     def flops(self, *in_shapes: Shape) -> int:
@@ -170,18 +175,22 @@ class Dense(Op):
 
     def forward(self, params: Params, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
-        x2 = x.reshape(x.shape[0], -1)
+        # BLAS wants unit strides: a stride-0 (broadcast) batch would
+        # fall back to numpy's own loop and sum in another order
+        x2 = np.ascontiguousarray(x.reshape(x.shape[0], -1))
         y = x2 @ params["W"]
         if self.bias:
-            y = y + params["b"]
+            y += params["b"]
         return y
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, input_grads=True):
         (x,) = inputs
         x2 = x.reshape(x.shape[0], -1)
         grads: Params = {"W": x2.T @ grad_out}
         if self.bias:
             grads["b"] = grad_out.sum(axis=0)
+        if not input_grads:
+            return grads, ()
         grad_x = (grad_out @ params["W"].T).reshape(x.shape)
         return grads, (grad_x,)
 
@@ -214,7 +223,8 @@ class Conv2D(Op):
     inside its own sample's ``ph_h x ph_w`` tile, so one GEMM over the
     first ``M = N*P - d*(ph_w+1)`` positions serves the whole batch; the
     other positions are cropped in forward and carry zero gradient in
-    backward.
+    backward.  The canvas copy also hands the GEMMs unit-stride data
+    whatever the input's strides, a broadcast batch included.
     """
 
     arity = 1
@@ -324,7 +334,7 @@ class Conv2D(Op):
             y = y + params["b"][:, None, None]
         return y
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, input_grads=True):
         (x,) = inputs
         n, c = x.shape[:2]
         out_c, out_h, out_w = output.shape[1:]
@@ -336,13 +346,16 @@ class Conv2D(Op):
         g = g.reshape(out_c, -1)[:, :m]
         w = params["W"]
         grad_w = np.empty(w.shape, dtype=np.result_type(x, grad_out))
-        grad_phases = np.zeros_like(phases)
+        grad_phases = np.zeros_like(phases) if input_grads else None
         for i, j, phase, off in self._offsets(ph_w):
             grad_w[:, :, i, j] = g @ phases[phase, :, off : off + m].T
-            grad_phases[phase, :, off : off + m] += w[:, :, i, j].T @ g
+            if grad_phases is not None:
+                grad_phases[phase, :, off : off + m] += w[:, :, i, j].T @ g
         grads: Params = {"W": grad_w}
         if self.bias:
             grads["b"] = grad_out.sum(axis=(0, 2, 3))
+        if grad_phases is None:
+            return grads, ()
         gxp = grad_phases.reshape(s, s, c, n, ph_h, ph_w).transpose(2, 3, 4, 0, 5, 1)
         gxp = gxp.reshape(c, n, ph_h * s, ph_w * s)[:, :, p : p + rows, p : p + cols]
         grad_x = np.zeros_like(x)
@@ -378,14 +391,25 @@ class Activation(Op):
         (shape,) = in_shapes
         return 0 if self.kind == "identity" else int(np.prod(shape))
 
-    def forward(self, params: Params, *inputs: np.ndarray) -> np.ndarray:
+    def forward(
+        self, params: Params, *inputs: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Apply the nonlinearity; ``out`` (may be the input) takes the result.
+
+        The in-place steps are the same float operations as
+        ``1 / (1 + exp(-clip(x)))``, so ``out`` never changes a value.
+        """
         (x,) = inputs
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self.kind == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+            z = np.clip(x, -60.0, 60.0, out=out)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            np.add(z, 1.0, out=z)
+            return np.divide(1.0, z, out=z)
         if self.kind == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         return x
 
     def backward(self, params, inputs, output, grad_out):
@@ -591,12 +615,14 @@ class ScoreHead(Op):
         (x,) = inputs
         return self._sigmoid(self._logit(params, x))
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, input_grads=True):
         local = grad_out * output * (1.0 - output)  # dL/dz
         grads: Params = {}
         if self.affine:
             grads["shift"] = np.array([float(-local.sum())], dtype=np.float32)
             local = local * self.scale
+        if not input_grads:
+            return grads, ()
         if self.kind == "sigmoid_diff":
             grad = np.concatenate([-local, local], axis=1)
         else:

@@ -22,8 +22,10 @@ Hypothesis pins the four invariants the index rests on:
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.api import DeepStoreApiError
 from repro.index import CentroidRouter, IndexedDevice, assign_canonical
 from repro.index.device import query_exhaustive
 from repro.index.kmeans import centroid_scores, train_kmeans
@@ -288,3 +290,24 @@ def test_compaction_clusters_every_visible_row():
     device.compact_db(db)
     assert len(_listed(device.index_for(db))) == 44
     assert len(store.delta_ids()) == 0
+
+
+def test_job_refuses_a_reindex_its_deletes_emptied_before_marking():
+    # deletes that land mid-job leave 3 clustered rows for 4 lists: the
+    # job must refuse before the store moves its clustered boundary
+    device, db, rng = _ingest_rig(24, 4)
+    store = device.lifecycle(db).store
+    device.insert_db(db, rng.normal(0, 1, (10, DIM)).astype(np.float32))
+    epoch, index = store.clustered_epoch, device.index_for(db)
+    sim = Simulator()
+    job = CompactionJob(device, db, CompactionPolicy(chunk_rows=1))
+    job.start(sim, on_done=lambda _: device.reindex(db))
+    sim.schedule(1e-6, lambda: device.delete_db_rows(db, list(range(31))))
+    with pytest.raises(DeepStoreApiError, match=r"n_lists=4 .* has 3$"):
+        sim.run()
+    assert not job.active and job.report is None
+    assert device.index_for(db) is index
+    assert store.clustered_epoch == epoch
+    assert store.clustered_rows == index.boundary == 24
+    visible = store.visible_ids()
+    assert np.array_equal(store.delta_ids(), visible[visible >= index.boundary])

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    Graph,
     GraphBuilder,
     PairTrainer,
     TrainConfig,
     graph_from_bytes,
     graph_to_bytes,
 )
+from repro.nn.layers import Input
 from repro.nn.onnx_lite import SerializationError
-from repro.nn.training import make_pair_dataset
+from repro.nn.training import bce_loss_and_grad, make_pair_dataset
+from repro.workloads import pretrained
+from repro.workloads.apps import APP_NAMES, get_app
 
 
 def tiny_scn(seed=0):
@@ -127,3 +131,55 @@ class TestSerialization:
         for node_id, params in g.params.items():
             for key, tensor in params.items():
                 np.testing.assert_array_equal(tensor, g2.params[node_id][key])
+
+
+def _full_backward(graph, grad_out):
+    """Backprop that computes every input gradient (the oracle for the
+    needs-grad set, which skips those no parameter update consumes)."""
+    acts = graph._last_activations
+    grads_act = {graph.output_id: grad_out}
+    grads_param = {}
+    for node in reversed(graph.nodes):
+        if isinstance(node.op, Input) or node.node_id not in grads_act:
+            continue
+        g_out = grads_act.pop(node.node_id)
+        g_params, g_inputs = node.op.backward(
+            graph.params.get(node.node_id, {}),
+            [acts[i] for i in node.inputs],
+            acts[node.node_id],
+            g_out,
+        )
+        if g_params:
+            grads_param[node.node_id] = g_params
+        for in_id, g in zip(node.inputs, g_inputs):
+            grads_act[in_id] = grads_act[in_id] + g if in_id in grads_act else g
+    return grads_param
+
+
+def _param_bytes(grads):
+    return {(n, k): v.tobytes() for n, p in grads.items() for k, v in p.items()}
+
+
+class TestNeedsGradBackward:
+    """Skipping unconsumed input gradients leaves every update byte-equal."""
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_parameter_gradients_match_full_backprop(self, name, rng):
+        app = get_app(name)
+        graph = app.build_scn(seed=2)
+        q = rng.normal(0, 1, (6, *app.feature_shape)).astype(np.float32)
+        d = rng.normal(0, 1, (6, *app.feature_shape)).astype(np.float32)
+        q_id, d_id = graph.input_ids
+        scores = graph.forward({q_id: q, d_id: d}, keep_activations=True)
+        _, grad_out = bce_loss_and_grad(scores, (rng.random(6) > 0.5).astype(np.float32))
+        got = _param_bytes(graph.backward(grad_out))
+        assert got == _param_bytes(_full_backward(graph, grad_out))
+        assert len(got) == sum(len(p) for p in graph.params.values())
+
+    def test_trained_tir_weights_match_full_backprop(self, monkeypatch):
+        app = get_app("tir")
+        trained = pretrained.train_scn(app, seed=0)
+        monkeypatch.setattr(pretrained, "_CACHE", {})
+        monkeypatch.setattr(Graph, "backward", _full_backward)
+        reference = pretrained.train_scn(app, seed=0)
+        assert _param_bytes(trained.params) == _param_bytes(reference.params)

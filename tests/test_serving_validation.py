@@ -15,6 +15,10 @@ from hypothesis import given, strategies as st
 
 from repro.cluster.config import ClusterConfig, ClusterError
 from repro.core.api import is_count, is_real
+from repro.index.build import IndexBuildConfig
+from repro.index.kmeans import IndexError_
+from repro.ingest.compaction import CompactionPolicy
+from repro.ingest.store import IngestError
 from repro.serving.server import ServingConfig
 from repro.serving.sweep import sweep_offered_load
 from repro.tenancy.spec import TenancyConfig, TenantSpec
@@ -120,7 +124,9 @@ class TestSweepValidation:
 
 class TestConfigConstructorFuzz:
     """Every bad size, time or failure spec raises one error naming its
-    field: a ``ValueError``, or ``ClusterError`` from ``ClusterConfig``.
+    field: a ``ValueError``, ``ClusterError`` from ``ClusterConfig``,
+    ``IndexError_`` from ``IndexBuildConfig`` or ``IngestError`` from
+    ``CompactionPolicy``.
 
     A valid value constructs; an invalid one never reaches a run (where
     it used to die as a ``TypeError`` or ``KeyError`` deep inside the
@@ -257,6 +263,65 @@ class TestConfigConstructorFuzz:
         else:
             _rejects_naming(serving, "fail_shards", (spec,))
             _rejects_naming(cluster, "fail_shards", (spec,), ClusterError)
+
+    BUILD_COUNTS = (
+        ("n_lists", 1), ("iterations", 1), ("seed", 0), ("region_pages_per_block", 1),
+    )
+    #: field -> whether a real value is in range
+    BUILD_REALS = {
+        "op_fraction": lambda v: 0 <= v < 1,
+        "headroom": lambda v: 1 <= v < math.inf,
+    }
+    POLICY_REALS = {
+        "delta_threshold": lambda v: 0 < v < 1,
+        "min_gap_s": lambda v: 0 <= v < math.inf,
+    }
+
+    @given(st.sampled_from(BUILD_COUNTS), ANY_VALUE)
+    def test_index_build_counts(self, field_low, value):
+        field, low = field_low
+        build = functools.partial(IndexBuildConfig, n_lists=4)
+        if is_count(value, low):
+            assert getattr(build(**{field: value}), field) == value
+        else:
+            _rejects_naming(build, field, value, IndexError_)
+
+    @given(st.sampled_from(sorted(BUILD_REALS)), ANY_VALUE)
+    def test_index_build_reals(self, field, value):
+        build = functools.partial(IndexBuildConfig, n_lists=4)
+        if is_real(value) and self.BUILD_REALS[field](value):
+            build(**{field: value})
+        else:
+            _rejects_naming(build, field, value, IndexError_)
+
+    @given(ANY_VALUE)
+    def test_compaction_chunk_rows(self, value):
+        if is_count(value, 1):
+            assert CompactionPolicy(chunk_rows=value).chunk_rows == value
+        else:
+            _rejects_naming(CompactionPolicy, "chunk_rows", value, IngestError)
+
+    @given(st.sampled_from(sorted(POLICY_REALS)), ANY_VALUE)
+    def test_compaction_reals(self, field, value):
+        if is_real(value) and self.POLICY_REALS[field](value):
+            CompactionPolicy(**{field: value})
+        else:
+            _rejects_naming(CompactionPolicy, field, value, IngestError)
+
+    def test_build_and_policy_values_seen_before_validation(self):
+        # each used to construct, or to die as a bare TypeError
+        for kwargs in (
+            {"region_pages_per_block": 2.5}, {"region_pages_per_block": True},
+            {"iterations": "8"}, {"op_fraction": "x"}, {"headroom": None},
+        ):
+            (field,) = kwargs
+            _rejects_naming(
+                functools.partial(IndexBuildConfig, n_lists=4), field, kwargs[field],
+                IndexError_,
+            )
+        for kwargs in ({"delta_threshold": "0.5"}, {"min_gap_s": "1"}):
+            (field,) = kwargs
+            _rejects_naming(CompactionPolicy, field, kwargs[field], IngestError)
 
     def test_failure_fields_seen_before_validation(self):
         # each used to die as a TypeError inside a run, or run while
