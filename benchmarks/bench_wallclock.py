@@ -66,6 +66,7 @@ def _leg_runners() -> Dict[str, Callable[[int], object]]:
     import bench_ext_obs
     import bench_ext_recovery
     import bench_ext_serving
+    import bench_ext_tenancy
 
     return {
         "serving": bench_ext_serving.run_variants,
@@ -74,6 +75,7 @@ def _leg_runners() -> Dict[str, Callable[[int], object]]:
         "ingest": bench_ext_ingest.run_loop,
         "recovery": bench_ext_recovery.run_day,
         "obs": bench_ext_obs.run_traced_day,
+        "tenancy": bench_ext_tenancy.run_day,
     }
 
 

@@ -69,8 +69,8 @@ class ClusterBatchCostModel:
         # placements collapse to at most two sizes)
         tables: dict = {}
         k = self.system.k
-        #: per-leg (straggle factor, failover ladder seconds, table)
-        self._legs: List[Tuple[float, float, BatchCostModel]] = []
+        # per-leg (straggle factor, failover ladder seconds, table)
+        legs: List[Tuple[float, float, BatchCostModel]] = []
         for shard in shards:
             size = len(placement.owners[shard])
             table = tables.get(size)
@@ -107,7 +107,7 @@ class ClusterBatchCostModel:
                     primary = candidate
                     break
                 ladder += detect
-            self._legs.append(
+            legs.append(
                 (cfg.replica_slowdown(shard, primary), ladder, table)
             )
         self.scatter_s = cfg.costs.scatter_seconds(self.n_contacted)
@@ -123,6 +123,17 @@ class ClusterBatchCostModel:
         self.gather_s = cfg.costs.gather_seconds(merge_comparisons)
         # a result DMA happens per shard leg inside the device table
         # already; the coordinator adds only its own serial costs
+        #: service seconds per batch size: the barrier depends only on
+        #: the size, so each dispatch is one lookup
+        self._table: List[float] = [
+            self.scatter_s
+            + max(
+                ladder + slow * table.service_seconds(n)
+                for slow, ladder, table in legs
+            )
+            + self.gather_s
+            for n in range(1, self.max_batch + 1)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -135,17 +146,13 @@ class ClusterBatchCostModel:
             raise ValueError(
                 f"batch_size {batch_size} outside 1..{self.max_batch}"
             )
-        barrier = max(
-            ladder + slow * table.service_seconds(batch_size)
-            for slow, ladder, table in self._legs
-        )
-        return self.scatter_s + barrier + self.gather_s
+        return self._table[batch_size - 1]
 
     def best_batch(self) -> Tuple[int, float]:
         """Batch size with the highest cluster queries-per-second."""
-        best_n, best_qps = 1, 1.0 / self.service_seconds(1)
+        best_n, best_qps = 1, 1.0 / self._table[0]
         for n in range(2, self.max_batch + 1):
-            qps = n / self.service_seconds(n)
+            qps = n / self._table[n - 1]
             if qps > best_qps:
                 best_n, best_qps = n, qps
         return best_n, best_qps

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.core.api import check_counts, is_real
+from repro.core.api import DeepStoreApiError, check_counts, is_real
 from repro.ingest.store import IngestError, Snapshot
 from repro.sim import Event, Simulator
 
@@ -80,8 +80,9 @@ class CompactionJob:
     schedules the next chunk after the measured write time; a query can
     :meth:`preempt` the pending chunk to any later time.  On the last
     chunk the device's ``check_compaction`` may still refuse (the error
-    leaves the store unmarked and the job inactive); otherwise the store
-    is marked compacted and ``on_done`` gets the report.
+    leaves the store unmarked and the job inactive, and charges the
+    rewritten chunks' write seconds); otherwise the store is marked
+    compacted and ``on_done`` gets the report.
     """
 
     def __init__(
@@ -188,8 +189,14 @@ class CompactionJob:
         self.active = False
         self._event = None
         # a refusal (a re-index that could not fill its lists) comes
-        # before the store is marked, so the old layout stays on record
-        self.device.check_compaction(self.db_id, self._snapshot)
+        # before the store is marked, so the old layout stays on record;
+        # the chunks already rewritten stay spent, so their seconds are
+        # charged either way
+        try:
+            self.device.check_compaction(self.db_id, self._snapshot)
+        except DeepStoreApiError:
+            state.write_seconds += self._write_seconds
+            raise
         # reclaim tombstones covered by the snapshot
         dead = state.dead_rows(self._snapshot)
         if dead:

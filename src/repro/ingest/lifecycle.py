@@ -35,12 +35,13 @@ from repro.ingest.compaction import (
     CompactionPolicy,
     CompactionReport,
 )
-from repro.core.api import check_counts
+from repro.core.api import check_counts, is_real
 from repro.ingest.store import IngestError
 from repro.obs.dtrace import TraceCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.workloads import get_app
+from repro.workloads.apps import ALL_APPS, APP_NAMES
 
 if TYPE_CHECKING:  # repro.index imports this package: no runtime cycle
     from repro.index.device import IndexedDevice
@@ -80,8 +81,16 @@ class LifecycleConfig:
             ("random_per_round", 1), ("deletes_per_round", 1),
             ("updates_per_round", 0), ("probe_queries", 1), ("k", 1),
             ("n_clusters", 1), ("n_probe", 1), ("region_blocks", 1),
-            ("region_pages_per_block", 1),
+            ("region_pages_per_block", 1), ("seed", 0),
         ), IngestError)
+        if not isinstance(self.app, str) or self.app.lower() not in ALL_APPS:
+            raise IngestError(
+                f"unknown app {self.app!r}; expected one of {APP_NAMES}"
+            )
+        if not isinstance(self.compaction, CompactionPolicy):
+            raise IngestError(
+                f"compaction must be a CompactionPolicy, got {self.compaction!r}"
+            )
         if self.n_clusters > self.n_base:
             raise IngestError(
                 f"n_clusters must be at most n_base={self.n_base}, "
@@ -92,11 +101,17 @@ class LifecycleConfig:
                 f"n_probe must be at most n_clusters={self.n_clusters}, "
                 f"got {self.n_probe!r}"
             )
-        for load in self.interference_loads:
-            if not 0 <= load <= 1:  # written so that NaN fails it
-                raise IngestError(
-                    f"interference_loads must lie in [0, 1], got {load!r}"
-                )
+        if not (
+            isinstance(self.interference_loads, tuple)
+            and all(
+                is_real(load) and 0 <= load <= 1  # NaN fails the range
+                for load in self.interference_loads
+            )
+        ):
+            raise IngestError(
+                f"interference_loads must be a tuple of numbers in [0, 1], "
+                f"got {self.interference_loads!r}"
+            )
 
 
 @dataclass

@@ -29,6 +29,7 @@ operation sequences.  Invariants it maintains (and tests assert):
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -103,11 +104,21 @@ class AdmissionQueue:
         self.deadline_s = deadline_s
         self.counters = AdmissionCounters()
         self._classes: Dict[int, Deque[QueuedQuery]] = {}
+        #: the keys of ``_classes``, kept sorted at insert so ``pop``
+        #: scans classes by priority without sorting per call
+        self._priorities: List[int] = []
         #: live depth, maintained incrementally — ``offer`` is called
         #: once per arrival and ``len(self)`` guards every admission, so
         #: a sum over class deques would make admission O(classes) per
         #: query (visible in serving-sweep profiles)
         self._depth = 0
+        #: a lower bound on every queued ``arrival_s``: lowered by
+        #: ``offer``, reset to the survivors' exact minimum (``inf`` when
+        #: none) by a real sweep, and still a bound after pops and
+        #: evictions.  Float subtraction is monotone, so ``now - oldest
+        #: <= deadline_s`` proves no queued query is over age, whatever
+        #: the arrival order
+        self._oldest = float("inf")
         #: shed queries this step, surfaced so the server can record
         #: their latency/timeline events; drained by :meth:`take_shed`
         self._shed_log: List[Tuple[QueuedQuery, str]] = []
@@ -119,7 +130,7 @@ class AdmissionQueue:
     @property
     def depth(self) -> int:
         """Live queued queries (expired-but-unswept ones included)."""
-        return len(self)
+        return self._depth
 
     def take_shed(self) -> List[Tuple[QueuedQuery, str]]:
         """Drain and return ``(query, reason)`` pairs shed since last call."""
@@ -129,10 +140,17 @@ class AdmissionQueue:
 
     # ------------------------------------------------------------------
     def _expire(self, now: float) -> None:
-        """Deadline policy: lazily drop over-age queries (any position)."""
+        """Deadline policy: lazily drop over-age queries (any position).
+
+        Constant work unless the oldest-arrival bound says a query may
+        be over age; only then are the class deques rebuilt.
+        """
         if self.policy != "deadline":
             return
         assert self.deadline_s is not None
+        if now - self._oldest <= self.deadline_s:
+            return
+        oldest = float("inf")
         for queue in self._classes.values():
             survivors = deque(
                 q for q in queue if now - q.arrival_s <= self.deadline_s
@@ -145,29 +163,32 @@ class AdmissionQueue:
                 self._depth -= len(queue) - len(survivors)
                 queue.clear()
                 queue.extend(survivors)
+            for q in survivors:
+                if q.arrival_s < oldest:
+                    oldest = q.arrival_s
+        self._oldest = oldest
 
     def _evict_for(self, newcomer: QueuedQuery) -> bool:
         """``drop-oldest``: shed the oldest query of the least-important
         class that is no more important than the newcomer."""
-        candidates = [
-            p for p, queue in self._classes.items()
-            if queue and p >= newcomer.priority
-        ]
-        if not candidates:
-            return False
-        victim_class = max(candidates)
-        victim = self._classes[victim_class].popleft()
-        self._depth -= 1
-        self.counters.evicted += 1
-        self._shed_log.append((victim, "evicted"))
-        return True
+        for priority in reversed(self._priorities):
+            if priority < newcomer.priority:
+                return False
+            queue = self._classes[priority]
+            if queue:
+                victim = queue.popleft()
+                self._depth -= 1
+                self.counters.evicted += 1
+                self._shed_log.append((victim, "evicted"))
+                return True
+        return False
 
     # ------------------------------------------------------------------
     def offer(self, query: QueuedQuery, now: float) -> bool:
         """Try to admit ``query`` at time ``now``; True iff admitted."""
         self.counters.offered += 1
         self._expire(now)
-        if len(self) >= self.bound:
+        if self._depth >= self.bound:
             if self.policy == "drop-oldest" and self._evict_for(query):
                 pass  # room was made
             else:
@@ -175,14 +196,22 @@ class AdmissionQueue:
                 self._shed_log.append((query, "rejected"))
                 return False
         self.counters.admitted += 1
-        self._classes.setdefault(query.priority, deque()).append(query)
+        queue = self._classes.get(query.priority)
+        if queue is None:
+            queue = self._classes[query.priority] = deque()
+            insort(self._priorities, query.priority)
+        queue.append(query)
         self._depth += 1
+        if not query.arrival_s >= self._oldest:
+            # ``not >=`` also takes a NaN arrival, which then forces the
+            # next sweep, where it expires as it always did
+            self._oldest = query.arrival_s
         return True
 
     def pop(self, now: float) -> Optional[QueuedQuery]:
         """Dequeue the FIFO head of the most important nonempty class."""
         self._expire(now)
-        for priority in sorted(self._classes):
+        for priority in self._priorities:
             queue = self._classes[priority]
             if queue:
                 self.counters.popped += 1

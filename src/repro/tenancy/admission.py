@@ -83,6 +83,13 @@ class WeightedFairQueue:
             t.name: AdmissionQueue(t.bound, t.policy, t.deadline_s)
             for t in tenants
         }
+        #: only these can shed on their own clock, so only these are swept
+        self._deadline_queues: List[AdmissionQueue] = [
+            q for q in self._queues.values() if q.policy == "deadline"
+        ]
+        #: live depth across every tenant, kept by the difference each
+        #: per-tenant ``offer``/``pop_batch``/sweep makes to its queue
+        self._depth = 0
         self._deficit: Dict[str, float] = {name: 0.0 for name in names}
         self._cursor = 0
         # True while the cursor's tenant has already been granted this
@@ -93,12 +100,12 @@ class WeightedFairQueue:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._depth
 
     @property
     def depth(self) -> int:
         """Live queued queries across every tenant."""
-        return len(self)
+        return self._depth
 
     def counters(self, tenant: str) -> AdmissionCounters:
         """One tenant's conservation ledger (live object)."""
@@ -107,25 +114,34 @@ class WeightedFairQueue:
     # ------------------------------------------------------------------
     def offer(self, tenant: str, query: QueuedQuery, now: float) -> bool:
         """Offer one query to its tenant's bounded queue."""
-        if tenant not in self._queues:
+        queue = self._queues.get(tenant)
+        if queue is None:
             raise KeyError(f"unknown tenant {tenant!r}")
-        return self._queues[tenant].offer(query, now)
+        before = queue._depth
+        admitted = queue.offer(query, now)
+        self._depth += queue._depth - before
+        return admitted
 
     def take_shed(self) -> List[Tuple[str, QueuedQuery, str]]:
         """Drain ``(tenant, query, reason)`` for every shed since last
         call, in tenant declaration order."""
         out: List[Tuple[str, QueuedQuery, str]] = []
         for name in self._order:
-            for query, reason in self._queues[name].take_shed():
-                out.append((name, query, reason))
+            queue = self._queues[name]
+            if queue._shed_log:
+                for query, reason in queue.take_shed():
+                    out.append((name, query, reason))
         return out
 
     # ------------------------------------------------------------------
     def _sweep(self, now: float) -> None:
-        """Run deadline expiry on every queue (so ``depth`` is honest
-        before the scheduler decides who is backlogged)."""
-        for queue in self._queues.values():
+        """Run deadline expiry on every ``deadline``-policy queue (so
+        ``depth`` is honest before the scheduler decides who is
+        backlogged); the other policies never shed on the clock."""
+        for queue in self._deadline_queues:
+            before = queue._depth
             queue._expire(now)
+            self._depth += queue._depth - before
 
     def pop_batch(
         self, now: float, max_batch: int
@@ -141,12 +157,12 @@ class WeightedFairQueue:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self._sweep(now)
-        if len(self) == 0:
+        if self._depth == 0:
             return "", []
         while True:
             name = self._order[self._cursor]
             queue = self._queues[name]
-            if len(queue) == 0:
+            if queue._depth == 0:
                 # idle tenants forfeit credit: no hoarding while silent
                 self._deficit[name] = 0.0
                 self._advance()
@@ -157,16 +173,18 @@ class WeightedFairQueue:
             if self._deficit[name] < 1.0:
                 self._advance()
                 continue
+            before = queue._depth
             batch = queue.pop_batch(now, max_batch)
+            self._depth += queue._depth - before
             if not batch:
                 # everything expired during the pop's deadline sweep
                 self._deficit[name] = 0.0
                 self._advance()
-                if len(self) == 0:
+                if self._depth == 0:
                     return "", []
                 continue
             self._deficit[name] -= float(len(batch))
-            if len(queue) == 0:
+            if queue._depth == 0:
                 # emptied: forfeit leftover credit and yield the turn
                 self._deficit[name] = 0.0
                 self._advance()

@@ -311,3 +311,36 @@ def test_job_refuses_a_reindex_its_deletes_emptied_before_marking():
     assert store.clustered_rows == index.boundary == 24
     visible = store.visible_ids()
     assert np.array_equal(store.delta_ids(), visible[visible >= index.boundary])
+
+
+def test_refused_job_charges_its_rewritten_chunks():
+    # the refusal comes after every chunk went through the write path;
+    # those seconds were spent and must reach the database's ledger
+    device, db, rng = _ingest_rig(24, 4)
+    state = device.lifecycle(db)
+    device.insert_db(db, rng.normal(0, 1, (10, DIM)).astype(np.float32))
+    rewrite = state.writepath.rewrite
+    chunk_seconds = []
+
+    def recording_rewrite(rows):
+        op = rewrite(rows)
+        chunk_seconds.append(op.seconds)
+        return op
+
+    state.writepath.rewrite = recording_rewrite
+    ledger = []
+
+    def delete_mid_job():
+        device.delete_db_rows(db, list(range(31)))
+        ledger.append(state.write_seconds)
+
+    sim = Simulator()
+    job = CompactionJob(device, db, CompactionPolicy(chunk_rows=1))
+    job.start(sim)
+    sim.schedule(1e-6, delete_mid_job)
+    with pytest.raises(DeepStoreApiError, match=r"n_lists=4 .* has 3$"):
+        sim.run()
+    assert job.report is None and len(chunk_seconds) == 10
+    charged = sum(chunk_seconds)  # in the job's order, as it adds them
+    assert charged > 0
+    assert state.write_seconds == ledger[0] + charged

@@ -18,6 +18,7 @@ from repro.core.api import is_count, is_real
 from repro.index.build import IndexBuildConfig
 from repro.index.kmeans import IndexError_
 from repro.ingest.compaction import CompactionPolicy
+from repro.ingest.lifecycle import LifecycleConfig
 from repro.ingest.store import IngestError
 from repro.serving.server import ServingConfig
 from repro.serving.sweep import sweep_offered_load
@@ -126,7 +127,7 @@ class TestConfigConstructorFuzz:
     """Every bad size, time or failure spec raises one error naming its
     field: a ``ValueError``, ``ClusterError`` from ``ClusterConfig``,
     ``IndexError_`` from ``IndexBuildConfig`` or ``IngestError`` from
-    ``CompactionPolicy``.
+    ``CompactionPolicy`` and ``LifecycleConfig``.
 
     A valid value constructs; an invalid one never reaches a run (where
     it used to die as a ``TypeError`` or ``KeyError`` deep inside the
@@ -307,6 +308,72 @@ class TestConfigConstructorFuzz:
             CompactionPolicy(**{field: value})
         else:
             _rejects_naming(CompactionPolicy, field, value, IngestError)
+
+    LIFECYCLE_COUNTS = (
+        ("n_base", 1), ("rounds", 0), ("planted_per_round", 0),
+        ("random_per_round", 1), ("deletes_per_round", 1),
+        ("updates_per_round", 0), ("probe_queries", 1), ("k", 1),
+        ("n_clusters", 1), ("n_probe", 1), ("region_blocks", 1),
+        ("region_pages_per_block", 1), ("seed", 0),
+    )
+    #: the other fields held where any count of the fuzzed one fits
+    #: ``n_probe <= n_clusters <= n_base``
+    LIFECYCLE_ROOM = {
+        "n_base": {"n_clusters": 1, "n_probe": 1},
+        "n_clusters": {"n_probe": 1},
+    }
+
+    @given(st.sampled_from(LIFECYCLE_COUNTS), ANY_VALUE)
+    def test_lifecycle_counts(self, field_low, value):
+        field, low = field_low
+        lifecycle = functools.partial(
+            LifecycleConfig, **self.LIFECYCLE_ROOM.get(field, {})
+        )
+        if is_count(value, low):
+            assert getattr(lifecycle(**{field: value}), field) == value
+        else:
+            _rejects_naming(lifecycle, field, value, IngestError)
+
+    @given(st.one_of(
+        ANY_VALUE, st.sampled_from(APP_NAMES + ["TIR", "ReId"]),
+        st.builds(CompactionPolicy),
+    ))
+    def test_lifecycle_app_and_compaction(self, value):
+        if isinstance(value, str) and value.lower() in APP_NAMES:
+            LifecycleConfig(app=value)
+        else:
+            _rejects_naming(LifecycleConfig, "app", value, IngestError)
+        if isinstance(value, CompactionPolicy):
+            assert LifecycleConfig(compaction=value).compaction is value
+        else:
+            _rejects_naming(LifecycleConfig, "compaction", value, IngestError)
+
+    @given(st.one_of(
+        ANY_VALUE,
+        st.lists(ANY_VALUE, max_size=3).map(tuple),
+        st.lists(st.floats(-0.5, 1.5), max_size=3).map(tuple),
+        st.lists(st.floats(0.0, 1.0), max_size=3),
+    ))
+    def test_lifecycle_interference_loads(self, loads):
+        valid = isinstance(loads, tuple) and all(
+            is_real(load) and 0 <= load <= 1 for load in loads
+        )
+        if valid:
+            assert LifecycleConfig(interference_loads=loads).interference_loads == loads
+        else:
+            _rejects_naming(
+                LifecycleConfig, "interference_loads", loads, IngestError
+            )
+
+    def test_lifecycle_values_seen_before_validation(self):
+        # each used to construct and fail deep in run_lifecycle, or to
+        # die as a bare TypeError in the constructor
+        for kwargs in (
+            {"app": "nope"}, {"seed": -1}, {"seed": 1.5}, {"compaction": 3},
+            {"interference_loads": ("a",)}, {"interference_loads": 5},
+        ):
+            (field,) = kwargs
+            _rejects_naming(LifecycleConfig, field, kwargs[field], IngestError)
 
     def test_build_and_policy_values_seen_before_validation(self):
         # each used to construct, or to die as a bare TypeError
