@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
-from repro.core.api import is_count
+from repro.core.api import check_counts, is_count, is_real
 from repro.core.engine import DispatchPolicy
 from repro.core.placement import LEVELS
 from repro.faults.plan import FaultPlan
@@ -143,30 +143,32 @@ class ClusterConfig:
     brownout: Optional["BrownoutConfig"] = None
 
     def __post_init__(self) -> None:
-        if self.n_shards <= 0:
-            raise ClusterError("n_shards must be positive")
-        if self.n_replicas <= 0:
-            raise ClusterError("n_replicas must be positive")
+        check_counts(
+            self, (("n_shards", 1), ("n_replicas", 1), ("seed", 0)), ClusterError
+        )
         if self.placement not in PLACEMENT_STRATEGIES:
             raise ClusterError(
                 f"unknown placement {self.placement!r}; "
                 f"choose from {PLACEMENT_STRATEGIES}"
             )
-        if self.level not in LEVELS:
+        if self.level not in tuple(LEVELS):
             raise ClusterError(
                 f"unknown level {self.level!r}; choose from {tuple(LEVELS)}"
             )
         if self.hedge_fraction is not None and not (
-            math.isfinite(self.hedge_fraction) and self.hedge_fraction > 0
+            is_real(self.hedge_fraction, 0.0) and self.hedge_fraction < math.inf
         ):
             raise ClusterError(
-                "hedge_fraction must be a finite positive number (or None)"
+                "hedge_fraction must be a finite positive number (or None), "
+                f"got {self.hedge_fraction!r}"
             )
         if not (
-            math.isfinite(self.straggler_spread) and self.straggler_spread >= 0
+            is_real(self.straggler_spread)
+            and 0 <= self.straggler_spread < math.inf
         ):
             raise ClusterError(
-                "straggler_spread must be a finite non-negative number"
+                "straggler_spread must be a finite non-negative number, "
+                f"got {self.straggler_spread!r}"
             )
         object.__setattr__(
             self, "fail_shards",

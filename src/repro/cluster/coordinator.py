@@ -174,9 +174,7 @@ class DeepStoreCluster:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.config = config or ClusterConfig()
-        self.tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        self.tracer = tracer
         self.metrics = metrics
         cfg = self.config
         self.devices: Dict[Tuple[int, int], DeepStoreDevice] = {

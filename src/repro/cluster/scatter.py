@@ -399,7 +399,6 @@ def run_scatter(
     """
     if not jobs:
         raise ClusterError("scatter needs at least one shard job")
-    tracer = tracer if tracer is not None and tracer.enabled else None
     sim = Simulator(tracer=tracer)
     legs: List[_ShardLeg] = []
     for job in jobs:

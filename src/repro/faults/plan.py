@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.core.api import check_counts, is_real
+
 #: component kinds a :class:`ComponentFailure` may name
 FAILURE_KINDS = ("chip", "plane", "accelerator", "shard")
 
@@ -109,16 +111,20 @@ class FaultPlan:
             "accel_failure_rate",
         ):
             rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {rate}")
-        if self.read_retry_max < 1:
-            raise ValueError("read_retry_max must be at least 1")
-        if self.crc_retry_max < 1:
-            raise ValueError("crc_retry_max must be at least 1")
-        if self.program_retry_max < 1:
-            raise ValueError("program_retry_max must be at least 1")
-        if not isinstance(self.failures, tuple):
-            object.__setattr__(self, "failures", tuple(self.failures))
+            if not (is_real(rate) and 0.0 <= rate <= 1.0):
+                raise ValueError(f"{name} must be a probability, got {rate!r}")
+        check_counts(self, (
+            ("read_retry_max", 1), ("crc_retry_max", 1), ("program_retry_max", 1),
+        ))
+        if not (
+            isinstance(self.failures, (tuple, list))
+            and all(isinstance(f, ComponentFailure) for f in self.failures)
+        ):
+            raise ValueError(
+                f"failures must be a sequence of ComponentFailure, "
+                f"got {self.failures!r}"
+            )
+        object.__setattr__(self, "failures", tuple(self.failures))
 
     # ------------------------------------------------------------------
     @classmethod

@@ -40,7 +40,6 @@ from repro.obs.dtrace import (
     QueryTraceContext,
     Segment,
     TraceCollector,
-    cache_hit_critical_path,
     cluster_critical_path,
     device_critical_path,
     dtrace_chrome,
@@ -71,12 +70,10 @@ from repro.obs.slo import (
     SloSpec,
     default_chaos_monitor,
 )
-from repro.obs.tracer import NULL_TRACER, Instant, NullTracer, Span, Tracer, TrackHandle
+from repro.obs.tracer import Instant, Span, Tracer, TrackHandle
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "Instant",
     "TrackHandle",
@@ -102,7 +99,6 @@ __all__ = [
     "CriticalPath",
     "cluster_critical_path",
     "device_critical_path",
-    "cache_hit_critical_path",
     "recovery_critical_path",
     "FleetAttribution",
     "SloSpec",

@@ -4,11 +4,10 @@
 lane per channel/chip/accelerator.  This module answers the dual
 question, "what happened to this *query*": a
 :class:`QueryTraceContext` is minted when a query enters the system
-(serving admission, or a direct cluster call) and propagated through
-batch formation, cluster scatter — one child span per shard attempt,
-including retry/failover rungs, hedge winners *and* cancelled losers,
-and breaker rejections — device execution, the K-way gather, and cache
-hits.  The resulting span tree exports as Chrome trace-event JSON with
+(a cluster call, an ingest round, a recovery) and propagated through
+cluster scatter — one child span per shard attempt, including
+retry/failover rungs, hedge winners *and* cancelled losers, and breaker
+rejections — device execution, the K-way gather, and cache hits.  The resulting span tree exports as Chrome trace-event JSON with
 flow (``s``/``f``) arrows linking a query's spans across tracks, and
 optionally merges a device :class:`~repro.obs.tracer.Tracer`'s
 resource lanes into the same file so causality and occupancy can be
@@ -72,7 +71,7 @@ class QuerySpan:
     parent_span_id: Optional[int]
     trace_id: int
     name: str
-    #: coarse stage taxonomy: ``serving.admission``, ``cluster.scatter``,
+    #: coarse stage taxonomy: ``cluster.query``, ``cluster.scatter``,
     #: ``cluster.attempt``, ``device.query``, ``recovery.stage``, ...
     kind: str
     #: logical lane the exporter maps to a pid (``serving``,
@@ -338,7 +337,7 @@ class Segment:
     name: str
     #: taxonomy key for fleet aggregation: ``fanout`` | ``detect`` |
     #: ``backoff`` | ``hedge_wait`` | ``scan`` | ``gather`` |
-    #: ``admission`` | ``service`` | ``lookup`` | ``penalty`` | ...
+    #: ``service`` | ``recovery``
     kind: str
     seconds: float
 
@@ -353,9 +352,9 @@ class CriticalPath:
     reproduces ``(a + (b + c)) + d`` exactly.  When ``exact`` is True
     the builder guarantees every segment is a recorded primary float
     and the fold order matches the simulator, hence
-    ``component_sum() == total_seconds`` bit-for-bit; analytic paths
-    that cannot promise this (serving queue arithmetic subtracts
-    arrival times) set ``exact=False`` and the sum is best-effort.
+    ``component_sum() == total_seconds`` bit-for-bit; a path that
+    cannot promise this sets ``exact=False`` and the sum is
+    best-effort.
     """
 
     total_seconds: float
@@ -509,21 +508,6 @@ def device_critical_path(result: "EventQueryResult") -> CriticalPath:
             ],
         ],
         info={"pages": result.pages},
-        exact=True,
-    )
-
-
-def cache_hit_critical_path(
-    lookup_seconds: float, hit_seconds: float
-) -> CriticalPath:
-    """Attribute a served cache hit: lookup walk + canned hit latency."""
-    return CriticalPath(
-        total_seconds=lookup_seconds + hit_seconds,
-        groups=[[
-            Segment("cache lookup", "lookup", lookup_seconds),
-            Segment("cache hit service", "scan", hit_seconds),
-        ]],
-        info={"cache_hit": True},
         exact=True,
     )
 

@@ -23,7 +23,7 @@ Two record kinds cover everything the simulation does:
 
 The overhead contract: tracing appends records to Python lists and
 never touches the event heap, so **simulated** timings are identical
-with or without a tracer (regression-tested); and a disabled/absent
+with or without a tracer (regression-tested); and an absent
 tracer costs one ``is None`` check per hook, because instrumented
 components resolve their track handles to ``None`` up front.
 """
@@ -90,11 +90,6 @@ class Tracer:
             int, Tuple[TrackHandle, str, float, str, Optional[Dict[str, object]]]
         ] = {}
         self._next_token = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether hooks should emit (always True for a real tracer)."""
-        return True
 
     # ------------------------------------------------------------------
     # tracks
@@ -221,57 +216,3 @@ class Tracer:
         for i in self.instants:
             end = max(end, i.time)
         return end
-
-
-class NullTracer:
-    """Disabled tracer: every hook is a no-op and ``enabled`` is False.
-
-    Components test ``tracer.enabled`` once (usually at construction,
-    caching ``None`` track handles), so the per-operation cost of *not*
-    tracing is a single attribute check — the zero-cost-when-disabled
-    guarantee the hot event loop depends on.
-    """
-
-    enabled = False
-    spans: List[Span] = []
-    instants: List[Instant] = []
-
-    def track(self, process: str, thread: str) -> TrackHandle:
-        """Return a dummy handle; nothing is interned."""
-        return TrackHandle(0, 0)
-
-    def complete(self, *args, **kwargs) -> None:
-        """No-op span record."""
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        """No-op instant record."""
-        pass
-
-    def begin(self, *args, **kwargs) -> int:
-        """No-op open; the returned token closes nothing."""
-        return 0
-
-    def end(self, *args, **kwargs) -> None:
-        """No-op close."""
-        pass
-
-    @property
-    def span_count(self) -> int:
-        return 0
-
-    @property
-    def open_spans(self) -> int:
-        return 0
-
-    def count(self, cat: str) -> int:
-        """Always 0: nothing is ever recorded."""
-        return 0
-
-    @property
-    def end_time(self) -> float:
-        return 0.0
-
-
-#: shared disabled tracer; ``tracer or NULL_TRACER`` normalizes optionals
-NULL_TRACER = NullTracer()

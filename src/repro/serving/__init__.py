@@ -16,7 +16,9 @@ actually stands on —
   by the multi-query scheduler and degradable under injected
   accelerator failures.
 
-:class:`QueryServer` composes them into one simulated service;
+:class:`QueryServer` composes them into one simulated service on
+:class:`~repro.serving.plane.BatchPlane`, the batch-service loop the
+multi-tenant plane drives too;
 :func:`sweep_offered_load` produces the throughput-latency curve; and
 :func:`build_serving_scorecard` / :func:`compare_scorecards` are the
 machine-readable perf scorecard CI gates on (``repro serve`` is the

@@ -13,24 +13,26 @@ a query:
    top-K and completes **without ever touching the admission queue**
    (the paper's Algorithm-1 fast path, which is what makes the cache a
    capacity multiplier and not just a latency win);
-3. **admission** — a miss is offered to the bounded queue; the
-   configured policy decides who is shed under overload;
-4. **batch + scan** — an idle backend pops the head-of-line batch
-   (same-app prefix run, FIFO within priority class) and holds the
-   device for the shared-scan service time;
+3. **admission** — a miss is offered to the bounded queue (a one-tenant
+   weighted-fair queue); the configured policy decides who is shed;
+4. **batch + scan** — on the :class:`~repro.serving.plane.BatchPlane`,
+   an idle backend pops the head-of-line batch (same-app prefix run,
+   FIFO within priority class) and holds the device for the
+   shared-scan service time;
 5. **complete** — per-query latency is arrival-to-completion; the
    result is inserted into the cache so later similar queries hit.
 
-Every step feeds :class:`~repro.obs.MetricsRegistry` instruments and
-(optionally) :class:`~repro.obs.Tracer` timelines — queue depth and
-sheds as instants, backend occupancy as complete spans — without
-perturbing simulated time.  With the same config, arrivals, and seed
-the result is bit-identical across runs.
+An optional :class:`~repro.obs.Tracer` records queue depth and sheds as
+instants and backend occupancy as spans; an optional
+:class:`~repro.obs.MetricsRegistry` gets the run's ``serving.*``
+instruments from its ledger.  Neither perturbs simulated time.  With
+the same config, arrivals, and seed the result is bit-identical across
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,25 +41,26 @@ from repro.core.api import check_counts, is_count, is_real
 from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
 from repro.core.query_cache import EmbeddingComparator, QueryCache
-from repro.obs.dtrace import (
-    CriticalPath,
-    QueryTraceContext,
-    Segment,
-    TraceCollector,
-    cache_hit_critical_path,
-)
-from repro.obs.metrics import MetricsRegistry, percentile
-from repro.obs.slo import SloMonitor
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.serving.admission import POLICIES, AdmissionQueue, QueuedQuery
+from repro.serving.admission import (
+    POLICIES,
+    QueuedQuery,
+    TenantQueueSpec,
+    WeightedFairQueue,
+)
 from repro.serving.arrivals import INGEST_COMPAT, ArrivalEvent, offered_qps_of
 from repro.serving.batcher import BatchCostModel, BatchPolicy
+from repro.serving.plane import BatchPlane
 from repro.sim import Simulator, fastpath
 from repro.ssd import Ssd
 from repro.workloads.apps import ALL_APPS, APP_NAMES, AppSpec, get_app
 
 #: per-entry QCN lookup cost (paper §6.5: 0.3 ms for a 1 K-entry cache)
 CACHE_LOOKUP_SECONDS_PER_ENTRY = 0.3e-6
+
+#: the one tenant a single-tenant server's weighted-fair queue holds
+TENANT = "serving"
 
 
 @dataclass
@@ -206,9 +209,6 @@ class ServingResult:
     ingest_arrived: int = 0
     ingest_completed: int = 0
     ingest_mean_latency_s: float = 0.0
-    #: per-query critical paths, populated only when the run carried a
-    #: :class:`~repro.obs.TraceCollector` (also not in :meth:`as_dict`)
-    critical_paths: List[CriticalPath] = field(default_factory=list)
 
     @property
     def shed(self) -> int:
@@ -272,7 +272,7 @@ class QueryServer:
         self.app: AppSpec = get_app(config.app)
         self.system = system or DeepStoreSystem.at_level("channel")
         self.metrics = metrics
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.tracer = tracer
         ssd = Ssd(self.system.ssd)
         self.meta = ssd.ftl.create_database(
             self.app.feature_bytes, config.features
@@ -366,241 +366,60 @@ class QueryServer:
         return self.cost.saturation_qps(self.config.n_servers)
 
     # ------------------------------------------------------------------
+    def _service(self, tenant: str, batch: List[QueuedQuery]) -> float:
+        """Price one batch on a backend."""
+        if batch[0].compat == INGEST_COMPAT:
+            # a write batch occupies a backend for the measured
+            # host-write time of each op, serially
+            return self.ingest_op_seconds * len(batch)
+        service = self.cost.service_seconds(len(batch))
+        if self.routing_seconds_per_query > 0.0:
+            # each member routed independently before the shared probe scan
+            service += self.routing_seconds_per_query * len(batch)
+        return service
+
+    def _cache_results(self, batch: List[QueuedQuery]) -> None:
+        """Insert a completed read batch's results so similar queries hit."""
+        assert self.cache is not None
+        for query in batch:
+            if query.qfv is not None:
+                self.cache.insert(
+                    query.qfv,
+                    np.zeros(self.system.k, dtype=np.float32),
+                    np.arange(self.system.k, dtype=np.int64),
+                )
+
     def run(
         self,
         arrivals: Sequence[ArrivalEvent],
         tracer: Optional[Tracer] = None,
-        dtrace: Optional[TraceCollector] = None,
-        slo: Optional[SloMonitor] = None,
     ) -> ServingResult:
         """Play an arrival schedule to completion; return the measures.
 
         ``tracer`` overrides the server's tracer for this run (each run
         restarts simulated time at zero, so timelines from separate
         runs should not share one tracer).
-
-        ``dtrace`` mints one trace per arrival and propagates it
-        through cache lookup, admission, batch formation, and backend
-        service; sheds close the trace with ``shed_<reason>`` status.
-        ``slo`` receives one event per completion (class ``read`` or
-        ``ingest``, with latency) and one bad event per shed.  Both are
-        pure bookkeeping: simulated timings and every
-        :class:`ServingResult` figure are identical with them on or
-        off.
         """
         if not arrivals:
             raise ValueError("empty arrival schedule")
         config = self.config
-        if tracer is None:
-            tracer = self.tracer
-        elif not tracer.enabled:
-            tracer = None
+        tracer = tracer if tracer is not None else self.tracer
         sim = Simulator(tracer=tracer)
-        queue = AdmissionQueue(
-            config.queue_bound, config.policy, config.deadline_s
+        wfq = WeightedFairQueue([TenantQueueSpec(
+            TENANT, bound=config.queue_bound, policy=config.policy,
+            deadline_s=config.deadline_s,
+        )])
+        plane = BatchPlane(
+            sim, wfq, config.n_servers, self.cost.max_batch, self._service,
+            tracer=tracer,
+            on_read_batch=(
+                self._cache_results if self.cache is not None else None
+            ),
         )
-        metrics = self.metrics
-        queue_track = (
-            tracer.track("serving", "queue") if tracer is not None else None
-        )
-        shed_track = (
-            tracer.track("serving", "sheds") if tracer is not None else None
-        )
-        server_tracks = (
-            [
-                tracer.track("serving", f"server {i}")
-                for i in range(config.n_servers)
-            ]
-            if tracer is not None
-            else None
-        )
-
-        idle: List[int] = list(range(config.n_servers))
-        latencies: List[float] = []
-        ingest_latencies: List[float] = []
-        waits: List[float] = []
-        batch_sizes: List[int] = []
-        class _RunState:
-            cache_hits = 0
-            completed = 0
-            busy_s = 0.0
-            queue_peak = 0
-            last_completion = 0.0
-            ingest_arrived = 0
-            ingest_completed = 0
-
-        state = _RunState()
-
-        #: qid -> open root span / open admission-wait span (dtrace only)
-        roots: Dict[int, QueryTraceContext] = {}
-        admissions: Dict[int, QueryTraceContext] = {}
-        critical_paths: List[CriticalPath] = []
-
-        def slo_class(query: QueuedQuery) -> str:
-            return "ingest" if query.compat == INGEST_COMPAT else "read"
-
-        def note_depth() -> None:
-            depth = queue.depth
-            if depth > state.queue_peak:
-                state.queue_peak = depth
-            if metrics is not None:
-                metrics.gauge("serving.queue_depth").set(float(depth))
-            if tracer is not None:
-                tracer.instant(
-                    queue_track, "depth", sim.now,
-                    cat="serving.queue", args={"depth": depth},
-                )
-
-        def note_shed() -> None:
-            for query, reason in queue.take_shed():
-                if metrics is not None:
-                    metrics.counter("serving.shed").inc()
-                    metrics.counter(f"serving.shed_{reason}").inc()
-                if tracer is not None:
-                    tracer.instant(
-                        shed_track, reason, sim.now,
-                        cat="serving.shed", args={"qid": query.qid},
-                    )
-                if slo is not None:
-                    slo.record(slo_class(query), sim.now, good=False)
-                if dtrace is not None:
-                    status = f"shed_{reason}"
-                    ctx = admissions.pop(query.qid, None)
-                    if ctx is not None:
-                        dtrace.end_span(ctx, sim.now, status=status)
-                    root = roots.pop(query.qid, None)
-                    if root is not None:
-                        dtrace.end_span(root, sim.now, status=status)
-
-        def complete_query(
-            query: QueuedQuery,
-            now: float,
-            batch_start: Optional[float] = None,
-            service: float = 0.0,
-        ) -> None:
-            latency = now - query.arrival_s
-            state.completed += 1
-            state.last_completion = max(state.last_completion, now)
-            if slo is not None:
-                slo.record(slo_class(query), now, latency_s=latency)
-            if dtrace is not None:
-                root = roots.pop(query.qid, None)
-                if root is not None:
-                    dtrace.end_span(root, now, latency_s=latency)
-                if batch_start is not None:
-                    # the queued path subtracts the arrival time, so the
-                    # decomposition is honest but not bit-exact
-                    critical_paths.append(CriticalPath(
-                        total_seconds=latency,
-                        groups=[[
-                            Segment("admission wait (incl. lookup)",
-                                    "admission",
-                                    batch_start - query.arrival_s),
-                            Segment("batch service", "service", service),
-                        ]],
-                        info={"qid": query.qid, "class": slo_class(query)},
-                        exact=False,
-                    ))
-            if query.compat == INGEST_COMPAT:
-                # write class: tracked apart so read latency stays pure
-                ingest_latencies.append(latency)
-                state.ingest_completed += 1
-                if metrics is not None:
-                    metrics.counter("serving.ingest_completed").inc()
-                    metrics.histogram(
-                        "serving.ingest_latency_s"
-                    ).observe(latency)
-                return
-            latencies.append(latency)
-            if metrics is not None:
-                metrics.counter("serving.completed").inc()
-                metrics.histogram("serving.latency_s").observe(latency)
-            if self.cache is not None and query.qfv is not None:
-                ids = np.arange(self.system.k, dtype=np.int64)
-                self.cache.insert(
-                    query.qfv,
-                    np.zeros(self.system.k, dtype=np.float32),
-                    ids,
-                )
-
-        def dispatch() -> None:
-            while idle and queue.depth > 0:
-                batch = queue.pop_batch(sim.now, self.cost.max_batch)
-                note_shed()
-                note_depth()
-                if not batch:
-                    return
-                server = idle.pop(0)
-                if batch[0].compat == INGEST_COMPAT:
-                    # a write batch occupies a backend for the measured
-                    # host-write time of each op, serially
-                    service = self.ingest_op_seconds * len(batch)
-                else:
-                    service = self.cost.service_seconds(len(batch))
-                    if self.routing_seconds_per_query > 0.0:
-                        # each member routed independently before the
-                        # shared probe scan
-                        service += self.routing_seconds_per_query * len(batch)
-                start = sim.now
-                batch_sizes.append(len(batch))
-                state.busy_s += service
-                for query in batch:
-                    wait = start - query.arrival_s
-                    waits.append(wait)
-                    if metrics is not None:
-                        metrics.histogram("serving.wait_s").observe(wait)
-                if metrics is not None:
-                    metrics.histogram(
-                        "serving.batch_size",
-                        bounds=list(range(1, self.cost.max_batch + 1)),
-                    ).observe(len(batch))
-                if tracer is not None and server_tracks is not None:
-                    tracer.complete(
-                        server_tracks[server],
-                        f"batch x{len(batch)}",
-                        start,
-                        service,
-                        cat="serving.batch",
-                        args={"n": len(batch)},
-                    )
-                if dtrace is not None:
-                    # one batch-service span per member, linked from its
-                    # admission wait by a flow arrow — the viewer sees
-                    # the queries converge onto one backend slice
-                    for query in batch:
-                        root = roots.get(query.qid)
-                        if root is None:
-                            continue
-                        bctx = dtrace.add_span(
-                            root, f"batch x{len(batch)} service",
-                            start, start + service,
-                            kind="serving.batch",
-                            track=f"serving/server {server}",
-                            n=len(batch),
-                        )
-                        actx = admissions.pop(query.qid, None)
-                        if actx is not None:
-                            dtrace.end_span(actx, start)
-                            dtrace.flow(actx, bctx)
-
-                def finish(
-                    server: int = server,
-                    batch: List[QueuedQuery] = batch,
-                    start: float = start,
-                    service: float = service,
-                ) -> None:
-                    for query in batch:
-                        complete_query(
-                            query, sim.now,
-                            batch_start=start, service=service,
-                        )
-                    idle.append(server)
-                    idle.sort()
-                    dispatch()
-
-                sim.schedule_after(service, finish, label="batch-done")
+        hits = queue_peak = 0
 
         def admit(event: ArrivalEvent, qid: int, penalty_s: float) -> None:
+            nonlocal queue_peak
             query = QueuedQuery(
                 qid=qid,
                 arrival_s=sim.now - penalty_s,
@@ -609,100 +428,36 @@ class QueryServer:
                 intent=event.intent,
                 qfv=event.qfv,
             )
-            admitted = queue.offer(query, sim.now)
-            if admitted and dtrace is not None:
-                root = roots.get(qid)
-                if root is not None:
-                    admissions[qid] = dtrace.start_span(
-                        root, "admission wait", sim.now,
-                        kind="serving.admission", track="serving",
-                    )
-            note_shed()
-            note_depth()
+            admitted = wfq.offer(TENANT, query, sim.now)
+            plane.note_queue()
+            # only an offer can raise the depth
+            queue_peak = max(queue_peak, wfq.depth)
             if admitted:
-                if metrics is not None:
-                    metrics.counter("serving.admitted").inc()
-                dispatch()
+                plane.dispatch()
 
         def arrive(event: ArrivalEvent, qid: int) -> None:
-            if metrics is not None:
-                metrics.counter("serving.arrived").inc()
-            if dtrace is not None:
-                kind = (
-                    "serving.ingest" if event.kind == "ingest"
-                    else "serving.query"
-                )
-                roots[qid] = dtrace.start_trace(
-                    f"{event.kind} {qid}", sim.now, kind=kind,
-                    track="serving", app=self.app.name,
-                    priority=event.priority,
-                )
-            if event.kind == "ingest":
-                # write class: never consults the query cache
-                state.ingest_arrived += 1
-                if metrics is not None:
-                    metrics.counter("serving.ingest_arrived").inc()
+            # writes never consult the query cache
+            if event.kind == "ingest" or self.cache is None or event.qfv is None:
                 admit(event, qid, 0.0)
                 return
-            if self.cache is not None and event.qfv is not None:
-                lookup = self.cache.lookup(event.qfv)
-                lookup_s = (
-                    lookup.entries_scanned * self.lookup_seconds_per_entry
-                )
-                if dtrace is not None:
-                    dtrace.add_span(
-                        roots[qid], "cache lookup",
-                        sim.now, sim.now + lookup_s,
-                        kind="serving.cache", track="serving",
-                        hit=lookup.hit,
-                        entries=lookup.entries_scanned,
-                    )
-                if lookup.hit:
-                    # Algorithm-1 fast path: re-rank the cached top-K,
-                    # never touching the admission queue or a backend
-                    def hit_done() -> None:
-                        latency = lookup_s + self.hit_seconds
-                        latencies.append(latency)
-                        state.cache_hits += 1
-                        state.completed += 1
-                        state.last_completion = max(
-                            state.last_completion, sim.now
-                        )
-                        if metrics is not None:
-                            metrics.counter("serving.cache_hits").inc()
-                            metrics.counter("serving.completed").inc()
-                            metrics.histogram(
-                                "serving.latency_s"
-                            ).observe(latency)
-                        if slo is not None:
-                            slo.record("read", sim.now, latency_s=latency)
-                        if dtrace is not None:
-                            root = roots.pop(qid, None)
-                            if root is not None:
-                                dtrace.end_span(
-                                    root, sim.now,
-                                    cache_hit=True, latency_s=latency,
-                                )
-                            path = cache_hit_critical_path(
-                                lookup_s, self.hit_seconds
-                            )
-                            path.info["qid"] = qid
-                            path.info["class"] = "read"
-                            critical_paths.append(path)
+            lookup = self.cache.lookup(event.qfv)
+            lookup_s = lookup.entries_scanned * self.lookup_seconds_per_entry
+            if lookup.hit:
+                # Algorithm-1 fast path: re-rank the cached top-K, never
+                # touching the admission queue or a backend
+                def hit_done() -> None:
+                    nonlocal hits
+                    hits += 1
+                    plane.served(TENANT, lookup_s + self.hit_seconds)
 
-                    sim.schedule_after(
-                        lookup_s + self.hit_seconds, hit_done,
-                        label="cache-hit",
-                    )
-                    return
-                # the miss pays the lookup before it can join the queue
                 sim.schedule_after(
-                    lookup_s,
-                    lambda: admit(event, qid, lookup_s),
-                    label="admit",
+                    lookup_s + self.hit_seconds, hit_done, label="cache-hit"
                 )
                 return
-            admit(event, qid, 0.0)
+            # the miss pays the lookup before it can join the queue
+            sim.schedule_after(
+                lookup_s, lambda: admit(event, qid, lookup_s), label="admit"
+            )
 
         # bulk-schedule the whole (already time-sorted) arrival schedule:
         # identical events and sequence numbers to N schedule() calls,
@@ -716,48 +471,78 @@ class QueryServer:
             label="arrival",
         )
         sim.run()
-        if slo is not None:
-            slo.finish(state.last_completion)
 
-        first_arrival = arrivals[0].time_s
-        span = max(state.last_completion - first_arrival, 0.0)
-        counters = queue.counters
-        n_served = len(latencies)
-        return ServingResult(
+        reads, writes = plane.reads[TENANT], plane.writes[TENANT]
+        completed = len(reads) + len(writes)
+        span = max(plane.last_completion - arrivals[0].time_s, 0.0)
+        counters = wfq.counters(TENANT)
+        result = ServingResult(
             app=self.app.name,
             offered_qps=offered_qps_of(list(arrivals)),
-            achieved_qps=state.completed / span if span > 0 else 0.0,
+            achieved_qps=completed / span if span > 0 else 0.0,
             duration_s=span,
             arrived=len(arrivals),
             admitted=counters.admitted,
-            completed=state.completed,
-            cache_hits=state.cache_hits,
+            completed=completed,
+            cache_hits=hits,
             rejected=counters.rejected,
             evicted=counters.evicted,
             expired=counters.expired,
-            mean_latency_s=(
-                sum(latencies) / n_served if n_served else 0.0
-            ),
-            p50_s=percentile(latencies, 50) if latencies else 0.0,
-            p99_s=percentile(latencies, 99) if latencies else 0.0,
-            p999_s=percentile(latencies, 99.9) if latencies else 0.0,
-            max_latency_s=max(latencies) if latencies else 0.0,
-            mean_wait_s=sum(waits) / len(waits) if waits else 0.0,
-            mean_batch=(
-                sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
-            ),
+            **plane.summary(TENANT),
+            mean_batch=plane.mean_batch,
             utilization=(
-                state.busy_s / (config.n_servers * span)
-                if span > 0
-                else 0.0
+                plane.busy_s / (config.n_servers * span) if span > 0 else 0.0
             ),
-            queue_peak=state.queue_peak,
-            ingest_arrived=state.ingest_arrived,
-            ingest_completed=state.ingest_completed,
+            queue_peak=queue_peak,
+            ingest_arrived=sum(1 for e in arrivals if e.kind == "ingest"),
+            ingest_completed=len(writes),
             ingest_mean_latency_s=(
-                sum(ingest_latencies) / len(ingest_latencies)
-                if ingest_latencies
-                else 0.0
+                sum(writes) / len(writes) if writes else 0.0
             ),
-            critical_paths=critical_paths,
         )
+        if self.metrics is not None:
+            _record_metrics(self.metrics, plane, result)
+        return result
+
+
+def _record_metrics(
+    metrics: MetricsRegistry, plane: BatchPlane, result: ServingResult
+) -> None:
+    """Emit one run's ``serving.*`` instruments from its ledger.
+
+    Every observation lands in the order the loop made it (completion
+    order for latencies, dispatch order for waits and batch sizes), so
+    the histograms' float totals match per-event recording bit for bit;
+    an instrument is only created once it has something to count.
+    """
+    reads, writes = plane.reads[TENANT], plane.writes[TENANT]
+    for name, count in (
+        ("arrived", result.arrived),
+        ("ingest_arrived", result.ingest_arrived),
+        ("admitted", result.admitted),
+        ("cache_hits", result.cache_hits),
+        ("completed", len(reads)),
+        ("ingest_completed", len(writes)),
+        ("shed", result.shed),
+        ("shed_rejected", result.rejected),
+        ("shed_evicted", result.evicted),
+        ("shed_expired", result.expired),
+    ):
+        if count:
+            metrics.counter(f"serving.{name}").inc(count)
+    for name, values, bounds in (
+        ("latency_s", reads, None),
+        ("ingest_latency_s", writes, None),
+        ("wait_s", plane.waits[TENANT], None),
+        ("batch_size", plane.batch_sizes, list(range(1, plane.max_batch + 1))),
+    ):
+        if values:
+            histogram = metrics.histogram(f"serving.{name}", bounds=bounds)
+            for value in values:
+                histogram.observe(value)
+    if result.arrived > result.cache_hits:
+        # every offer and pop set the gauge: its peak is the queue's
+        # peak and its value the depth the last pop left (zero)
+        gauge = metrics.gauge("serving.queue_depth")
+        gauge.set(float(result.queue_peak))
+        gauge.set(float(plane.wfq.depth))

@@ -101,14 +101,12 @@ class Simulator:
         self._events_processed = 0
         self._cancelled_pending = 0
         self._compactions = 0
-        # Disabled tracers resolve to None here so the hot dispatch loop
-        # pays one `is None` check and nothing else; instrumented
-        # components (resources, chips) read `sim.tracer` for the same
-        # reason.  Tracing only appends records — it never schedules —
-        # so simulated timings are identical with or without it.
-        self.tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        # Untraced, the hot dispatch loop pays one `is None` check and
+        # nothing else; instrumented components (resources, chips) read
+        # `sim.tracer` for the same reason.  Tracing only appends
+        # records — it never schedules — so simulated timings are
+        # identical with or without it.
+        self.tracer = tracer
         self._event_track = (
             self.tracer.track("sim", "events")
             if self.tracer is not None

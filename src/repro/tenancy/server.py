@@ -11,28 +11,26 @@ window, and live ingest routed through a
 :class:`~repro.cluster.ingest.ShardIngestTracker` whose rebalance
 plans are priced as maintenance jobs that occupy a backend.
 
-The batch-service loop is structured exactly like
-:class:`~repro.serving.server.QueryServer.run` — pop a head-of-line
-compat-prefix batch, hold a backend for the cost model's shared-scan
-time, complete on a scheduled event — and the cost models themselves
-*are* ``QueryServer``'s (one per SCN app, built through the same
-``ServingConfig`` path).  With one tenant, no bursts, no failure, and
-the autoscaler off, the plane is the single-tenant server batch for
+The batch-service loop is :class:`~repro.serving.plane.BatchPlane`,
+the one :class:`~repro.serving.server.QueryServer` drives too, and the
+cost models *are* ``QueryServer``'s (one per SCN app, built through the
+same ``ServingConfig`` path).  With one tenant, no bursts, no failure
+and the autoscaler off, the plane is the single-tenant server batch for
 batch: the parity test pins every aggregate of
 :class:`~repro.serving.server.ServingResult` against it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List
 
 from repro.cluster.ingest import RebalancePlan, ShardIngestTracker
-from repro.obs.metrics import percentile
 from repro.obs.slo import BurnRateRule, SloMonitor, SloSpec
 from repro.serving.admission import QueuedQuery
 from repro.serving.arrivals import INGEST_COMPAT
+from repro.serving.plane import BatchPlane
 from repro.serving.server import QueryServer, ServingConfig
 from repro.sim import Simulator
 from repro.tenancy.admission import TenantQueueSpec, WeightedFairQueue
@@ -258,129 +256,33 @@ class MultiTenantServer:
             seed=config.seed,
         )
         rows_per_op = ServingConfig().ingest_rows_per_op
-
-        degraded_active = config.failure is not None
-        fail_window: Optional[Tuple[float, Optional[float]]] = None
-        if config.failure is not None:
-            heal = config.failure.heal_fraction
-            fail_window = (
-                config.failure.at_fraction * config.day_s,
-                heal * config.day_s if heal is not None else None,
-            )
-
-        class _State:
-            degraded = False
-            n_backends = config.initial_backends
-            peak_backends = config.initial_backends
-            pending_retire = 0
-            next_backend = config.initial_backends
-            busy_s = 0.0
-            capacity_integral = 0.0
-            capacity_since = 0.0
-            last_completion = 0.0
-            rebalance_rows = 0
-
-        state = _State()
-        idle: List[int] = list(range(config.initial_backends))
-        maintenance: Deque[float] = deque()
-        plans: List[RebalancePlan] = []
-        batch_sizes: List[int] = []
-        latencies: Dict[str, List[float]] = {
-            t.name: [] for t in config.tenants
-        }
-        waits: Dict[str, List[float]] = {t.name: [] for t in config.tenants}
-        writes_offered: Dict[str, int] = {t.name: 0 for t in config.tenants}
-        writes_completed: Dict[str, int] = {
-            t.name: 0 for t in config.tenants
-        }
-        offered: Dict[str, int] = {t.name: 0 for t in config.tenants}
-
-        def note_capacity_change(delta: int) -> None:
-            state.capacity_integral += (
-                (sim.now - state.capacity_since) * state.n_backends
-            )
-            state.capacity_since = sim.now
-            state.n_backends += delta
-            state.peak_backends = max(state.peak_backends, state.n_backends)
-
-        def note_shed() -> None:
-            for tenant, query, _reason in wfq.take_shed():
-                if query.compat != INGEST_COMPAT:
-                    monitor.record(
-                        specs[tenant].slo_name, sim.now, good=False
-                    )
+        degraded = False
+        rebalance_rows = 0
+        writes_offered = dict.fromkeys(specs, 0)
 
         def service_seconds(tenant: str, batch: List[QueuedQuery]) -> float:
             if batch[0].compat == INGEST_COMPAT:
                 app = specs[tenant].apps[0][0]
                 return self._healthy[app].ingest_op_seconds * len(batch)
-            models = self._degraded if state.degraded else self._healthy
+            models = self._degraded if degraded else self._healthy
             return models[batch[0].compat].cost.service_seconds(len(batch))
 
-        def complete(tenant: str, query: QueuedQuery, now: float) -> None:
-            latency = now - query.arrival_s
-            state.last_completion = max(state.last_completion, now)
-            if query.compat == INGEST_COMPAT:
-                writes_completed[tenant] += 1
-                return
-            latencies[tenant].append(latency)
-            monitor.record(specs[tenant].slo_name, now, latency_s=latency)
-
-        def dispatch() -> None:
-            while idle and (maintenance or wfq.depth > 0):
-                server = idle.pop(0)
-                if maintenance:
-                    # a rebalance holds a backend for the priced move
-                    service = maintenance.popleft()
-                    tenant_batch: Tuple[str, List[QueuedQuery]] = ("", [])
-                else:
-                    tenant_batch = wfq.pop_batch(sim.now, config.max_batch)
-                    note_shed()
-                    if not tenant_batch[1]:
-                        idle.append(server)
-                        idle.sort()
-                        return
-                    service = service_seconds(*tenant_batch)
-                    batch_sizes.append(len(tenant_batch[1]))
-                    start = sim.now
-                    for query in tenant_batch[1]:
-                        waits[tenant_batch[0]].append(
-                            start - query.arrival_s
-                        )
-                state.busy_s += service
-
-                def finish(
-                    server: int = server,
-                    tenant_batch: Tuple[str, List[QueuedQuery]] = tenant_batch,
-                ) -> None:
-                    tenant, batch = tenant_batch
-                    for query in batch:
-                        complete(tenant, query, sim.now)
-                    if state.pending_retire > 0:
-                        state.pending_retire -= 1
-                        note_capacity_change(-1)
-                    else:
-                        idle.append(server)
-                        idle.sort()
-                    dispatch()
-
-                sim.schedule_after(service, finish, label="batch-done")
+        plane = BatchPlane(
+            sim, wfq, config.initial_backends, config.max_batch,
+            service_seconds, monitor=monitor,
+            slo_names={t.name: t.slo_name for t in config.tenants},
+        )
 
         def on_plan(plan: RebalancePlan) -> None:
-            plans.append(plan)
-            state.rebalance_rows += plan.rows_moved
-            maintenance.append(
-                plan.rows_moved * config.rebalance_row_seconds
-            )
-            dispatch()
+            # a rebalance holds a backend for the priced move
+            nonlocal rebalance_rows
+            rebalance_rows += plan.rows_moved
+            plane.hold(plan.rows_moved * config.rebalance_row_seconds)
 
         tracker.on_rebalance = on_plan
 
         def arrive(a: TenantArrival, qid: int) -> None:
-            offered[a.tenant] += 1
             is_write = a.kind == "ingest"
-            if is_write:
-                writes_offered[a.tenant] += 1
             query = QueuedQuery(
                 qid=qid,
                 arrival_s=sim.now,
@@ -389,17 +291,17 @@ class MultiTenantServer:
                 intent=a.intent,
             )
             admitted = wfq.offer(a.tenant, query, sim.now)
-            if admitted and is_write:
-                tracker.record_routed(a.key, rows=rows_per_op)
-            note_shed()
+            if is_write:
+                writes_offered[a.tenant] += 1
+                if admitted:
+                    tracker.record_routed(a.key, rows=rows_per_op)
+            plane.note_queue()
             if admitted:
-                dispatch()
+                plane.dispatch()
 
-        def fail_now() -> None:
-            state.degraded = True
-
-        def heal_now() -> None:
-            state.degraded = False
+        def set_degraded(flag: bool) -> None:
+            nonlocal degraded
+            degraded = flag
 
         def autoscale_tick() -> None:
             burns: Dict[str, float] = {}
@@ -413,25 +315,12 @@ class MultiTenantServer:
                     budget = monitor.specs[t.slo_name].budget
                     burns[t.name] = (bad / total) / budget
             action = scaler.evaluate(sim.now, burns)
-            if action is None:
-                return
-
-            def actuate(action: ScalingAction = action) -> None:
-                if action.kind == "scale_up":
-                    note_capacity_change(+1)
-                    idle.append(state.next_backend)
-                    state.next_backend += 1
-                    idle.sort()
-                    dispatch()
-                else:
-                    if idle:
-                        idle.pop()
-                        note_capacity_change(-1)
-                    else:
-                        # drain: the next finishing backend retires
-                        state.pending_retire += 1
-
-            sim.schedule(action.effective_s, actuate, label="actuate")
+            if action is not None:
+                sim.schedule(
+                    action.effective_s,
+                    plane.grow if action.kind == "scale_up" else plane.retire,
+                    label="actuate",
+                )
 
         # -- schedule the day ----------------------------------------------
         sim.schedule_bulk(
@@ -442,10 +331,17 @@ class MultiTenantServer:
             ],
             label="arrival",
         )
-        if degraded_active and fail_window is not None:
-            sim.schedule(fail_window[0], fail_now, label="shard-fail")
-            if fail_window[1] is not None:
-                sim.schedule(fail_window[1], heal_now, label="shard-heal")
+        failure = config.failure
+        if failure is not None:
+            sim.schedule(
+                failure.at_fraction * config.day_s,
+                partial(set_degraded, True), label="shard-fail",
+            )
+            if failure.heal_fraction is not None:
+                sim.schedule(
+                    failure.heal_fraction * config.day_s,
+                    partial(set_degraded, False), label="shard-heal",
+                )
         if autoscale and config.autoscaler.enabled:
             interval = config.autoscaler.evaluate_interval_s
             n_ticks = int(config.day_s // interval)
@@ -455,57 +351,37 @@ class MultiTenantServer:
                 label="autoscale",
             )
         sim.run()
-        monitor.finish(state.last_completion)
-        state.capacity_integral += (
-            (sim.now - state.capacity_since) * state.n_backends
-        )
+        monitor.finish(plane.last_completion)
+        plane.resize(0)
 
         # -- measure -------------------------------------------------------
         ledger = wfq.ledger()
         tenants: Dict[str, TenantDayResult] = {}
         for t in config.tenants:
-            lat = latencies[t.name]
+            lat = plane.reads[t.name]
             row = ledger[t.name]
-            completed_reads = len(lat)
-            completed = completed_reads + writes_completed[t.name]
+            writes_completed = len(plane.writes[t.name])
+            completed = len(lat) + writes_completed
             within = sum(1 for v in lat if v <= t.latency_slo_s)
             tenants[t.name] = TenantDayResult(
                 tenant=t.name,
-                offered=offered[t.name],
+                offered=row["offered"],
                 admitted=row["admitted"],
                 completed=completed,
                 rejected=row["rejected"],
                 evicted=row["evicted"],
                 expired=row["expired"],
                 writes_offered=writes_offered[t.name],
-                writes_completed=writes_completed[t.name],
-                mean_latency_s=(
-                    sum(lat) / completed_reads if completed_reads else 0.0
-                ),
-                p50_s=percentile(lat, 50) if lat else 0.0,
-                p99_s=percentile(lat, 99) if lat else 0.0,
-                p999_s=percentile(lat, 99.9) if lat else 0.0,
-                max_latency_s=max(lat) if lat else 0.0,
-                mean_wait_s=(
-                    sum(waits[t.name]) / len(waits[t.name])
-                    if waits[t.name]
-                    else 0.0
-                ),
-                slo_attainment=(
-                    within / completed_reads if completed_reads else 1.0
-                ),
+                writes_completed=writes_completed,
+                **plane.summary(t.name),
+                slo_attainment=within / len(lat) if lat else 1.0,
                 goodput_fraction=(
-                    completed / offered[t.name] if offered[t.name] else 0.0
+                    completed / row["offered"] if row["offered"] else 0.0
                 ),
-                conserved=(
-                    row["offered"] == row["admitted"] + row["rejected"]
-                    and row["admitted"]
-                    == row["popped"] + row["evicted"] + row["expired"]
-                    + row["depth"]
-                ),
+                conserved=wfq.counters(t.name).conserved(row["depth"]),
             )
         first_alert = monitor.first_alert_at()
-        span = max(state.last_completion - arrivals[0].time_s, 0.0)
+        span = max(plane.last_completion - arrivals[0].time_s, 0.0)
         return DayResult(
             duration_s=span,
             tenants=tenants,
@@ -513,16 +389,14 @@ class MultiTenantServer:
             actions=list(scaler.actions),
             alerts=len(monitor.alerts),
             first_alert_s=first_alert if first_alert is not None else -1.0,
-            peak_backends=state.peak_backends,
-            final_backends=state.n_backends,
+            peak_backends=plane.peak_backends,
+            final_backends=plane.n_backends,
             rebalances=tracker.rebalances,
-            rebalance_rows_moved=state.rebalance_rows,
-            mean_batch=(
-                sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
-            ),
+            rebalance_rows_moved=rebalance_rows,
+            mean_batch=plane.mean_batch,
             utilization=(
-                state.busy_s / state.capacity_integral
-                if state.capacity_integral > 0
+                plane.busy_s / plane.capacity_integral
+                if plane.capacity_integral > 0
                 else 0.0
             ),
         )

@@ -32,11 +32,16 @@ class ZipfSampler:
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = ranks ** (-alpha)
         self._probs = weights / weights.sum()
+        # Generator.choice(n, size, p) re-validates p and rebuilds this
+        # CDF on every call; its draw is exactly the search below
+        self._cdf = self._probs.cumsum()
+        self._cdf /= self._cdf[-1]
         self._rng = np.random.default_rng(seed)
 
     def sample(self, size: int) -> np.ndarray:
-        """Draw `size` ranks under the Zipf law."""
-        return self._rng.choice(self.n, size=size, p=self._probs)
+        """Draw `size` ranks under the Zipf law (the same ranks, from the
+        same generator state, as ``Generator.choice`` with ``p``)."""
+        return self._cdf.searchsorted(self._rng.random(size), side="right")
 
     @property
     def probabilities(self) -> np.ndarray:

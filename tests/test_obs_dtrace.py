@@ -21,7 +21,6 @@ from repro.obs import (
     FleetAttribution,
     TraceCollector,
     Tracer,
-    cache_hit_critical_path,
     chrome_trace,
     cluster_critical_path,
     device_critical_path,
@@ -306,11 +305,6 @@ class TestOtherCriticalPaths:
         path = device_critical_path(result)
         assert path.component_sum() == result.total_seconds
         assert path.info["pages"] == result.pages
-
-    def test_cache_hit_path(self):
-        path = cache_hit_critical_path(0.1, 0.2)
-        assert path.bit_exact
-        assert [s.kind for s in path.segments] == ["lookup", "scan"]
 
     def test_recovery_path_bit_exact(self):
         from repro.recovery.durable import DurableStore, recover

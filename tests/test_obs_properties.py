@@ -37,12 +37,9 @@ from repro.cluster.coordinator import ClusterQueryResult, ShardReport
 from repro.core.topk import KWayMergeStats
 from repro.obs import (
     FleetAttribution,
-    SloMonitor,
-    SloSpec,
     TraceCollector,
     cluster_critical_path,
 )
-from repro.serving import QueryServer, ServingConfig, poisson_arrivals
 from repro.workloads import get_app, train_scn
 
 # ----------------------------------------------------------------------
@@ -314,23 +311,6 @@ class TestZeroOverheadParity:
             ]
 
         assert day(dtrace=TraceCollector()) == day()
-
-    def test_serving_parity(self):
-        config = ServingConfig(app="tir", features=20_000, queue_bound=8)
-
-        def day(**obs):
-            server = QueryServer(config)
-            arrivals = poisson_arrivals(
-                40, server.saturation_qps() * 1.2, seed=7, compat="tir"
-            )
-            return server.run(arrivals, **obs).as_dict()
-
-        traced = day(
-            dtrace=TraceCollector(),
-            slo=SloMonitor([SloSpec("read", target=0.9)],
-                           sample_interval_s=0.05),
-        )
-        assert traced == day()
 
     def test_chaos_parity(self):
         config = ChaosConfig(seed=5, queries=12, kills=2, crashes=1,

@@ -5,9 +5,6 @@ import pytest
 
 from repro.core.event_query import EventQuerySimulator
 from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
-    TrackHandle,
     Tracer,
     chrome_trace,
     write_chrome_trace,
@@ -83,24 +80,9 @@ class TestRecording:
         assert t.end_time == 5.0
 
 
-class TestNullTracer:
-    def test_disabled_and_inert(self):
-        n = NullTracer()
-        assert n.enabled is False
-        handle = n.track("p", "t")
-        assert handle == TrackHandle(0, 0)
-        n.complete(handle, "x", 0.0, 1.0)
-        n.instant(handle, "y", 0.0)
-        assert n.span_count == 0
-        assert n.count("anything") == 0
-        assert n.end_time == 0.0
-        assert NULL_TRACER.enabled is False
-
-
 class TestSimulatorHook:
     def test_disabled_tracer_normalized_to_none(self):
         assert Simulator().tracer is None
-        assert Simulator(tracer=NULL_TRACER).tracer is None
         t = Tracer()
         assert Simulator(tracer=t).tracer is t
 

@@ -12,13 +12,27 @@ its digest is that workload's ``sim_digest``.  The serving run has cache
 lookups in front of the queue: a miss joins it stamped ``lookup_s``
 before ``now``, so arrivals reach the queue out of ``arrival_s`` order,
 and the deadline sweep must still expire exactly the over-age ones.
+
+The traced runs pin what a metered, traced ``QueryServer`` emits
+besides its result: every ``serving.*`` instrument and every tracer
+span and instant (queue depth, sheds, backend occupancy, one instant
+per simulator event), with an IVF-priced scan, two backends, cache
+hits and a read/write mix.
 """
 
 import dataclasses
 import hashlib
 import json
 
-from repro.serving import QueryServer, ServingConfig, poisson_arrivals
+import pytest
+
+from repro.obs import MetricsRegistry, Tracer
+from repro.serving import (
+    QueryServer,
+    ServingConfig,
+    mixed_arrivals,
+    poisson_arrivals,
+)
 from repro.tenancy.day import default_production_config
 from repro.tenancy.server import MultiTenantServer
 from repro.tenancy.trace import generate_day
@@ -54,4 +68,42 @@ def test_deadline_serving_run_digest_pinned():
     result = server.run(arrivals)
     # misses pay a lookup before admission; every shedding path fires
     assert result.cache_hits and result.rejected and result.expired
-    assert _sha256(dataclasses.asdict(result)).startswith("924e2182")
+    assert _sha256(dataclasses.asdict(result)).startswith("3ada4ea7")
+
+
+@pytest.mark.parametrize(
+    "policy, deadline_s, counts, prefix",
+    [
+        ("deadline", 0.008, (137, 169, 0, 25), "24b34221b99078cc"),
+        ("drop-oldest", None, (128, 46, 170, 0), "11227e01c54cabef"),
+    ],
+)
+def test_traced_metered_serving_run_pinned(policy, deadline_s, counts, prefix):
+    config = ServingConfig(
+        app="tir", features=50_000, queue_bound=6, max_batch=4, n_servers=2,
+        cache_entries=32, index_lists=16, index_nprobe=4,
+        policy=policy, deadline_s=deadline_s,
+    )
+    metrics, tracer = MetricsRegistry(), Tracer()
+    server = QueryServer(config, metrics=metrics, tracer=tracer)
+    stream = QueryStream(
+        dim=32, n_intents=300, distribution="zipf", alpha=0.9,
+        paraphrase_noise=0.05, seed=4,
+    )
+    arrivals = mixed_arrivals(
+        500, 3 * server.saturation_qps(), 0.2, seed=9, stream=stream,
+        compat="tir",
+    )
+    result = server.run(arrivals)
+    assert (
+        result.cache_hits, result.rejected, result.evicted, result.expired
+    ) == counts
+    records = [
+        [tracer.track_name(s.track), s.name, s.start, s.duration, s.cat, s.args]
+        for s in tracer.spans
+    ] + [
+        [tracer.track_name(i.track), i.name, i.time, i.cat, i.args]
+        for i in tracer.instants
+    ]
+    payload = [dataclasses.asdict(result), metrics.snapshot(), records]
+    assert _sha256(payload).startswith(prefix)

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.cluster.config import ClusterConfig, ClusterError
 from repro.core.api import is_count, is_real
+from repro.faults.plan import ComponentFailure, FaultPlan
 from repro.index.build import IndexBuildConfig
 from repro.index.kmeans import IndexError_
 from repro.ingest.compaction import CompactionPolicy
@@ -125,7 +126,8 @@ class TestSweepValidation:
 
 class TestConfigConstructorFuzz:
     """Every bad size, time or failure spec raises one error naming its
-    field: a ``ValueError``, ``ClusterError`` from ``ClusterConfig``,
+    field: a ``ValueError`` (``FaultPlan`` too), ``ClusterError`` from
+    ``ClusterConfig``,
     ``IndexError_`` from ``IndexBuildConfig`` or ``IngestError`` from
     ``CompactionPolicy`` and ``LifecycleConfig``.
 
@@ -421,3 +423,83 @@ class TestConfigConstructorFuzz:
         for kwargs in ({"n_shards": 1.5}, {"features": float("nan")}):
             (field,) = kwargs
             _rejects_naming(self._tenancy, field, kwargs[field])
+
+    CLUSTER_COUNTS = (("n_shards", 1), ("n_replicas", 1), ("seed", 0))
+    #: field -> whether a real value is in range
+    CLUSTER_REALS = {
+        "hedge_fraction": lambda v: 0 < v < math.inf,
+        "straggler_spread": lambda v: 0 <= v < math.inf,
+    }
+
+    @given(st.sampled_from(CLUSTER_COUNTS), ANY_VALUE)
+    def test_cluster_counts(self, field_low, value):
+        field, low = field_low
+        if is_count(value, low):
+            assert getattr(ClusterConfig(**{field: value}), field) == value
+        else:
+            _rejects_naming(ClusterConfig, field, value, ClusterError)
+
+    @given(st.sampled_from(sorted(CLUSTER_REALS)), ANY_VALUE)
+    def test_cluster_reals(self, field, value):
+        # None is the one non-number hedge_fraction takes: no hedging
+        if (field == "hedge_fraction" and value is None) or (
+            is_real(value) and self.CLUSTER_REALS[field](value)
+        ):
+            ClusterConfig(**{field: value})
+        else:
+            _rejects_naming(ClusterConfig, field, value, ClusterError)
+
+    FAULT_COUNTS = (
+        ("read_retry_max", 1), ("crc_retry_max", 1), ("program_retry_max", 1),
+    )
+    FAULT_RATES = (
+        "read_retry_rate", "crc_error_rate", "program_fail_rate",
+        "chip_failure_rate", "accel_failure_rate",
+    )
+
+    @given(st.sampled_from(FAULT_COUNTS), ANY_VALUE)
+    def test_fault_plan_counts(self, field_low, value):
+        field, low = field_low
+        if is_count(value, low):
+            assert getattr(FaultPlan(**{field: value}), field) == value
+        else:
+            _rejects_naming(FaultPlan, field, value)
+
+    @given(st.sampled_from(FAULT_RATES), ANY_VALUE)
+    def test_fault_plan_rates(self, field, value):
+        if is_real(value) and 0 <= value <= 1:
+            FaultPlan(**{field: value})
+        else:
+            _rejects_naming(FaultPlan, field, value)
+
+    @given(st.one_of(
+        ANY_VALUE,
+        st.lists(ANY_VALUE, max_size=2),
+        st.lists(st.builds(ComponentFailure, st.just("accelerator"),
+                           index=st.integers(0, 3)), max_size=2),
+        st.lists(st.builds(ComponentFailure, st.just("accelerator"),
+                           index=st.integers(0, 3)), max_size=2).map(tuple),
+    ))
+    def test_fault_plan_failures(self, failures):
+        if isinstance(failures, (list, tuple)) and all(
+            isinstance(f, ComponentFailure) for f in failures
+        ):
+            assert FaultPlan(failures=failures).failures == tuple(failures)
+        else:
+            _rejects_naming(FaultPlan, "failures", failures)
+
+    def test_cluster_and_fault_plan_values_seen_before_validation(self):
+        # each used to construct, or to die as a bare TypeError
+        for kwargs in (
+            {"n_shards": 2.5}, {"n_shards": True}, {"seed": -1}, {"seed": 1.5},
+            {"n_shards": "3"}, {"hedge_fraction": "x"},
+            {"straggler_spread": None},
+        ):
+            (field,) = kwargs
+            _rejects_naming(ClusterConfig, field, kwargs[field], ClusterError)
+        for kwargs in (
+            {"read_retry_max": 2.5}, {"failures": [1]},
+            {"read_retry_rate": "0.1"},
+        ):
+            (field,) = kwargs
+            _rejects_naming(FaultPlan, field, kwargs[field])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads import (
     ALL_APPS,
@@ -112,6 +113,24 @@ class TestZipfSampler:
         draws = s.sample(20000)
         counts = np.bincount(draws, minlength=50)
         assert counts[0] > counts[25] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2_000),
+        alpha=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+    )
+    def test_draws_equal_generator_choice(self, n, alpha, seed, sizes):
+        # the same ranks, dtype and generator state as choice(p=...),
+        # call after call
+        sampler = ZipfSampler(n, alpha, seed=seed)
+        rng = np.random.default_rng(seed)
+        for size in sizes:
+            expected = rng.choice(n, size=size, p=sampler.probabilities)
+            drawn = sampler.sample(size)
+            assert drawn.dtype == expected.dtype
+            np.testing.assert_array_equal(drawn, expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
