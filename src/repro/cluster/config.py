@@ -143,9 +143,18 @@ class ClusterConfig:
     brownout: Optional["BrownoutConfig"] = None
 
     def __post_init__(self) -> None:
+        from repro.cluster.breaker import BreakerConfig
+        from repro.cluster.brownout import BrownoutConfig
+        from repro.cluster.retry import RetryPolicy
+
         check_counts(
             self, (("n_shards", 1), ("n_replicas", 1), ("seed", 0)), ClusterError
         )
+        for name, kind in (("dispatch_policy", DispatchPolicy), ("retry_policy", RetryPolicy),
+                           ("breaker", BreakerConfig), ("brownout", BrownoutConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) and (value is not None or kind is DispatchPolicy):
+                raise ClusterError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.placement not in PLACEMENT_STRATEGIES:
             raise ClusterError(
                 f"unknown placement {self.placement!r}; "

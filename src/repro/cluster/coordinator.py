@@ -13,9 +13,9 @@ SCN pipeline; the coordinator:
 2. optionally **hedges**: a backup replica launches when the primary
    has been outstanding ``hedge_fraction`` x its healthy latency, and
    the first completion wins (the loser is cancelled, never merged).
-   Both replicas share one host-side scan of the shard's rows
-   (:class:`~repro.core.api.ScanMemo`); each still runs its own cache
-   and latency model;
+   Both replicas hold the same rows, so the backup's scan is a hit in
+   the process-wide scan memo (:func:`repro.sim.fastpath.scan_topk`);
+   each still runs its own cache and latency model;
 3. **gathers** the per-shard top-K lists into the exact global top-K
    with the streaming K-way merge of :mod:`repro.core.topk`.
 
@@ -41,7 +41,7 @@ from repro.cluster.config import ClusterConfig, ClusterError
 from repro.cluster.placement import ShardPlacement, make_placement
 from repro.cluster.retry import RetryLadder
 from repro.cluster.scatter import ReplicaAttempt, ShardJob, run_scatter
-from repro.core.api import DeepStoreDevice, QueryResult, ScanMemo
+from repro.core.api import DeepStoreDevice, QueryResult
 from repro.core.topk import KWayMergeStats, kway_merge_topk, topk_select
 from repro.nn import Graph
 from repro.obs.dtrace import QueryTraceContext, TraceCollector
@@ -579,21 +579,13 @@ class DeepStoreCluster:
                     seen_live = True
             order = admitted
 
-        # every replica of this shard holds the same rows, so the eager
-        # primary and a hedge backup share one scan of them
-        scan_memo = ScanMemo()
-
         def runner(replica: int):
             def run() -> Tuple[float, QueryResult]:
-                device = self.devices[(shard, replica)]
-                with device._sharing_scans(scan_memo):
-                    handle = device.query(
-                        qfv,
-                        k=k,
-                        model_id=models[(shard, replica)],
-                        db_id=dbs[(shard, replica)],
-                    )
-                result = device.get_results(handle)
+                key = (shard, replica)
+                device = self.devices[key]
+                result = device.get_results(
+                    device.query(qfv, k=k, model_id=models[key], db_id=dbs[key])
+                )
                 seconds = result.seconds_to_host * cfg.replica_slowdown(
                     shard, replica
                 )

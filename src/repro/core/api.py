@@ -21,12 +21,12 @@ Method names follow Python conventions; each maps 1:1 to a Table-2 call
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.core.placement import LEVELS
 from repro.core.query_cache import EmbeddingComparator, QueryCache
 from repro.core.topk import topk_order
 from repro.nn import Graph, graph_from_bytes
+from repro.sim import fastpath
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.ssd import Ssd
 from repro.ssd.timing import SsdConfig
@@ -133,37 +134,6 @@ class QueryResult:
         }
 
 
-#: a full scan's identity within one query: (graph, db_start, db_end, k)
-ScanKey = Tuple[Graph, int, int, int]
-
-
-class ScanMemo:
-    """One query's full-scan top-K, shared by replicas of one shard.
-
-    A cluster creates one per (query, shard) and lends it to every
-    replica it runs for that shard (:meth:`DeepStoreDevice._sharing_scans`
-    around the replica's ``query``): the first replica to scan stores its
-    ``(ids, scores)``, and a later replica scanning the same graph, row
-    range and K reuses them instead of scoring byte-identical rows
-    again.  Devices consult it only while their database is at epoch 0,
-    i.e. still exactly the slice the cluster wrote to every replica.
-    """
-
-    def __init__(self) -> None:
-        self._scans: Dict[ScanKey, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def lookup(self, key: ScanKey) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Copies of the stored ``(ids, scores)`` for ``key``, if any."""
-        hit = self._scans.get(key)
-        if hit is None:
-            return None
-        return hit[0].copy(), hit[1].copy()
-
-    def store(self, key: ScanKey, ids: np.ndarray, scores: np.ndarray) -> None:
-        """Remember one scan's top-K under ``(graph, start, end, k)``."""
-        self._scans[key] = (ids.copy(), scores.copy())
-
-
 @dataclass(frozen=True)
 class PlannedScan:
     """The top-K a query plan scored and the rows the query is charged.
@@ -216,9 +186,9 @@ class DeepStoreDevice:
         self._db_epochs: Dict[int, int] = {}
         self._failed_accels: set = set()
         self.seed = seed
-        #: the cluster's per-(query, shard) scan memo, set only inside
-        #: :meth:`_sharing_scans`
-        self._scan_memo: Optional[ScanMemo] = None
+        #: (db_id, start, end) -> sha256 of those stored rows, made on
+        #: the range's first full scan (stored rows never change)
+        self._row_digests: Dict[Tuple[int, int, int], bytes] = {}
 
     # ------------------------------------------------------------------
     # reliability controls
@@ -476,37 +446,28 @@ class DeepStoreDevice:
     ) -> PlannedScan:
         """Every row of ``[start, end)``, charged in full.
 
-        At epoch 0 every replica of a cluster shard holds the same rows,
-        so one scan (kept in the cluster's :class:`ScanMemo`) serves
-        them all.
+        The top-K comes from the process-wide scan memo
+        (:func:`repro.sim.fastpath.scan_topk`), keyed on the rows'
+        content: any device holding the same rows (a replica, a twin
+        cluster) reuses one scan of them.
         """
-        memo = self._scan_memo if self._db_epochs.get(meta.db_id, 0) == 0 else None
-        key = (graph, start, end, k)
-        shared = memo.lookup(key) if memo is not None else None
-        if shared is not None:
-            ids, scores = shared
-        else:
-            ids, scores = self._scan(graph, qfv, store, start, end, k)
-            if memo is not None:
-                memo.store(key, ids, scores)
+        span, step = (meta.db_id, start, end), self.SCAN_CHUNK
+        digest = self._row_digests.get(span)
+        if digest is None:
+            digest = self._row_digests[span] = hashlib.sha256(store[start:end]).digest()
+        chunks = (
+            (np.arange(lo, min(end, lo + step)), store[lo : min(end, lo + step)])
+            for lo in range(start, end, step)
+        )
+        ids, scores = fastpath.scan_topk(
+            graph, qfv, (digest, start, end, k, step),
+            lambda: self._scan_chunks(graph, qfv, chunks, k),
+        )
         return PlannedScan(ids, scores, charged_rows=end - start)
 
     def _interfered(self, latency: QueryLatency) -> QueryLatency:
         """A static device has no background writes to slow its scans."""
         return latency
-
-    @contextlib.contextmanager
-    def _sharing_scans(self, memo: ScanMemo) -> Iterator[None]:
-        """Let the :meth:`query` calls inside the block share ``memo``.
-
-        Only the functional scoring is shared; the cache lookup and
-        insert, the latency model and the query id stay this device's.
-        """
-        self._scan_memo = memo
-        try:
-            yield
-        finally:
-            self._scan_memo = None
 
     def get_results(self, handle: QueryHandle) -> QueryResult:
         """``getResults``: fetch a completed query's top-K."""
@@ -537,23 +498,6 @@ class DeepStoreDevice:
         if features.ndim != 2 or features.shape[0] == 0:
             raise DeepStoreApiError("features must be a non-empty (N, dim) array")
         return features
-
-    def _scan(
-        self,
-        graph: Graph,
-        qfv: np.ndarray,
-        store: np.ndarray,
-        start: int,
-        end: int,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked functional SCN scan of rows ``[start, end)``."""
-        chunks = (
-            (np.arange(lo, min(end, lo + self.SCAN_CHUNK)),
-             store[lo : min(end, lo + self.SCAN_CHUNK)])
-            for lo in range(start, end, self.SCAN_CHUNK)
-        )
-        return self._scan_chunks(graph, qfv, chunks, k)
 
     def _scan_ids(
         self,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.core.api import check_counts, is_real
+from repro.core.api import check_counts, is_count, is_real
 
 #: component kinds a :class:`ComponentFailure` may name
 FAILURE_KINDS = ("chip", "plane", "accelerator", "shard")
@@ -54,8 +54,12 @@ class ComponentFailure:
     def __post_init__(self) -> None:
         if self.kind not in FAILURE_KINDS:
             raise ValueError(f"unknown failure kind {self.kind!r}")
-        if self.at_s < 0:
-            raise ValueError("failure time cannot be negative")
+        if not (is_real(self.at_s) and self.at_s >= 0):
+            raise ValueError(f"at_s must be a real number >= 0, got {self.at_s!r}")
+        for name in ("channel", "chip", "plane", "index", "replica"):
+            value = getattr(self, name)
+            if value is not None and not is_count(value):
+                raise ValueError(f"{name} must be an integer >= 0 (or None), got {value!r}")
         if self.kind == "chip" and (self.channel is None or self.chip is None):
             raise ValueError("chip failures need channel and chip")
         if self.kind == "plane" and (
@@ -69,8 +73,6 @@ class ComponentFailure:
                 raise ValueError("shard failures need an index (the shard)")
             if self.replica is None:
                 object.__setattr__(self, "replica", 0)
-            elif self.replica < 0:
-                raise ValueError("replica cannot be negative")
 
 
 @dataclass(frozen=True)

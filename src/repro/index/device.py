@@ -13,7 +13,7 @@ probes.  The contract that keeps the base reproduction honest:
   scan: routing is skipped (0.0 s), the probed ids are exactly
   ``arange(db_start, db_end)``, and the functional scan runs the same
   chunked canonical top-K as
-  :meth:`~repro.core.api.DeepStoreDevice._scan` — so ids, scores,
+  :meth:`~repro.core.api.DeepStoreDevice._range_plan` — so ids, scores,
   *and* seconds are bit-identical
   (the differential oracle pins this down per accelerator level).
 * The index covers exactly the store's clustered layout: the visible

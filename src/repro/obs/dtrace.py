@@ -349,12 +349,10 @@ class CriticalPath:
     ``groups`` preserve the simulator's association order:
     :meth:`component_sum` folds each group left-to-right from 0.0, then
     folds the group totals left-to-right — so ``[[a], [b, c], [d]]``
-    reproduces ``(a + (b + c)) + d`` exactly.  When ``exact`` is True
-    the builder guarantees every segment is a recorded primary float
-    and the fold order matches the simulator, hence
-    ``component_sum() == total_seconds`` bit-for-bit; a path that
-    cannot promise this sets ``exact=False`` and the sum is
-    best-effort.
+    reproduces ``(a + (b + c)) + d`` exactly.  Each ``*_critical_path``
+    function records primary floats in the simulator's fold order, hence
+    ``component_sum() == total_seconds`` bit-for-bit
+    (:attr:`bit_exact` checks it).
     """
 
     total_seconds: float
@@ -362,7 +360,6 @@ class CriticalPath:
     #: non-additive diagnostics (hedge overlap saved, brownout level,
     #: shard/replica ids, ...) — never folded into the sum
     info: Dict[str, object] = field(default_factory=dict)
-    exact: bool = True
 
     @property
     def segments(self) -> List[Segment]:
@@ -397,7 +394,6 @@ class CriticalPath:
         """JSON-ready snapshot with the exactness verdict included."""
         return {
             "total_seconds": self.total_seconds,
-            "exact": self.exact,
             "bit_exact": self.bit_exact,
             "segments": [
                 {"name": s.name, "kind": s.kind, "seconds": s.seconds}
@@ -483,7 +479,6 @@ def cluster_critical_path(result: "ClusterQueryResult") -> CriticalPath:
             "partial": result.partial,
             "unavailable_shards": result.unavailable_shards,
         },
-        exact=True,
     )
 
 
@@ -508,7 +503,6 @@ def device_critical_path(result: "EventQueryResult") -> CriticalPath:
             ],
         ],
         info={"pages": result.pages},
-        exact=True,
     )
 
 
@@ -527,7 +521,6 @@ def recovery_critical_path(report: "object") -> CriticalPath:
         total_seconds=report.seconds,
         groups=groups,
         info={"records_replayed": report.records_replayed},
-        exact=True,
     )
 
 

@@ -14,19 +14,26 @@ the memoized tables the call sites share:
   :func:`profile_table` / :func:`expected_topk_cycles` memoize them so
   the N-th identical construction costs a dict lookup;
 * **shared SCN graphs**: :func:`scn_graph` builds each deterministic
-  ``(app, seed)`` model once.
+  ``(app, seed)`` model once;
+* **full-scan top-Ks**: scoring is a pure function of the model, the
+  query and the stored rows, so :func:`scan_topk` scores each
+  ``(graph, query, rows)`` once per process and every device holding
+  the same rows (a hedge backup, a twin cluster) reuses the answer.
 
-Everything here is a *caching* change only: cached values are the
-same float objects an uncached computation would produce, so every
-scorecard leaf is byte-identical to the checked-in baseline
+Everything here is a *caching* change only: cached values equal what
+an uncached computation would produce, so every scorecard leaf is
+byte-identical to the checked-in baseline
 (``tests/test_perf_gate.py`` enforces exactly that).
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from math import ceil, log, log2
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.graph import Graph
@@ -48,6 +55,14 @@ _topk_cycles: Dict[Tuple[int, int], float] = {}
 #: (app name, seed) -> built-and-initialized SCN graph
 _scn_graphs: Dict[Tuple[str, int], Any] = {}
 
+#: (graph ref, qfv digest, rows key) -> full-scan ``(ids, scores)``,
+#: oldest first; at most :data:`SCAN_MEMO_ENTRIES` of them
+_scans: Dict[Tuple[Any, ...], Tuple[np.ndarray, np.ndarray]] = {}
+SCAN_MEMO_ENTRIES = 4096
+
+#: graph -> the parameter arrays its memoized scans were scored with
+_scan_weights: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 #: cache-effectiveness counters (surfaced by ``repro profile --hotspots``)
 stats = {
     "profile_hits": 0,
@@ -55,6 +70,8 @@ stats = {
     "topk_hits": 0,
     "graph_hits": 0,
     "graph_misses": 0,
+    "scan_hits": 0,
+    "scan_misses": 0,
 }
 
 
@@ -122,10 +139,48 @@ def scn_graph(app: Any, seed: int = 0) -> "Graph":
     return graph
 
 
+def scan_topk(
+    graph: "Graph",
+    qfv: np.ndarray,
+    rows: Hashable,
+    scan: Callable[[], Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Memoized full-scan top-K ``(ids, scores)`` of ``graph`` for ``qfv``.
+
+    ``rows`` must capture everything else the answer depends on: a
+    content digest of the scanned rows, their range, K and the scan's
+    chunking.  ``scan`` computes the answer on a miss.  The graph is
+    keyed weakly, by identity, and its entries hold only while
+    ``graph.params`` keeps the arrays of its first scan: re-training
+    replaces them and drops the graph's scans, and the arrays are made
+    read-only so an in-place write raises instead of leaving stale
+    answers.  Callers always get copies.
+    """
+    ref = weakref.ref(graph)
+    weights = [a for params in graph.params.values() for a in params.values()]
+    # the held arrays are alive, so equal ids mean the same arrays
+    if list(map(id, _scan_weights.get(graph, ()))) != list(map(id, weights)):
+        for key in [key for key in _scans if key[0] == ref]:
+            del _scans[key]
+        for array in weights:
+            array.flags.writeable = False
+        _scan_weights[graph] = weights
+    key = (ref, hashlib.sha256(np.ascontiguousarray(qfv)).digest(), rows)
+    hit = _scans.get(key)
+    stats["scan_misses" if hit is None else "scan_hits"] += 1
+    if hit is None:
+        hit = _scans[key] = scan()
+        if len(_scans) > SCAN_MEMO_ENTRIES:
+            del _scans[next(iter(_scans))]
+    return hit[0].copy(), hit[1].copy()
+
+
 def clear_tables() -> None:
     """Drop every memoized table (tests; never needed in production)."""
     _profiles.clear()
     _topk_cycles.clear()
     _scn_graphs.clear()
+    _scans.clear()
+    _scan_weights.clear()
     for key in stats:
         stats[key] = 0

@@ -1,19 +1,22 @@
-"""A cluster query scores each shard's rows once.
+"""Each set of stored rows is scored once per query, process-wide.
 
-Every replica of a shard holds the same slice until something mutates
-it, so the coordinator lets the eager primary and a hedge backup share
-one :class:`~repro.core.api.ScanMemo`: the second replica reuses the
-first one's ``(ids, scores)`` instead of re-running the SCN.  The
-claims pinned here:
+Scoring is a pure function of the model, the query and the stored rows,
+so :func:`repro.sim.fastpath.scan_topk` keeps full-scan top-Ks keyed on
+exactly those: the graph (by identity, while its weight arrays stay the
+same), a digest of the query and a digest of the scanned rows.  A hedge
+backup, a twin cluster and an appended replica holding the same rows all
+reuse one scan.  The claims pinned here:
 
 * a cache-missing read on a hedged 3x2 cluster scores exactly the
-  dataset's rows — not the 5/3x a per-replica re-scan costs;
+  dataset's rows, and a twin cluster over the same rows scores none;
 * sharing never changes an answer: every result field and every
   replica's query-cache contents equal a run whose memo always misses;
-* a replica whose database diverged (epoch > 0) never takes another
-  replica's scan.
+* a replica whose rows diverged returns its own rows;
+* re-training a graph misses, and writing its weights in place raises;
+* :func:`~repro.sim.fastpath.clear_tables` empties the memo.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, DeepStoreCluster
-from repro.core.api import DeepStoreDevice, ScanMemo
+from repro.core.api import DeepStoreDevice
+from repro.nn.training import PairTrainer, TrainConfig
+from repro.sim import fastpath
 from repro.workloads import get_app
 
 N = 240
@@ -33,21 +38,24 @@ HEDGED = dict(
 )
 
 
-def _build(app, cache=True, **kw):
+def _build(app, cache=True, graph=None, **kw):
     cluster = DeepStoreCluster(ClusterConfig(**kw))
     rng = np.random.default_rng(kw.get("seed", 0))
     features = rng.normal(0, 1, (N, app.feature_floats)).astype(np.float32)
     db = cluster.write_db(features)
-    model = cluster.load_graph(app.build_scn(seed=0))
+    model = cluster.load_graph(graph or app.build_scn(seed=0))
     if cache:
         cluster.set_qc(0.5, capacity=4)
     queries = rng.normal(0, 1, (3, app.feature_floats)).astype(np.float32)
     return cluster, model, db, queries
 
 
+@contextlib.contextmanager
 def _never_shared():
     """Force every memo lookup to miss: each replica scans on its own."""
-    return mock.patch.object(ScanMemo, "lookup", lambda self, key: None)
+    fastpath.clear_tables()
+    with mock.patch.object(fastpath, "SCAN_MEMO_ENTRIES", 0):
+        yield
 
 
 def _rows_scored(run):
@@ -81,6 +89,28 @@ def _cache_state(cluster):
     return state
 
 
+def _device_with(graph, features):
+    device = DeepStoreDevice()
+    return device, device.load_graph(graph), device.write_db(features)
+
+
+def _scan(device, model, db, qfv):
+    """``(rows scored, result)`` of one device query."""
+    return _rows_scored(
+        lambda: device.get_results(
+            device.query(qfv, k=K, model_id=model, db_id=db)
+        )
+    )
+
+
+@pytest.fixture
+def scan_inputs(tir_app):
+    rng = np.random.default_rng(11)
+    features = rng.normal(0, 1, (N, tir_app.feature_floats)).astype(np.float32)
+    qfv = rng.normal(0, 1, tir_app.feature_floats).astype(np.float32)
+    return tir_app.build_scn(seed=0), features, qfv
+
+
 class TestEachShardScoredOnce:
     def test_cache_missing_read_scores_the_dataset_once(self, tir_app):
         cluster, model, db, queries = _build(tir_app, **HEDGED)
@@ -107,16 +137,20 @@ class TestEachShardScoredOnce:
         hedged_rows = sum(len(owners[s.shard]) for s in result.shards if s.hedged)
         assert rows == N + hedged_rows > N
 
-    def test_memo_lives_for_one_query_only(self, tir_app):
-        # a second, different query must scan again (no cross-query reuse)
-        cluster, model, db, queries = _build(tir_app, cache=False, **HEDGED)
-        first, _ = _rows_scored(
-            lambda: cluster.query(queries[0], k=K, model_id=model, db_id=db)
+    def test_twin_cluster_scores_no_rows(self, tir_app):
+        graph = tir_app.build_scn(seed=0)
+        first, f_model, f_db, queries = _build(tir_app, graph=graph, **HEDGED)
+        twin, t_model, t_db, _ = _build(tir_app, graph=graph, **HEDGED)
+        rows, want = _rows_scored(
+            lambda: first.query(queries[0], k=K, model_id=f_model, db_id=f_db)
         )
-        second, _ = _rows_scored(
-            lambda: cluster.query(queries[1], k=K, model_id=model, db_id=db)
+        hits = fastpath.stats["scan_hits"]
+        twin_rows, got = _rows_scored(
+            lambda: twin.query(queries[0], k=K, model_id=t_model, db_id=t_db)
         )
-        assert first == second == N
+        assert rows == N and twin_rows == 0
+        assert fastpath.stats["scan_hits"] > hits
+        assert got.to_dict() == want.to_dict()
 
 
 dead_sets = st.sets(
@@ -143,19 +177,20 @@ class TestSharingNeverChangesAnAnswer:
             straggler_spread=spread, fail_shards=tuple(sorted(dead)),
             seed=seed,
         )
-        shared, s_model, s_db, queries = _build(app, **cfg)
-        alone, a_model, a_db, _ = _build(app, **cfg)
+        graph = app.build_scn(seed=0)
+        shared, s_model, s_db, queries = _build(app, graph=graph, **cfg)
+        alone, a_model, a_db, _ = _build(app, graph=graph, **cfg)
         # repeats hit the caches; the rotation moves the primaries
         order = [0, 1, 0, 2, 1, 0]
-        got = [
-            shared.query(queries[i], k=K, model_id=s_model, db_id=s_db).to_dict()
-            for i in order
-        ]
         with _never_shared():
             want = [
                 alone.query(queries[i], k=K, model_id=a_model, db_id=a_db).to_dict()
                 for i in order
             ]
+        got = [
+            shared.query(queries[i], k=K, model_id=s_model, db_id=s_db).to_dict()
+            for i in order
+        ]
         assert got == want
         assert _cache_state(shared) == _cache_state(alone)
 
@@ -213,30 +248,74 @@ class TestDivergedReplicasDoNotShare:
         assert np.array_equal(result.feature_ids, backup_ids)
 
 
-@pytest.mark.parametrize("epoch_bumps", [0, 1])
-def test_device_consults_memo_only_at_epoch_zero(tir_app, epoch_bumps):
-    """A memo entry is reused only by an unmutated database."""
-    device = DeepStoreDevice()
-    rng = np.random.default_rng(0)
-    features = rng.normal(0, 1, (N, tir_app.feature_floats)).astype(np.float32)
-    db = device.write_db(features)
-    graph = tir_app.build_scn(seed=0)
-    model = device.load_graph(graph)
-    qfv = rng.normal(0, 1, tir_app.feature_floats).astype(np.float32)
-    for _ in range(epoch_bumps):
-        device.append_db(db, features[:1])
-    end = len(device.read_db(db))
-    planted = (np.arange(K, dtype=np.int64), np.full(K, 2.0, np.float32))
-    memo = ScanMemo()
-    memo.store((graph, 0, end, K), *planted)
-    with device._sharing_scans(memo):
-        handle = device.query(qfv, k=K, model_id=model, db_id=db)
-    assert device._scan_memo is None  # scoped to the block
-    result = device.get_results(handle)
-    reused = np.array_equal(result.feature_ids, planted[0]) and np.array_equal(
-        result.scores, planted[1]
-    )
-    assert reused == (epoch_bumps == 0)
-    # handed-out arrays are copies: the memo's entry stays intact
-    result.feature_ids[:] = -1
-    assert np.array_equal(memo.lookup((graph, 0, end, K))[0], planted[0])
+class TestContentKeyedMemo:
+    def test_appended_db_shares_with_identical_rows(self, scan_inputs):
+        # epoch > 0 is no bar: the key is the rows, not the history
+        graph, features, qfv = scan_inputs
+        grown, g_model, g_db = _device_with(graph, features[: N - 7])
+        grown.append_db(g_db, features[N - 7 :])
+        assert grown.db_epoch(g_db) == 1
+        fresh, f_model, f_db = _device_with(graph, features)
+        rows, want = _scan(fresh, f_model, f_db, qfv)
+        shared_rows, got = _scan(grown, g_model, g_db, qfv)
+        assert (rows, shared_rows) == (N, 0)
+        assert np.array_equal(got.feature_ids, want.feature_ids)
+        assert np.array_equal(got.scores, want.scores)
+
+    def test_retrained_graph_misses(self, scan_inputs):
+        graph, features, qfv = scan_inputs
+        device, model, db = _device_with(graph, features)
+        _, before = _scan(device, model, db, qfv)
+        rng = np.random.default_rng(2)
+        PairTrainer(graph, TrainConfig(epochs=1, batch_size=8)).fit(
+            rng.normal(0, 1, (8, features.shape[1])).astype(np.float32),
+            features[:8],
+            (rng.random((8, 1)) > 0.5).astype(np.float32),
+        )
+        rows, after = _scan(device, model, db, qfv)
+        assert rows == N
+        with _never_shared():
+            _, want = _scan(device, model, db, qfv)
+        assert not np.array_equal(after.scores, before.scores)
+        assert np.array_equal(after.feature_ids, want.feature_ids)
+        assert np.array_equal(after.scores, want.scores)
+
+    def test_in_place_weight_write_raises(self, scan_inputs):
+        graph, features, qfv = scan_inputs
+        device, model, db = _device_with(graph, features)
+        _scan(device, model, db, qfv)
+        weights = next(iter(graph.params.values()))["W"]
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 1.0
+
+    def test_hits_hand_out_copies(self, scan_inputs):
+        graph, features, qfv = scan_inputs
+        device, model, db = _device_with(graph, features)
+        _, first = _scan(device, model, db, qfv)
+        want = first.feature_ids.copy()
+        first.feature_ids[:] = -1
+        rows, again = _scan(device, model, db, qfv)
+        assert rows == 0
+        assert np.array_equal(again.feature_ids, want)
+
+    def test_clear_tables_empties_the_memo(self, scan_inputs):
+        graph, features, qfv = scan_inputs
+        device, model, db = _device_with(graph, features)
+        _scan(device, model, db, qfv)
+        assert fastpath._scans and fastpath.stats["scan_misses"] > 0
+        fastpath.clear_tables()
+        assert not fastpath._scans
+        assert fastpath.stats["scan_hits"] == fastpath.stats["scan_misses"] == 0
+        rows, _ = _scan(device, model, db, qfv)
+        assert rows == N
+
+    def test_oldest_entry_is_evicted_first(self, scan_inputs):
+        graph, features, qfv = scan_inputs
+        device, model, db = _device_with(graph, features)
+        fastpath.clear_tables()
+        with mock.patch.object(fastpath, "SCAN_MEMO_ENTRIES", 2):
+            for shift in range(3):
+                _scan(device, model, db, qfv + shift)
+            assert len(fastpath._scans) == 2
+            assert _scan(device, model, db, qfv + 2)[0] == 0
+            assert _scan(device, model, db, qfv)[0] == N

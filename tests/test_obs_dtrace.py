@@ -249,7 +249,6 @@ class TestClusterCriticalPath:
         qfv = rng.normal(0, 1, app.feature_floats).astype(np.float32)
         result = cluster.query(qfv, 5, model, db)
         path = cluster_critical_path(result)
-        assert path.exact
         assert path.component_sum() == result.seconds  # IEEE-754 ==
         kinds = [s.kind for s in path.segments]
         assert kinds[0] == "fanout" and kinds[-1] == "gather"
@@ -331,7 +330,6 @@ class TestFleetAttribution:
         return CriticalPath(
             total_seconds=total,
             groups=[[Segment("x", kind, total)]],
-            exact=True,
         )
 
     def test_dominant_at_tail(self):

@@ -193,7 +193,6 @@ class TestBitExactAttribution:
             assume(False)
         result = _result(scatter, jobs, scatter_s, gather_s)
         path = cluster_critical_path(result)
-        assert path.exact
         assert path.component_sum() == result.seconds  # IEEE-754 ==
         assert path.bit_exact
         # the named critical shard is the one the max() picked

@@ -13,8 +13,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster import BreakerConfig, BrownoutConfig, RetryPolicy
 from repro.cluster.config import ClusterConfig, ClusterError
 from repro.core.api import is_count, is_real
+from repro.core.engine import DispatchPolicy
 from repro.faults.plan import ComponentFailure, FaultPlan
 from repro.index.build import IndexBuildConfig
 from repro.index.kmeans import IndexError_
@@ -126,8 +128,8 @@ class TestSweepValidation:
 
 class TestConfigConstructorFuzz:
     """Every bad size, time or failure spec raises one error naming its
-    field: a ``ValueError`` (``FaultPlan`` too), ``ClusterError`` from
-    ``ClusterConfig``,
+    field: a ``ValueError`` (``FaultPlan`` and ``ComponentFailure`` too),
+    ``ClusterError`` from ``ClusterConfig`` (its policy objects too),
     ``IndexError_`` from ``IndexBuildConfig`` or ``IngestError`` from
     ``CompactionPolicy`` and ``LifecycleConfig``.
 
@@ -266,6 +268,48 @@ class TestConfigConstructorFuzz:
         else:
             _rejects_naming(serving, "fail_shards", (spec,))
             _rejects_naming(cluster, "fail_shards", (spec,), ClusterError)
+
+    FAILURE_COORDINATES = ("channel", "chip", "plane", "index", "replica")
+
+    @given(st.sampled_from(FAILURE_COORDINATES), ANY_VALUE)
+    def test_component_failure_coordinates(self, field, value):
+        # a plane failure with every coordinate set; it needs the first three
+        plane = functools.partial(
+            ComponentFailure, "plane", **dict.fromkeys(self.FAILURE_COORDINATES, 0)
+        )
+        if is_count(value) or (value is None and field in ("index", "replica")):
+            assert getattr(plane(**{field: value}), field) == value
+        else:
+            _rejects_naming(plane, field, value)
+
+    @given(ANY_VALUE)
+    def test_component_failure_time(self, value):
+        accelerator = functools.partial(ComponentFailure, "accelerator", index=0)
+        if is_real(value) and value >= 0:
+            assert accelerator(at_s=value).at_s == value
+        else:
+            _rejects_naming(accelerator, "at_s", value)
+
+    #: ClusterConfig's policy-object fields and the type each must have
+    CLUSTER_POLICIES = {
+        "dispatch_policy": DispatchPolicy,
+        "retry_policy": RetryPolicy,
+        "breaker": BreakerConfig,
+        "brownout": BrownoutConfig,
+    }
+
+    @given(
+        st.sampled_from(sorted(CLUSTER_POLICIES)),
+        st.one_of(ANY_VALUE, st.sampled_from(
+            [kind() for kind in CLUSTER_POLICIES.values()]
+        )),
+    )
+    def test_cluster_policy_types(self, field, value):
+        kind = self.CLUSTER_POLICIES[field]
+        if isinstance(value, kind) or (value is None and field != "dispatch_policy"):
+            assert getattr(ClusterConfig(**{field: value}), field) is value
+        else:
+            _rejects_naming(ClusterConfig, field, value, ClusterError)
 
     BUILD_COUNTS = (
         ("n_lists", 1), ("iterations", 1), ("seed", 0), ("region_pages_per_block", 1),
