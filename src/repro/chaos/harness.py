@@ -38,7 +38,6 @@ from repro.cluster import (
     RetryPolicy,
 )
 from repro.ingest.store import oracle_topk
-from repro.obs.dtrace import TraceCollector
 from repro.obs.slo import SloMonitor, default_chaos_monitor
 from repro.recovery import (
     CheckpointPolicy,
@@ -98,9 +97,6 @@ class CrashOutcome:
     recovered_epoch: int
     records_replayed: int
     mttr_s: float
-    #: the in-flight mutation's WAL program had not completed — it was
-    #: never acked, and correctly does not survive
-    lost_inflight: bool
     bit_equal: bool
 
 
@@ -250,7 +246,7 @@ def run_durability_chaos(
     wal_bytes = 0
     wal_records = 0
 
-    def crash_now(at_s: float, image, lost_inflight: bool) -> DurableStore:
+    def crash_now(at_s: float, image) -> DurableStore:
         nonlocal store, checkpoints, wal_bytes
         checkpoints += store.checkpoints_taken
         wal_bytes += store.wal.bytes_logged
@@ -264,7 +260,6 @@ def run_durability_chaos(
                 recovered_epoch=rec_report.recovered_epoch,
                 records_replayed=rec_report.records_replayed,
                 mttr_s=rec_report.seconds,
-                lost_inflight=lost_inflight,
                 bit_equal=ok,
             )
         )
@@ -275,7 +270,7 @@ def run_durability_chaos(
         if kind == "crash":
             if at in consumed_crashes:
                 continue  # this crash already landed mid-mutation
-            store = crash_now(at, store.crash_image(), lost_inflight=False)
+            store = crash_now(at, store.crash_image())
             continue
         if kind == "compact":
             store.mark_compacted(store.store.snapshot(), now_s=at)
@@ -303,7 +298,7 @@ def run_durability_chaos(
             # record never became durable and the client got no ack
             report.mutations_lost_unacked += 1
             consumed_crashes.add(next_crash)
-            store = crash_now(next_crash, image_before, lost_inflight=True)
+            store = crash_now(next_crash, image_before)
             continue
         store.apply_pending(pending)
         if pending.record.op == "insert":
@@ -427,7 +422,6 @@ SLOW_FACTOR = 3.0
 def run_cluster_chaos(
     config: Optional[ChaosConfig] = None,
     monitor: Optional[SloMonitor] = None,
-    dtrace: Optional[TraceCollector] = None,
 ) -> ClusterChaosReport:
     """Serve a query train through correlated kills and restarts.
 
@@ -437,9 +431,9 @@ def run_cluster_chaos(
     *latency* (bad = served slower than ``SLOW_FACTOR`` × the healthy
     twin's time for the same query).  The report's ``alert_latency_s``
     is how long after the first kill the first burn-rate alert fired —
-    the chaos day's detection-time metric.  Monitoring and tracing read
-    the run; they never schedule events or touch the RNG, so the
-    scorecard block is byte-identical with or without them.
+    the chaos day's detection-time metric.  Monitoring reads the run;
+    it never schedules events or touches the RNG, so the scorecard
+    block is byte-identical with or without it.
     """
     cfg = config or ChaosConfig()
     app = get_app(cfg.app)
@@ -562,7 +556,6 @@ def run_cluster_chaos(
         try:
             result = cluster.query(
                 queries[i], k=cfg.k, model_id=model, db_id=db, now_s=now,
-                dtrace=dtrace,
             )
         except ClusterError:
             report.failed += 1

@@ -40,13 +40,17 @@ from repro.cluster.brownout import BrownoutController
 from repro.cluster.config import ClusterConfig, ClusterError
 from repro.cluster.placement import ShardPlacement, make_placement
 from repro.cluster.retry import RetryLadder
-from repro.cluster.scatter import ReplicaAttempt, ShardJob, run_scatter
+from repro.cluster.scatter import (
+    ReplicaAttempt,
+    ShardJob,
+    ShardOutcome,
+    run_scatter,
+)
 from repro.core.api import DeepStoreDevice, QueryResult
 from repro.core.topk import KWayMergeStats, kway_merge_topk, topk_select
 from repro.nn import Graph
 from repro.obs.dtrace import QueryTraceContext, TraceCollector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.ssd.timing import SsdConfig
 
 
@@ -64,7 +68,6 @@ class ShardReport:
     hedged: bool
     hedge_won: bool
     cache_hit: bool
-    k_returned: int
     #: retry-ladder pause seconds charged to this leg
     retry_pause_seconds: float = 0.0
     #: no live replica answered within the retry budget — the global
@@ -163,6 +166,87 @@ class ClusterQueryResult:
         }
 
 
+def trace_leg(
+    dtrace: TraceCollector,
+    shard_ctx: QueryTraceContext,
+    job: ShardJob,
+    outcome: ShardOutcome,
+    base_s: float,
+) -> None:
+    """Render one scatter leg's spans under its open shard span.
+
+    Leg times are local (every leg launches at scatter time 0), so
+    ``base_s`` anchors them on the query's clock.  The spans: a
+    zero-length one per breaker rejection, the failover detection (or the
+    unavailable verdict), each cancelled hedge loser (ending when the
+    winner landed), the winning attempt and its device run.  Closing
+    ``shard_ctx`` at the leg's completion ends the leg.
+    """
+    track = f"cluster/shard {job.shard}"
+    for replica, state in job.breaker_rejected:
+        dtrace.add_span(
+            shard_ctx, f"breaker reject r{replica}", base_s, base_s,
+            kind="cluster.breaker", track=track,
+            status="rejected", replica=replica, state=state,
+        )
+    done = base_s + outcome.done_s
+    if outcome.unavailable:
+        dtrace.add_span(
+            shard_ctx, "unavailable", base_s, done,
+            kind="cluster.detect", track=track,
+            status="unavailable", failovers=outcome.failovers,
+            retry_pause_s=outcome.retry_pause_s,
+        )
+        dtrace.end_span(
+            shard_ctx, done, status="unavailable",
+            failovers=outcome.failovers,
+        )
+        return
+    # the primary launched once detection and retry pauses were paid
+    launch = outcome.detect_s + outcome.retry_pause_s
+    if launch > 0.0:
+        dtrace.add_span(
+            shard_ctx, f"failover detect x{outcome.failovers}",
+            base_s, base_s + launch,
+            kind="cluster.detect", track=track,
+            failovers=outcome.failovers,
+            retry_pause_s=outcome.retry_pause_s,
+        )
+    for replica, start in outcome.cancelled:
+        # a loser's span ends when it was cancelled, not at its
+        # planned completion: that work never happened
+        dtrace.add_span(
+            shard_ctx, f"attempt r{replica} (hedge loser)",
+            base_s + start, done,
+            kind="cluster.attempt", track=track,
+            status="cancelled", replica=replica,
+        )
+    name = f"attempt r{outcome.replica}"
+    if outcome.hedge_won:
+        name += " (hedge winner)"
+    dtrace.add_span(
+        shard_ctx, name, base_s + outcome.start_s, done,
+        kind="cluster.attempt", track=track,
+        replica=outcome.replica, hedged=outcome.hedged,
+        hedge_won=outcome.hedge_won,
+    )
+    # device execution as a leaf of the shard leg: the winning
+    # replica's simulated SSD run (or cache hit)
+    dtrace.add_span(
+        shard_ctx, f"device s{job.shard}r{outcome.replica}",
+        base_s + outcome.start_s, done,
+        kind="device.query", track="device",
+        **outcome.payload.span_args(),
+    )
+    dtrace.end_span(
+        shard_ctx, done,
+        replica=outcome.replica,
+        failovers=outcome.failovers,
+        hedged=outcome.hedged,
+        hedge_won=outcome.hedge_won,
+    )
+
+
 class DeepStoreCluster:
     """N shards x R replicas of simulated DeepStore SSDs, coordinated."""
 
@@ -170,11 +254,9 @@ class DeepStoreCluster:
         self,
         config: Optional[ClusterConfig] = None,
         ssd: Optional[SsdConfig] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.config = config or ClusterConfig()
-        self.tracer = tracer
         self.metrics = metrics
         cfg = self.config
         self.devices: Dict[Tuple[int, int], DeepStoreDevice] = {
@@ -206,11 +288,6 @@ class DeepStoreCluster:
         self.brownout: Optional[BrownoutController] = (
             BrownoutController(cfg.brownout)
             if cfg.brownout is not None
-            else None
-        )
-        self._coord_track = (
-            self.tracer.track("cluster", "coordinator")
-            if self.tracer is not None
             else None
         )
 
@@ -301,7 +378,6 @@ class DeepStoreCluster:
         db_id: int,
         now_s: float = 0.0,
         dtrace: Optional[TraceCollector] = None,
-        parent_ctx: Optional[QueryTraceContext] = None,
     ) -> ClusterQueryResult:
         """Scatter one query, gather the exact global top-K.
 
@@ -311,10 +387,9 @@ class DeepStoreCluster:
         bit-identical.
 
         ``dtrace`` records the query's causal span tree (root, fan-out,
-        per-shard legs with every attempt, gather) as a child of
-        ``parent_ctx`` — or as a fresh trace when the cluster is the
-        entry point.  Recording is pure bookkeeping: results and
-        timings are bit-identical with it on or off.
+        per-shard legs with every attempt, gather) as one trace.
+        Recording is pure bookkeeping: results and timings are
+        bit-identical with it on or off.
 
         A shard whose replicas are all dead (or retry-budget-exhausted)
         resolves as a structured *unavailable* leg: the returned top-K
@@ -338,16 +413,10 @@ class DeepStoreCluster:
         root_ctx: Optional[QueryTraceContext] = None
         shard_ctxs: Optional[Dict[int, QueryTraceContext]] = None
         if dtrace is not None:
-            if parent_ctx is not None:
-                root_ctx = dtrace.start_span(
-                    parent_ctx, f"cluster query {seq}", now_s,
-                    kind="cluster.query", track="cluster/coordinator", k=k,
-                )
-            else:
-                root_ctx = dtrace.start_trace(
-                    f"cluster query {seq}", now_s,
-                    kind="cluster.query", track="cluster/coordinator", k=k,
-                )
+            root_ctx = dtrace.start_trace(
+                f"cluster query {seq}", now_s,
+                kind="cluster.query", track="cluster/coordinator", k=k,
+            )
             dtrace.add_span(
                 root_ctx, f"scatter fan-out x{len(shards)}",
                 now_s, now_s + scatter_s,
@@ -367,11 +436,7 @@ class DeepStoreCluster:
             jobs.append(
                 self._shard_job(shard, seq, qfv, k, models, dbs, now_s)
             )
-        scatter = run_scatter(
-            jobs, tracer=self.tracer, metrics=self.metrics,
-            dtrace=dtrace, shard_ctxs=shard_ctxs,
-            base_s=now_s + scatter_s,
-        )
+        scatter = run_scatter(jobs, metrics=self.metrics)
         job_by_shard = {job.shard: job for job in jobs}
 
         partials: List[List[Tuple[float, int]]] = []
@@ -379,17 +444,12 @@ class DeepStoreCluster:
         for outcome in scatter.outcomes:
             job = job_by_shard[outcome.shard]
             self._record_breakers(job, outcome, now_s)
-            shard_ctx = (
-                shard_ctxs.get(outcome.shard)
-                if shard_ctxs is not None else None
-            )
+            if dtrace is not None and shard_ctxs is not None:
+                trace_leg(
+                    dtrace, shard_ctxs[outcome.shard], job, outcome,
+                    now_s + scatter_s,
+                )
             if outcome.unavailable:
-                if dtrace is not None and shard_ctx is not None:
-                    dtrace.end_span(
-                        shard_ctx, now_s + scatter_s + outcome.done_s,
-                        status="unavailable",
-                        failovers=outcome.failovers,
-                    )
                 reports.append(
                     ShardReport(
                         shard=outcome.shard,
@@ -400,7 +460,6 @@ class DeepStoreCluster:
                         hedged=False,
                         hedge_won=False,
                         cache_hit=False,
-                        k_returned=0,
                         retry_pause_seconds=outcome.retry_pause_s,
                         unavailable=True,
                         breaker_rejections=len(job.breaker_rejected),
@@ -414,24 +473,6 @@ class DeepStoreCluster:
                 for score, local in zip(result.scores, result.feature_ids)
             ]
             partials.append(pairs)
-            if dtrace is not None and shard_ctx is not None:
-                # device execution as a leaf of the shard leg: the
-                # winning replica's simulated SSD run (or cache hit)
-                base = now_s + scatter_s
-                dtrace.add_span(
-                    shard_ctx,
-                    f"device s{outcome.shard}r{outcome.replica}",
-                    base + outcome.start_s, base + outcome.done_s,
-                    kind="device.query", track="device",
-                    **result.span_args(),
-                )
-                dtrace.end_span(
-                    shard_ctx, base + outcome.done_s,
-                    replica=outcome.replica,
-                    failovers=outcome.failovers,
-                    hedged=outcome.hedged,
-                    hedge_won=outcome.hedge_won,
-                )
             reports.append(
                 ShardReport(
                     shard=outcome.shard,
@@ -442,7 +483,6 @@ class DeepStoreCluster:
                     hedged=outcome.hedged,
                     hedge_won=outcome.hedge_won,
                     cache_hit=result.cache_hit,
-                    k_returned=len(pairs),
                     retry_pause_seconds=outcome.retry_pause_s,
                     service_seconds=outcome.service_s,
                     hedge_wait_seconds=outcome.hedge_wait_s,
@@ -459,17 +499,6 @@ class DeepStoreCluster:
 
         gather_s = costs.gather_seconds(stats.comparisons)
         total = scatter_s + scatter.makespan_s + gather_s
-        if self.tracer is not None:
-            self.tracer.complete(
-                self._coord_track, "scatter", 0.0, scatter_s,
-                cat="cluster.coordinator",
-            )
-            self.tracer.complete(
-                self._coord_track, "gather",
-                scatter_s + scatter.makespan_s, gather_s,
-                cat="cluster.coordinator",
-                args={"comparisons": stats.comparisons},
-            )
         if self.metrics is not None:
             self.metrics.histogram("cluster.query_seconds").observe(total)
             self.metrics.histogram("cluster.scatter_overhead_s").observe(

@@ -35,10 +35,31 @@ from repro.core.deepstore import DeepStoreSystem
 from repro.core.topk import KWayMergeStats
 from repro.sim import fastpath
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.timing import SsdConfig
 from repro.workloads.apps import AppSpec
+
+
+def steady_merge_stats(lists: int, k: int) -> KWayMergeStats:
+    """Steady-state K-way merge shape over full K-entry partials.
+
+    Its :attr:`~repro.core.topk.KWayMergeStats.comparisons` is
+    ``(lists + 2k) * ceil(log2 lists)`` for two or more lists, else 0.
+    """
+    offered = lists * k
+    popped = min(k, offered)
+    if lists <= 1:
+        # heapify of one head + k pops, no cross-list comparisons
+        heap_ops = min(1, lists) + popped
+    else:
+        # heapify + each pop refilled by a push from the same list
+        heap_ops = lists + 2 * popped
+    return KWayMergeStats(
+        lists=lists,
+        entries_offered=offered,
+        entries_popped=popped,
+        heap_ops=heap_ops,
+    )
 
 
 @dataclass
@@ -86,12 +107,10 @@ class ClusterModel:
         self,
         config: Optional[ClusterConfig] = None,
         ssd: Optional[SsdConfig] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.config = config or ClusterConfig()
         self.ssd = ssd or SsdConfig()
-        self.tracer = tracer
         self.metrics = metrics
         self._systems: Dict[str, DeepStoreSystem] = {}
 
@@ -179,11 +198,9 @@ class ClusterModel:
                     hedge_delay=hedge_delay,
                 )
             )
-        scatter: ScatterResult = run_scatter(
-            jobs, tracer=self.tracer, metrics=self.metrics
-        )
+        scatter: ScatterResult = run_scatter(jobs, metrics=self.metrics)
 
-        merge = self._merge_stats(len(shards), k)
+        merge = steady_merge_stats(len(shards), k)
         scatter_s = cfg.costs.scatter_seconds(len(shards))
         gather_s = cfg.costs.gather_seconds(merge.comparisons)
         single = self.shard_seconds(app, n_features, k)
@@ -202,22 +219,4 @@ class ClusterModel:
             hedges_launched=scatter.hedges_launched,
             hedge_wins=scatter.hedge_wins,
             shard_seconds=[o.done_s for o in scatter.outcomes],
-        )
-
-    @staticmethod
-    def _merge_stats(lists: int, k: int) -> KWayMergeStats:
-        """Steady-state K-way merge shape over full K-entry partials."""
-        offered = lists * k
-        popped = min(k, offered)
-        if lists <= 1:
-            # heapify of one head + k pops, no cross-list comparisons
-            heap_ops = min(1, lists) + popped
-        else:
-            # heapify + each pop refilled by a push from the same list
-            heap_ops = lists + 2 * popped
-        return KWayMergeStats(
-            lists=lists,
-            entries_offered=offered,
-            entries_popped=popped,
-            heap_ops=heap_ops,
         )

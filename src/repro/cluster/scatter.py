@@ -20,6 +20,10 @@ survives, so a hedge can never double-count a shard's candidates.
 
 Replica runners are **lazy callables**: a backup's query only executes
 if its hedge actually fires.
+
+The scatter records nothing itself: each :class:`ShardOutcome` carries
+what its leg did (detection, the winner, the cancelled attempts), and
+the coordinator renders a traced query's spans from those outcomes.
 """
 
 from __future__ import annotations
@@ -28,9 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterError
-from repro.obs.dtrace import QueryTraceContext, TraceCollector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 
 #: a lazily-invoked replica query: () -> (seconds, payload)
@@ -104,6 +106,9 @@ class ShardOutcome:
     #: time the winning hedge shaved off the primary's planned
     #: completion (diagnostic; not on the additive path)
     hedge_saved_s: float = 0.0
+    #: attempts cancelled when the winner landed at ``done_s``, as
+    #: (replica, launch time) in launch order
+    cancelled: Tuple[Tuple[int, float], ...] = ()
 
 
 @dataclass
@@ -132,23 +137,10 @@ class _ShardLeg:
         job: ShardJob,
         sim: Simulator,
         metrics: Optional[MetricsRegistry],
-        track,
-        tracer: Optional[Tracer],
-        dtrace: Optional[TraceCollector] = None,
-        shard_ctx: Optional[QueryTraceContext] = None,
-        base_s: float = 0.0,
     ) -> None:
         self.job = job
         self.sim = sim
         self.metrics = metrics
-        self.track = track
-        self.tracer = tracer
-        #: distributed-trace collector + the query's per-shard parent
-        #: span; leg times are local (legs launch at sim time 0), so
-        #: ``base_s`` re-anchors them onto the query's wall clock
-        self.dtrace = dtrace
-        self.shard_ctx = shard_ctx
-        self.base_s = base_s
         self.outcome: Optional[ShardOutcome] = None
         self._events: Dict[int, Any] = {}  # replica -> completion Event
         self._timer = None
@@ -157,21 +149,10 @@ class _ShardLeg:
         self._pause_s = 0.0
         self._failovers = 0
         self._hedged = False
-        #: replica -> (start, seconds, tracer token) of launched runs
-        self._launched: Dict[int, Tuple[float, float, int]] = {}
-
-    def _dtrack(self) -> str:
-        return f"cluster/shard {self.job.shard}"
+        #: replica -> (start, seconds) of launched runs
+        self._launched: Dict[int, Tuple[float, float]] = {}
 
     def launch(self) -> None:
-        if self.dtrace is not None and self.shard_ctx is not None:
-            for replica, state in self.job.breaker_rejected:
-                self.dtrace.add_span(
-                    self.shard_ctx, f"breaker reject r{replica}",
-                    self.base_s, self.base_s,
-                    kind="cluster.breaker", track=self._dtrack(),
-                    status="rejected", replica=replica, state=state,
-                )
         live: List[ReplicaAttempt] = []
         delays = self.job.backoff_delays
         exhausted = False
@@ -199,20 +180,6 @@ class _ShardLeg:
             # detection (and any retry pauses) has been paid, carrying
             # no payload for the gather to merge
             done = self._detect_s + self._pause_s
-            if self.tracer is not None:
-                self.tracer.complete(
-                    self.track, "unavailable", 0.0, done,
-                    cat="cluster.detect",
-                    args={"failovers": self._failovers},
-                )
-            if self.dtrace is not None and self.shard_ctx is not None:
-                self.dtrace.add_span(
-                    self.shard_ctx, "unavailable",
-                    self.base_s, self.base_s + done,
-                    kind="cluster.detect", track=self._dtrack(),
-                    status="unavailable", failovers=self._failovers,
-                    retry_pause_s=self._pause_s,
-                )
             self.outcome = ShardOutcome(
                 shard=self.job.shard,
                 replica=-1,
@@ -228,23 +195,6 @@ class _ShardLeg:
             return
         primary = live[0]
         start = self._detect_s + self._pause_s
-        if self.tracer is not None and start > 0.0:
-            self.tracer.complete(
-                self.track, "detect", 0.0, start,
-                cat="cluster.detect",
-                args={"failovers": self._failovers},
-            )
-        if (
-            self.dtrace is not None
-            and self.shard_ctx is not None
-            and start > 0.0
-        ):
-            self.dtrace.add_span(
-                self.shard_ctx, f"failover detect x{self._failovers}",
-                self.base_s, self.base_s + start,
-                kind="cluster.detect", track=self._dtrack(),
-                failovers=self._failovers, retry_pause_s=self._pause_s,
-            )
         self._start_replica(primary, start)
         if self.job.hedge_delay is not None and len(live) > 1:
             self._backup = live[1]
@@ -264,19 +214,7 @@ class _ShardLeg:
             lambda: self._finish(attempt, start, seconds, payload),
             label=f"shard{self.job.shard} r{attempt.replica} done",
         )
-        token = 0
-        if self.tracer is not None:
-            # open-ended: a hedge race decides the *actual* end — the
-            # winner closes at its completion, the loser at the instant
-            # its completion event is cancelled
-            token = self.tracer.begin(
-                self.track,
-                f"replica {attempt.replica}",
-                start,
-                cat="cluster.shard",
-                args={"shard": self.job.shard, "replica": attempt.replica},
-            )
-        self._launched[attempt.replica] = (start, seconds, token)
+        self._launched[attempt.replica] = (start, seconds)
 
     def _fire_hedge(self) -> None:
         self._timer = None
@@ -297,28 +235,11 @@ class _ShardLeg:
         # the loser's completion (if outstanding) must never run: its
         # payload closure is released by cancel()
         now = self.sim.now
+        cancelled = []
         for replica, event in self._events.items():
             if replica != attempt.replica:
                 event.cancel()
-                lstart, _lseconds, ltoken = self._launched[replica]
-                if self.tracer is not None:
-                    # the loser's span ends at cancellation, not at its
-                    # planned completion — that work never happened
-                    self.tracer.end(
-                        ltoken, now, args={"cancelled": True}
-                    )
-                    self.tracer.instant(
-                        self.track, f"cancel replica {replica}", now,
-                        cat="cluster.cancel",
-                        args={"shard": self.job.shard, "replica": replica},
-                    )
-                if self.dtrace is not None and self.shard_ctx is not None:
-                    self.dtrace.add_span(
-                        self.shard_ctx, f"attempt r{replica} (hedge loser)",
-                        self.base_s + lstart, self.base_s + now,
-                        kind="cluster.attempt", track=self._dtrack(),
-                        status="cancelled", replica=replica,
-                    )
+                cancelled.append((replica, self._launched[replica][0]))
         self._events.clear()
         if self._timer is not None:
             self._timer.cancel()
@@ -329,26 +250,12 @@ class _ShardLeg:
         )
         if hedge_won and self.metrics is not None:
             self.metrics.counter("cluster.hedge_wins").inc()
-        if self.tracer is not None:
-            _wstart, _wseconds, wtoken = self._launched[attempt.replica]
-            self.tracer.end(wtoken, now)
-        if self.dtrace is not None and self.shard_ctx is not None:
-            name = f"attempt r{attempt.replica}"
-            if hedge_won:
-                name += " (hedge winner)"
-            self.dtrace.add_span(
-                self.shard_ctx, name,
-                self.base_s + start, self.base_s + now,
-                kind="cluster.attempt", track=self._dtrack(),
-                replica=attempt.replica, hedged=hedged,
-                hedge_won=hedge_won,
-            )
         hedge_saved = 0.0
         if hedge_won:
             # how much earlier the hedge landed vs the primary's
             # planned completion (the primary launched first)
             planned = max(
-                s + sec for _r, (s, sec, _t) in self._launched.items()
+                s + sec for _r, (s, sec) in self._launched.items()
                 if _r != attempt.replica
             )
             hedge_saved = max(0.0, planned - now)
@@ -370,16 +277,13 @@ class _ShardLeg:
                 else 0.0
             ),
             hedge_saved_s=hedge_saved,
+            cancelled=tuple(cancelled),
         )
 
 
 def run_scatter(
     jobs: Sequence[ShardJob],
-    tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    dtrace: Optional[TraceCollector] = None,
-    shard_ctxs: Optional[Dict[int, QueryTraceContext]] = None,
-    base_s: float = 0.0,
 ) -> ScatterResult:
     """Execute one scatter round; returns shard-ordered outcomes.
 
@@ -389,32 +293,11 @@ def run_scatter(
     Completion events are scheduled before hedge timers, so a primary
     finishing exactly at the hedge deadline wins the FIFO tie and no
     hedge launches — deterministic either way.
-
-    ``dtrace`` + ``shard_ctxs`` (shard -> parent span context) record
-    each leg's attempts — winners, cancelled hedge losers, failover
-    detection, breaker rejections — as child spans of the query's
-    per-shard spans, re-anchored onto the query's wall clock at
-    ``base_s``.  Recording never touches the event heap, so outcomes
-    are bit-identical with or without it.
     """
     if not jobs:
         raise ClusterError("scatter needs at least one shard job")
-    sim = Simulator(tracer=tracer)
-    legs: List[_ShardLeg] = []
-    for job in jobs:
-        track = (
-            tracer.track("cluster", f"shard {job.shard}")
-            if tracer is not None
-            else None
-        )
-        shard_ctx = (
-            shard_ctxs.get(job.shard) if shard_ctxs is not None else None
-        )
-        leg = _ShardLeg(
-            job, sim, metrics, track, tracer,
-            dtrace=dtrace, shard_ctx=shard_ctx, base_s=base_s,
-        )
-        legs.append(leg)
+    sim = Simulator()
+    legs = [_ShardLeg(job, sim, metrics) for job in jobs]
     # launch in shard order so seq-based ties resolve by shard id
     for leg in legs:
         leg.launch()

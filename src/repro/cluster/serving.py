@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig, ClusterError
+from repro.cluster.model import steady_merge_stats
 from repro.cluster.placement import make_placement
 from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
@@ -111,16 +112,9 @@ class ClusterBatchCostModel:
                 (cfg.replica_slowdown(shard, primary), ladder, table)
             )
         self.scatter_s = cfg.costs.scatter_seconds(self.n_contacted)
-        merge_comparisons = 0
-        if self.n_contacted > 1:
-            # steady-state gather shape (matches ClusterModel)
-            import math
-
-            heap_ops = self.n_contacted + 2 * k
-            merge_comparisons = heap_ops * math.ceil(
-                math.log2(self.n_contacted)
-            )
-        self.gather_s = cfg.costs.gather_seconds(merge_comparisons)
+        self.gather_s = cfg.costs.gather_seconds(
+            steady_merge_stats(self.n_contacted, k).comparisons
+        )
         # a result DMA happens per shard leg inside the device table
         # already; the coordinator adds only its own serial costs
         #: service seconds per batch size: the barrier depends only on

@@ -37,7 +37,6 @@ from repro.ingest.compaction import (
 )
 from repro.core.api import check_counts, is_real
 from repro.ingest.store import IngestError
-from repro.obs.dtrace import TraceCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.workloads import get_app
@@ -231,15 +230,8 @@ def _measure_recall(
 def run_lifecycle(
     config: Optional[LifecycleConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
-    dtrace: Optional["TraceCollector"] = None,
 ) -> LifecycleReport:
-    """Run the staleness → compaction → interference loop.
-
-    With ``dtrace`` attached, each staleness round and the compaction
-    pass land as coarse spans on an ``ingest`` track — durations come
-    from the measured scan/compaction seconds already in the report, so
-    tracing reads state but never changes it.
-    """
+    """Run the staleness → compaction → interference loop."""
     from repro.index.device import IndexedDevice, query_exhaustive
 
     config = config or LifecycleConfig()
@@ -372,33 +364,6 @@ def run_lifecycle(
             )
         )
     device.set_background_write_load(0.0)
-
-    if dtrace is not None:
-        # lay the rounds out end-to-end from their measured scan costs,
-        # then the compaction pass on its own DES timestamps
-        root = dtrace.start_trace(
-            "ingest lifecycle", 0.0, kind="ingest.lifecycle",
-            track="ingest", app=config.app,
-        )
-        t = 0.0
-        for point in staleness[1:]:
-            dur = point.stale_scan_seconds + point.with_delta_scan_seconds
-            dtrace.add_span(
-                root, f"ingest round {point.round}", t, t + dur,
-                kind="ingest.round", track="ingest",
-                delta_fraction=point.delta_fraction,
-                stale_recall=point.stale_recall,
-                with_delta_recall=point.with_delta_recall,
-            )
-            t += dur
-        dtrace.add_span(
-            root, f"compaction x{report.chunks} chunks",
-            t + report.started_s, t + report.finished_s,
-            kind="ingest.compaction", track="ingest",
-            preemptions=report.preemptions,
-            rows_rewritten=report.rows_rewritten,
-        )
-        dtrace.end_span(root, t + report.finished_s)
 
     stats = state.writepath.stats
     return LifecycleReport(

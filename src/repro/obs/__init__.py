@@ -6,9 +6,10 @@ steady state, Fig. 12 attributes energy to flash reads — so the
 simulator must be able to say *where* simulated time went, not just how
 much of it passed.  This package is that layer:
 
-* :class:`Tracer` — span/instant recording with named process/thread
-  tracks.  Components hold a track handle and emit **complete spans**
-  (start + known duration) as they schedule work; with no tracer
+* :class:`Tracer` — a device's resource lanes: span/instant recording
+  with named process/thread tracks.  Components hold a track handle
+  and record **complete spans** (start + known duration) as they
+  schedule work; with no tracer
   attached every hook is a single ``is None`` check, and tracing never
   schedules events of its own, so simulated timings are bit-identical
   with tracing on, off, or absent.
@@ -23,9 +24,10 @@ much of it passed.  This package is that layer:
   fraction utilization timelines, and a busiest-resource / idle-gap
   profile.  ``python -m repro trace`` and ``python -m repro profile``
   are the CLI front ends.
-* :class:`TraceCollector` + :class:`CriticalPath` — distributed query
-  tracing (one causal span tree per query, scatter attempts and hedge
-  losers included, Chrome-flow export) and bit-exact critical-path
+* :class:`TraceCollector` + :class:`CriticalPath` — the one record of
+  a cluster query's timeline (a causal span tree per query; the
+  coordinator renders each scatter leg, hedge losers included, from
+  its outcome; Chrome-flow export) and bit-exact critical-path
   attribution with :class:`FleetAttribution` tail analysis.
   ``python -m repro explain`` is the CLI front end.
 * :class:`SloMonitor` — windowed SLO gauges over the DES timeline with
@@ -41,9 +43,7 @@ from repro.obs.dtrace import (
     Segment,
     TraceCollector,
     cluster_critical_path,
-    device_critical_path,
     dtrace_chrome,
-    recovery_critical_path,
     write_dtrace,
 )
 from repro.obs.export import (
@@ -98,8 +98,6 @@ __all__ = [
     "Segment",
     "CriticalPath",
     "cluster_critical_path",
-    "device_critical_path",
-    "recovery_critical_path",
     "FleetAttribution",
     "SloSpec",
     "BurnRateRule",

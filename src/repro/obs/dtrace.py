@@ -2,16 +2,16 @@
 
 :mod:`repro.obs.tracer` answers "what was this *resource* doing" — one
 lane per channel/chip/accelerator.  This module answers the dual
-question, "what happened to this *query*": a
-:class:`QueryTraceContext` is minted when a query enters the system
-(a cluster call, an ingest round, a recovery) and propagated through
-cluster scatter — one child span per shard attempt, including
-retry/failover rungs, hedge winners *and* cancelled losers, and breaker
-rejections — device execution, the K-way gather, and cache hits.  The resulting span tree exports as Chrome trace-event JSON with
-flow (``s``/``f``) arrows linking a query's spans across tracks, and
-optionally merges a device :class:`~repro.obs.tracer.Tracer`'s
-resource lanes into the same file so causality and occupancy can be
-read side by side.
+question, "what happened to this *query*", and is the one record of a
+cluster query's timeline: :meth:`DeepStoreCluster.query
+<repro.cluster.coordinator.DeepStoreCluster.query>` mints a
+:class:`QueryTraceContext` for a fresh trace, records the fan-out, one
+span per shard leg and the K-way gather, and renders each leg from its
+scatter outcome — breaker rejections, failover detection or the
+unavailable verdict, hedge winners *and* cancelled losers, and the
+device run (or cache hit).
+The span tree exports as Chrome trace-event JSON with flow
+(``s``/``f``) arrows linking a query's spans across tracks.
 
 On top of the span tree, :class:`CriticalPath` decomposes one query's
 end-to-end seconds into named :class:`Segment`\\ s that **sum
@@ -44,11 +44,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import percentile
-from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.coordinator import ClusterQueryResult
-    from repro.core.event_query import EventQueryResult
 
 
 # ----------------------------------------------------------------------
@@ -72,15 +70,15 @@ class QuerySpan:
     trace_id: int
     name: str
     #: coarse stage taxonomy: ``cluster.query``, ``cluster.scatter``,
-    #: ``cluster.attempt``, ``device.query``, ``recovery.stage``, ...
+    #: ``cluster.shard``, ``cluster.attempt``, ``device.query``, ...
     kind: str
-    #: logical lane the exporter maps to a pid (``serving``,
-    #: ``cluster/shard 0``, ``device``, ``recovery``, ...)
+    #: logical lane the exporter maps to a pid (``cluster/coordinator``,
+    #: ``cluster/shard 0``, ``device``, ...)
     track: str
     start_s: float
     end_s: float
-    #: ``ok`` | ``cancelled`` | ``rejected`` | ``unavailable`` |
-    #: ``shed_<reason>`` — anything but ``ok`` also exports an instant
+    #: ``ok`` | ``partial`` | ``cancelled`` | ``rejected`` |
+    #: ``unavailable`` — anything but ``ok`` also exports an instant
     #: marker so terminations are visible at a glance
     status: str = "ok"
     args: Optional[Dict[str, object]] = None
@@ -233,23 +231,13 @@ class TraceCollector:
 # ----------------------------------------------------------------------
 # Chrome trace-event export
 # ----------------------------------------------------------------------
-#: pid offset for merged-in device Tracer lanes, so query tracks and
-#: resource tracks never collide in one file
-_TRACER_PID_OFFSET = 100
-
-
-def dtrace_chrome(
-    collector: TraceCollector,
-    tracer: Optional[Tracer] = None,
-) -> Dict[str, object]:
-    """Render a collector (and optionally a device tracer) as one
-    Chrome/Perfetto trace-event dict.
+def dtrace_chrome(collector: TraceCollector) -> Dict[str, object]:
+    """Render a collector as one Chrome/Perfetto trace-event dict.
 
     One pid per logical track string; ``X`` events carry
     trace/span/parent/status args; non-``ok`` spans also get an ``i``
     marker at their end; every :meth:`TraceCollector.flow` arrow
-    becomes an ``s``/``f`` pair.  A device tracer's events merge in
-    with pids shifted by :data:`_TRACER_PID_OFFSET`.
+    becomes an ``s``/``f`` pair.
     """
     pids: Dict[str, int] = {}
     for span in collector.spans:
@@ -306,24 +294,13 @@ def dtrace_chrome(
             "id": flow_id, "pid": pids[dst.track], "tid": 0,
             "ts": dst.start_s * 1e6,
         })
-    if tracer is not None:
-        from repro.obs.export import chrome_trace
-
-        for event in chrome_trace(tracer)["traceEvents"]:  # type: ignore[union-attr]
-            shifted = dict(event)
-            shifted["pid"] = int(shifted["pid"]) + _TRACER_PID_OFFSET  # type: ignore[arg-type]
-            events.append(shifted)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_dtrace(
-    collector: TraceCollector,
-    path: str,
-    tracer: Optional[Tracer] = None,
-) -> str:
+def write_dtrace(collector: TraceCollector, path: str) -> str:
     """Serialize :func:`dtrace_chrome` to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dtrace_chrome(collector, tracer), fh)
+        json.dump(dtrace_chrome(collector), fh)
     return path
 
 
@@ -336,8 +313,7 @@ class Segment:
 
     name: str
     #: taxonomy key for fleet aggregation: ``fanout`` | ``detect`` |
-    #: ``backoff`` | ``hedge_wait`` | ``scan`` | ``gather`` |
-    #: ``service`` | ``recovery``
+    #: ``backoff`` | ``hedge_wait`` | ``scan`` | ``gather``
     kind: str
     seconds: float
 
@@ -349,8 +325,8 @@ class CriticalPath:
     ``groups`` preserve the simulator's association order:
     :meth:`component_sum` folds each group left-to-right from 0.0, then
     folds the group totals left-to-right — so ``[[a], [b, c], [d]]``
-    reproduces ``(a + (b + c)) + d`` exactly.  Each ``*_critical_path``
-    function records primary floats in the simulator's fold order, hence
+    reproduces ``(a + (b + c)) + d`` exactly.  :func:`cluster_critical_path`
+    records primary floats in the simulator's fold order, hence
     ``component_sum() == total_seconds`` bit-for-bit
     (:attr:`bit_exact` checks it).
     """
@@ -479,48 +455,6 @@ def cluster_critical_path(result: "ClusterQueryResult") -> CriticalPath:
             "partial": result.partial,
             "unavailable_shards": result.unavailable_shards,
         },
-    )
-
-
-def device_critical_path(result: "EventQueryResult") -> CriticalPath:
-    """Attribute one device query's seconds (PR 2 invariant, regrouped).
-
-    The engine computes ``scan + (dispatch + merge + setup)`` with the
-    tail accumulated first, so the groups mirror that: one group for
-    the overlapped scan, one for the engine tail.
-    """
-    return CriticalPath(
-        total_seconds=result.total_seconds,
-        groups=[
-            [Segment("flash scan (overlapped I/O+compute)", "scan",
-                     result.scan_seconds)],
-            [
-                Segment("engine dispatch", "service",
-                        result.dispatch_seconds),
-                Segment("top-K merge", "gather", result.merge_seconds),
-                Segment("accelerator setup", "service",
-                        result.setup_seconds),
-            ],
-        ],
-        info={"pages": result.pages},
-    )
-
-
-def recovery_critical_path(report: "object") -> CriticalPath:
-    """Attribute a crash recovery: checkpoint read + WAL read + apply.
-
-    ``RecoveryReport.seconds`` is defined as exactly this left-fold sum,
-    so the path is bit-exact by construction.
-    """
-    groups = [[
-        Segment("checkpoint read", "recovery", report.checkpoint_read_seconds),
-        Segment("wal read", "recovery", report.wal_read_seconds),
-        Segment("apply replay", "recovery", report.apply_seconds),
-    ]]
-    return CriticalPath(
-        total_seconds=report.seconds,
-        groups=groups,
-        info={"records_replayed": report.records_replayed},
     )
 
 

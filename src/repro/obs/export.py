@@ -56,25 +56,6 @@ def chrome_trace(tracer: Tracer) -> Dict[str, object]:
             "args": {"name": name},
         })
     for s in tracer.spans:
-        if s.emit == "BE":
-            # Spans whose end was only learned at close time (e.g. a
-            # cancelled hedge loser) export as a balanced begin/end pair
-            # so viewers always see a terminated slice, never an
-            # open-ended one.
-            begin: Dict[str, object] = {
-                "name": s.name, "cat": s.cat or "span", "ph": "B",
-                "pid": s.track.pid, "tid": s.track.tid,
-                "ts": s.start * 1e6,
-            }
-            if s.args:
-                begin["args"] = dict(s.args)
-            events.append(begin)
-            events.append({
-                "name": s.name, "cat": s.cat or "span", "ph": "E",
-                "pid": s.track.pid, "tid": s.track.tid,
-                "ts": s.end * 1e6,
-            })
-            continue
         event: Dict[str, object] = {
             "name": s.name, "cat": s.cat or "span", "ph": "X",
             "pid": s.track.pid, "tid": s.track.tid,

@@ -14,12 +14,16 @@ Two record kinds cover everything the simulation does:
   duration, e.g. one array read holding a plane, one page transfer
   holding a channel bus, one per-page SCN compute holding an
   accelerator.  The simulator schedules work with known durations, so
-  spans are emitted at *start* time in one call (no begin/end pairing
-  to keep balanced).
+  spans are recorded at *start* time in one call, never as a
+  begin/end pair.
 * **instants** (:class:`Instant`) — zero-duration markers, e.g. every
   event the :class:`~repro.sim.Simulator` dispatches (category
   ``sim.event``, used to reconcile the trace against
   ``events_processed``) or a failed read under fault injection.
+
+This is the *resource* view of one device.  A query's own timeline —
+a cluster query's scatter legs, failover, hedges and cancelled losers —
+is a span tree in :mod:`repro.obs.dtrace`.
 
 The overhead contract: tracing appends records to Python lists and
 never touches the event heap, so **simulated** timings are identical
@@ -51,11 +55,6 @@ class Span:
     duration: float
     track: TrackHandle
     args: Optional[Dict[str, object]] = None
-    #: Chrome phase to export as: ``"X"`` (one complete event) or
-    #: ``"BE"`` (a begin/end pair).  ``"BE"`` marks spans whose true end
-    #: was only learned later — e.g. a hedge loser cancelled mid-flight —
-    #: so viewers see the actual occupancy, not the planned one.
-    emit: str = "X"
 
     @property
     def end(self) -> float:
@@ -84,12 +83,6 @@ class Tracer:
         self._pids: Dict[str, int] = {}
         self._tids: Dict[Tuple[int, str], int] = {}
         self._next_tid: Dict[int, int] = {}
-        #: token -> (track, name, start, cat, args) for spans opened with
-        #: :meth:`begin` and not yet closed by :meth:`end`
-        self._open: Dict[
-            int, Tuple[TrackHandle, str, float, str, Optional[Dict[str, object]]]
-        ] = {}
-        self._next_token = 0
 
     # ------------------------------------------------------------------
     # tracks
@@ -151,43 +144,6 @@ class Tracer:
         """Record one zero-duration marker."""
         self.instants.append(Instant(name, cat, time, track, args))
 
-    def begin(
-        self,
-        track: TrackHandle,
-        name: str,
-        start: float,
-        cat: str = "",
-        args: Optional[Dict[str, object]] = None,
-    ) -> int:
-        """Open a span whose end is not yet known; returns a token.
-
-        Used for occupancies that may be cut short (a hedge loser's
-        in-flight work, cancelled when the winner lands).  The span only
-        materialises — as an emit-``"BE"`` :class:`Span` — when
-        :meth:`end` closes the token, so every begin must be balanced.
-        """
-        token = self._next_token
-        self._next_token += 1
-        self._open[token] = (track, name, start, cat, args)
-        return token
-
-    def end(
-        self,
-        token: int,
-        time: float,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Close a :meth:`begin` token at ``time`` (extra args merged)."""
-        track, name, start, cat, begin_args = self._open.pop(token)
-        if args:
-            merged = dict(begin_args) if begin_args else {}
-            merged.update(args)
-            begin_args = merged
-        self.spans.append(
-            Span(name, cat, start, max(0.0, time - start), track,
-                 begin_args, emit="BE")
-        )
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -195,11 +151,6 @@ class Tracer:
     def span_count(self) -> int:
         """Number of complete spans recorded so far."""
         return len(self.spans)
-
-    @property
-    def open_spans(self) -> int:
-        """Begun-but-unclosed spans (0 in a balanced trace)."""
-        return len(self._open)
 
     def count(self, cat: str) -> int:
         """Records (spans + instants) in one category."""

@@ -22,10 +22,7 @@ logged-but-unapplied mutation (it was acked), which replay guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
-
-if TYPE_CHECKING:  # tracing is optional — avoid an import at runtime
-    from repro.obs.dtrace import TraceCollector
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -329,8 +326,6 @@ def recover(
     ssd: Optional[Ssd] = None,
     policy: Optional[CheckpointPolicy] = None,
     apply_seconds_per_record: float = APPLY_SECONDS_PER_RECORD,
-    dtrace: Optional["TraceCollector"] = None,
-    at_s: float = 0.0,
 ) -> Tuple[DurableStore, RecoveryReport]:
     """Replay-based restart: durable image in, live store out.
 
@@ -339,12 +334,6 @@ def recover(
     :class:`DurableStore` (fresh WAL region re-seeded with the
     surviving records at zero modelled cost — they are already on
     flash) plus the measured :class:`RecoveryReport`.
-
-    With ``dtrace`` attached, the three replay stages (checkpoint
-    read, WAL read, apply) land as consecutive spans on a
-    ``recovery`` track starting at ``at_s``; recovery is not itself
-    simulated, so the spans are laid out from the measured stage
-    seconds and never perturb any timing.
     """
     ssd = ssd if ssd is not None else Ssd()
     checkpoint_read_s = 0.0
@@ -400,21 +389,4 @@ def recover(
         wal_read_seconds=ssd.host_read_seconds(replay_bytes),
         apply_seconds=replayed * apply_seconds_per_record,
     )
-    if dtrace is not None:
-        root = dtrace.start_trace(
-            "recovery", at_s, kind="recovery", track="recovery",
-            records_replayed=replayed,
-        )
-        t = at_s
-        for name, kind, seconds in (
-            ("checkpoint read", "recovery.checkpoint",
-             report.checkpoint_read_seconds),
-            ("wal read", "recovery.wal", report.wal_read_seconds),
-            ("apply replay", "recovery.apply", report.apply_seconds),
-        ):
-            dtrace.add_span(
-                root, name, t, t + seconds, kind=kind, track="recovery"
-            )
-            t += seconds
-        dtrace.end_span(root, at_s + report.seconds)
     return recovered, report

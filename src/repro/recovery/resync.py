@@ -28,8 +28,6 @@ from repro.ssd.ssd import Ssd
 class ResyncPlan:
     """One replica's priced catch-up plan."""
 
-    from_epoch: int
-    to_epoch: int
     #: True when the WAL no longer retains the missed epochs and the
     #: replica must ship the checkpoint image instead
     full_snapshot: bool
@@ -65,8 +63,6 @@ def plan_resync(
             + len(suffix) * apply_seconds_per_record
         )
         return ResyncPlan(
-            from_epoch=down_epoch,
-            to_epoch=current_epoch,
             full_snapshot=True,
             records=len(suffix),
             nbytes=nbytes,
@@ -74,8 +70,6 @@ def plan_resync(
         )
     nbytes = sum(r.nbytes for r in records)
     return ResyncPlan(
-        from_epoch=down_epoch,
-        to_epoch=current_epoch,
         full_snapshot=False,
         records=len(records),
         nbytes=nbytes,

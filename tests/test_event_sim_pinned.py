@@ -41,9 +41,9 @@ PLANS = {
 }
 
 PINNED = {
-    "event_query": "42d9552ced8b54cede405e975ef7eb9ec6cc85db137b1a3dadb280db8becc3b5",
-    "stripe_scan": "bb2c1b2a6e2cfc6bec941f3d020fa9c50655924ea1078a67880470edf2b85ddf",
-    "chip_channel": "532e9e5198e76b391b5fc1b6fd8d0c7117682245ac5de1c1d0123e06182a2fee",
+    "event_query": "e54293f4c1b10afb7ef80c35f689af8634d85ca52ccc993ffcd86563e4ede8b4",
+    "stripe_scan": "4e0d5a24a13c760d68c81f7ce81f08d3ffb314f9a83a1adf5bc640a30b617db0",
+    "chip_channel": "1c4f8a9dd4faabc5a8c3b136d96e03a4af1f3176abd452a8d8b3ffad10ef752b",
 }
 
 

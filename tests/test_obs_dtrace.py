@@ -1,10 +1,14 @@
 """Tests for distributed query tracing and critical-path attribution.
 
 Covers the collector (span trees, balance, flows), the Chrome export
-(``X`` spans, ``B``/``E`` pairs for open-ended spans, ``s``/``f`` flow
-arrows, cancellation markers), the cancelled-hedge-loser regression,
-and the bit-exact critical-path builders for every query shape.
+(``X`` spans, ``s``/``f`` flow arrows, cancellation markers), the
+coordinator's leg renderer on a cancelled hedge loser, the pinned span
+tree of ``repro explain``'s default run, and the bit-exact cluster
+critical path.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -17,15 +21,12 @@ from repro.cluster import (
     ShardJob,
     run_scatter,
 )
+from repro.cluster.coordinator import trace_leg
 from repro.obs import (
     FleetAttribution,
     TraceCollector,
-    Tracer,
-    chrome_trace,
     cluster_critical_path,
-    device_critical_path,
     dtrace_chrome,
-    recovery_critical_path,
 )
 from repro.obs.dtrace import Segment
 from repro.workloads import get_app
@@ -137,93 +138,88 @@ class TestDtraceChrome:
         events = dtrace_chrome(dt)["traceEvents"]
         assert not [e for e in events if e["ph"] in ("s", "f")]
 
-    def test_device_tracer_merges_with_offset_pids(self):
-        tracer = Tracer()
-        lane = tracer.track("ch0", "chip0")
-        tracer.complete(lane, "page read", 0.0, 1e-5, cat="flash")
-        trace = dtrace_chrome(self._forest(), tracer=tracer)
-        events = trace["traceEvents"]
-        assert any(e.get("name") == "page read" for e in events)
-        collector_pids = {
-            e["pid"] for e in events
-            if e["ph"] == "X" and e["name"] in ("q", "leg")
-        }
-        tracer_pids = {
-            e["pid"] for e in events
-            if e["ph"] == "X" and e["name"] == "page read"
-        }
-        assert max(collector_pids) < min(tracer_pids)
-
 
 # ----------------------------------------------------------------------
-# cancelled hedge losers (regression: open-ended spans must terminate)
+# cancelled hedge losers, rendered from the scatter outcome
 # ----------------------------------------------------------------------
+class _DeviceResult:
+    """What the leg renderer reads of a winning replica's result."""
+
+    def span_args(self):
+        return {"cache_hit": False}
+
+
 def _hedged_job(shard=0, primary_s=1.0, backup_s=0.1, hedge_delay=0.2):
     attempts = tuple(
         ReplicaAttempt(
             replica=r, alive=True,
-            run=(lambda s=secs, sh=shard, rr=r: (s, (sh, rr))),
+            run=(lambda s=secs: (s, _DeviceResult())),
         )
         for r, secs in enumerate((primary_s, backup_s))
     )
     return ShardJob(shard=shard, attempts=attempts, hedge_delay=hedge_delay)
 
 
+def _render(job):
+    """Scatter one job, then render its leg under a fresh shard span."""
+    (outcome,) = run_scatter([job]).outcomes
+    dt = TraceCollector()
+    root = dt.start_trace("q", 0.0, kind="q", track="t")
+    shard_ctx = dt.start_span(root, "shard 0 leg", 0.0,
+                              kind="cluster.shard", track="t")
+    trace_leg(dt, shard_ctx, job, outcome, 0.0)
+    dt.end_span(root, outcome.done_s)
+    return outcome, dt, shard_ctx
+
+
 class TestCancelledHedgeLoser:
     def test_loser_span_ends_at_cancellation(self):
-        tracer = Tracer()
-        result = run_scatter([_hedged_job()], tracer=tracer)
-        (outcome,) = result.outcomes
+        outcome, dt, _ = _render(_hedged_job())
         assert outcome.hedged and outcome.hedge_won
         # the loser (primary, replica 0) planned to run 1.0 s but was
         # cancelled when the backup finished at 0.2 + 0.1 = 0.3 s
-        loser = next(
-            s for s in tracer.spans
-            if s.name == "replica 0" and s.args.get("cancelled")
-        )
-        assert loser.emit == "BE"
-        assert loser.start + loser.duration == pytest.approx(0.3)
-        assert loser.duration < 1.0  # NOT its planned completion
-        cancels = [i for i in tracer.instants if i.cat == "cluster.cancel"]
-        assert len(cancels) == 1
-        assert cancels[0].time == pytest.approx(0.3)
-        assert tracer.open_spans == 0  # every begin() was ended
+        assert outcome.cancelled == ((0, 0.0),)
+        (loser,) = [s for s in dt.spans if s.status == "cancelled"]
+        assert loser.start_s == 0.0
+        assert loser.end_s == pytest.approx(0.3)
+        assert loser.end_s == outcome.done_s  # NOT its planned 1.0 s
+        assert dt.open_count == 0
 
-    def test_loser_emits_terminating_be_pair_in_chrome(self):
-        tracer = Tracer()
-        run_scatter([_hedged_job()], tracer=tracer)
-        events = chrome_trace(tracer)["traceEvents"]
-        begins = [e for e in events if e["ph"] == "B"
-                  and e["name"] == "replica 0"]
-        ends = [e for e in events if e["ph"] == "E"]
-        assert len(begins) == 1 and len(ends) >= 1
-        # B at launch (t=0), E at cancellation (0.3 s), balanced
-        assert begins[0]["ts"] == pytest.approx(0.0)
-        end = min(ends, key=lambda e: abs(e["ts"] - 0.3e6))
-        assert end["ts"] == pytest.approx(0.3e6)
-        assert any(e["ph"] == "i" and "cancel" in e["name"]
-                   for e in events)
+    def test_loser_exports_x_span_and_cancel_marker(self):
+        _, dt, _ = _render(_hedged_job())
+        events = dtrace_chrome(dt)["traceEvents"]
+        loser = next(e for e in events if e["ph"] == "X"
+                     and e["name"] == "attempt r0 (hedge loser)")
+        assert loser["ts"] == 0.0
+        assert loser["dur"] == pytest.approx(0.3e6)
+        (marker,) = [e for e in events if e["ph"] == "i"]
+        assert marker["name"] == "attempt r0 (hedge loser):cancelled"
+        assert marker["ts"] == pytest.approx(0.3e6)
+        assert not [e for e in events if e["ph"] in ("B", "E")]
 
     def test_winner_span_closes_at_completion(self):
-        tracer = Tracer()
-        run_scatter([_hedged_job()], tracer=tracer)
-        winner = next(
-            s for s in tracer.spans
-            if s.name == "replica 1" and not s.args.get("cancelled")
-        )
-        assert winner.start == pytest.approx(0.2)
-        assert winner.duration == pytest.approx(0.1)
+        _, dt, _ = _render(_hedged_job())
+        winner = next(s for s in dt.spans
+                      if s.name == "attempt r1 (hedge winner)")
+        assert winner.start_s == pytest.approx(0.2)
+        assert winner.end_s == pytest.approx(0.3)
+        assert winner.args == {"replica": 1, "hedged": True,
+                               "hedge_won": True}
+        device = next(s for s in dt.spans if s.kind == "device.query")
+        assert (device.start_s, device.end_s) == (winner.start_s,
+                                                  winner.end_s)
 
     def test_dtrace_records_loser_with_cancelled_status(self):
-        dt = TraceCollector()
-        ctx = dt.start_trace("q", 0.0, kind="q", track="t")
-        shard_ctx = dt.start_span(ctx, "shard 0 leg", 0.0,
-                                  kind="leg", track="t")
-        run_scatter([_hedged_job()], dtrace=dt,
-                    shard_ctxs={0: shard_ctx}, base_s=0.0)
-        loser = next(s for s in dt.spans if s.status == "cancelled")
+        _, dt, shard_ctx = _render(_hedged_job())
+        (loser,) = [s for s in dt.spans if s.status == "cancelled"]
         assert loser.name == "attempt r0 (hedge loser)"
-        assert loser.end_s == pytest.approx(0.3)
+        assert loser.kind == "cluster.attempt"
+        assert loser.args == {"replica": 0}
+        assert loser.parent_span_id == shard_ctx.span_id
+        # a primary that lands before its hedge timer cancels nothing
+        outcome, dt, _ = _render(_hedged_job(primary_s=0.1))
+        assert not outcome.hedged and outcome.cancelled == ()
+        assert not [s for s in dt.spans if s.status == "cancelled"]
 
 
 # ----------------------------------------------------------------------
@@ -293,31 +289,59 @@ class TestClusterCriticalPath:
         assert "cluster.gather" in kinds
 
 
-class TestOtherCriticalPaths:
-    def test_device_path_bit_exact(self):
-        from repro.core.event_query import EventQuerySimulator
-        from repro.ssd import Ssd
+# ----------------------------------------------------------------------
+# the explain scenario's span tree, pinned
+# ----------------------------------------------------------------------
+#: sha256 of the canonical span tree of ``repro explain``'s default run
+EXPLAIN_TREE_DIGEST = (
+    "b44194bd7795f4bbed88112964e3776bd4d90a0a73dd316a03b4de93dff1a412"
+)
 
-        app = get_app("tir")
-        meta = Ssd().ftl.create_database(app.feature_bytes, 40_000)
-        result = EventQuerySimulator().run(app, meta)
-        path = device_critical_path(result)
-        assert path.component_sum() == result.total_seconds
-        assert path.info["pages"] == result.pages
 
-    def test_recovery_path_bit_exact(self):
-        from repro.recovery.durable import DurableStore, recover
+def _explain_collector():
+    """Trace ``repro explain``'s default scenario into one collector:
+    3x2 cluster, hedge 0.3, straggler 0.5, replica 1:0 dead,
+    ``RetryPolicy()``, 8 queries at K=5."""
+    from repro import cli
+    from repro.workloads import train_scn
 
-        rng = np.random.default_rng(2)
-        store = DurableStore(
-            rng.standard_normal((32, 8)).astype(np.float32)
-        )
-        for _ in range(6):
-            store.insert(rng.standard_normal((2, 8)).astype(np.float32))
-        _, report = recover(store.crash_image())
-        path = recovery_critical_path(report)
-        assert path.component_sum() == report.seconds
-        assert path.info["records_replayed"] == report.records_replayed
+    args = cli.build_parser().parse_args(["explain"])
+    app = get_app(args.app)
+    config = cli._cluster_config(args, retry_policy=RetryPolicy())
+    rng, features = cli._random_features(app, args)
+    dt = TraceCollector()
+    cluster = DeepStoreCluster(config)
+    db = cluster.write_db(features)
+    model = cluster.load_graph(train_scn(app, seed=args.seed))
+    for _ in range(args.queries):
+        qfv = rng.normal(0, 1, app.feature_floats).astype(np.float32)
+        cluster.query(qfv, args.k, model, db, dtrace=dt)
+    return dt
+
+
+def _canonical_tree(dt):
+    """Spans and flows with span ids replaced by names, sorted."""
+    names = {s.span_id: s.name for s in dt.spans}
+    spans = sorted(
+        [s.name, s.kind, s.track, s.start_s, s.end_s, s.status,
+         sorted((s.args or {}).items()), names.get(s.parent_span_id, "")]
+        for s in dt.spans
+    )
+    flows = sorted([names[src], names[dst]] for src, dst in dt.flows)
+    return spans, flows
+
+
+class TestExplainTreePinned:
+    def test_tree_digest(self):
+        dt = _explain_collector()
+        spans, flows = _canonical_tree(dt)
+        assert dt.open_count == 0
+        assert len(spans) == 116
+        assert sum(s[1] == "cluster.attempt" for s in spans) == 40
+        assert sum(s[5] == "cancelled" for s in spans) == 16
+        assert sum(s[1] == "cluster.detect" for s in spans) == 4
+        blob = json.dumps([spans, flows]).encode()
+        assert hashlib.sha256(blob).hexdigest() == EXPLAIN_TREE_DIGEST
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,11 @@ rejections, and shards that resolve unavailable.  The central claims:
   with IEEE-754 ``==`` — for *every* shard, not just the critical one;
 * :func:`cluster_critical_path` folds ``(fanout + leg) + gather`` to
   the exact float the coordinator reported as end-to-end seconds;
-* attribution is **zero-overhead**: attaching a trace collector (and
-  an SLO monitor, for the chaos day) leaves every result dict
-  byte-identical to the untraced twin.
+* the coordinator's leg renderer draws every outcome as a closed span
+  tree: one cancelled loser per launched hedge, ending when the winner
+  landed, and nothing outliving the leg;
+* attribution is **zero-overhead**: attaching a trace collector leaves
+  every cluster result dict byte-identical to the untraced twin.
 
 Together with the example suites in ``test_obs_dtrace.py`` this
 carries the PR's exactness argument — 300+ generated interleavings
@@ -20,10 +22,8 @@ per run, far beyond what the eight-query acceptance day covers.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.chaos import ChaosConfig, run_cluster_chaos
 from repro.cluster import (
     ClusterConfig,
     ClusterError,
@@ -33,7 +33,11 @@ from repro.cluster import (
     ShardJob,
     run_scatter,
 )
-from repro.cluster.coordinator import ClusterQueryResult, ShardReport
+from repro.cluster.coordinator import (
+    ClusterQueryResult,
+    ShardReport,
+    trace_leg,
+)
 from repro.core.topk import KWayMergeStats
 from repro.obs import (
     FleetAttribution,
@@ -80,6 +84,13 @@ def scatter_scenarios(draw):
     return shards, scatter_s, gather_s
 
 
+class _DeviceResult:
+    """What the leg renderer reads of a winning replica's result."""
+
+    def span_args(self):
+        return {}
+
+
 def _jobs(shards):
     jobs = []
     for s, (plan, hedge, backoff, detect, breakers) in enumerate(shards):
@@ -87,7 +98,7 @@ def _jobs(shards):
             ReplicaAttempt(
                 replica=r,
                 alive=alive,
-                run=(lambda sec=seconds, sh=s, rr=r: (sec, (sh, rr))),
+                run=(lambda sec=seconds: (sec, _DeviceResult())),
             )
             for r, (alive, seconds) in enumerate(plan)
         )
@@ -118,7 +129,6 @@ def _reports(scatter, jobs):
                 hedged=False,
                 hedge_won=False,
                 cache_hit=False,
-                k_returned=0,
                 retry_pause_seconds=outcome.retry_pause_s,
                 unavailable=True,
                 breaker_rejections=len(job.breaker_rejected),
@@ -133,7 +143,6 @@ def _reports(scatter, jobs):
             hedged=outcome.hedged,
             hedge_won=outcome.hedge_won,
             cache_hit=False,
-            k_returned=0,
             retry_pause_seconds=outcome.retry_pause_s,
             service_seconds=outcome.service_s,
             hedge_wait_seconds=outcome.hedge_wait_s,
@@ -216,31 +225,36 @@ class TestBitExactAttribution:
 
     @given(scatter_scenarios())
     @settings(max_examples=100, deadline=None)
-    def test_tracing_never_perturbs_outcomes(self, scenario):
-        """run_scatter with a collector attached is bit-identical."""
-        shards, _scatter_s, _gather_s = scenario
+    def test_rendered_legs_close_at_done_s(self, scenario):
+        """Every leg renders as a closed tree ending at its ``done_s``."""
+        shards, scatter_s, _gather_s = scenario
         jobs = _jobs(shards)
         try:
-            bare = run_scatter(jobs)
+            scatter = run_scatter(jobs)
         except ClusterError:
             assume(False)
-        dt = TraceCollector()
-        ctxs = {
-            job.shard: dt.start_trace(f"shard {job.shard}", 0.0,
-                                      kind="test", track="test")
-            for job in jobs
-        }
-        traced = run_scatter(_jobs(shards), dtrace=dt, shard_ctxs=ctxs)
-        for a, b in zip(bare.outcomes, traced.outcomes):
-            assert (a.shard, a.replica, a.start_s, a.done_s,
-                    a.detect_s, a.retry_pause_s, a.failovers,
-                    a.hedged, a.hedge_won, a.unavailable,
-                    a.service_s, a.hedge_wait_s, a.hedge_saved_s) == (
-                    b.shard, b.replica, b.start_s, b.done_s,
-                    b.detect_s, b.retry_pause_s, b.failovers,
-                    b.hedged, b.hedge_won, b.unavailable,
-                    b.service_s, b.hedge_wait_s, b.hedge_saved_s)
-        assert bare.makespan_s == traced.makespan_s
+        for outcome, job in zip(scatter.outcomes, jobs):
+            dt = TraceCollector()
+            leg = dt.start_trace(f"shard {job.shard} leg", scatter_s,
+                                 kind="cluster.shard", track="test")
+            trace_leg(dt, leg, job, outcome, scatter_s)
+            assert dt.open_count == 0
+            *children, closed = dt.spans
+            done = scatter_s + outcome.done_s
+            assert closed.span_id == leg.span_id and closed.end_s == done
+            assert all(s.end_s <= done for s in children)
+            losers = [s for s in children if s.status == "cancelled"]
+            # a launched hedge leaves exactly one loser, cut off when
+            # the winner landed
+            assert len(losers) == len(outcome.cancelled)
+            assert len(losers) == int(outcome.hedged)
+            assert all(s.end_s == done for s in losers)
+            attempts = [s for s in children if s.kind == "cluster.attempt"]
+            assert len(attempts) == (
+                0 if outcome.unavailable else 1 + len(losers)
+            )
+            rejected = [s for s in children if s.status == "rejected"]
+            assert len(rejected) == len(job.breaker_rejected)
 
 
 # ----------------------------------------------------------------------
@@ -310,12 +324,3 @@ class TestZeroOverheadParity:
             ]
 
         assert day(dtrace=TraceCollector()) == day()
-
-    def test_chaos_parity(self):
-        config = ChaosConfig(seed=5, queries=12, kills=2, crashes=1,
-                             mutations=12)
-        traced = run_cluster_chaos(config, dtrace=TraceCollector())
-        bare = run_cluster_chaos(config)
-        assert traced.to_dict() == bare.to_dict()
-        # the SLO side-channel is additive: alerts exist, dict untouched
-        assert pytest.approx(traced.availability) == bare.availability
