@@ -23,7 +23,7 @@ from conftest import emit
 from repro.analysis import Table
 from repro.analysis.reliability import run_reliability_trial
 from repro.core.scheduler import degraded_topk, plan_degraded_scan
-from repro.core.topk import merge_topk
+from repro.core.topk import topk_select
 from repro.faults import FaultPlan
 from repro.ssd import Ssd
 from repro.workloads import ALL_APPS
@@ -159,5 +159,5 @@ def test_fault_single_accel_failure_degrades_not_corrupts(benchmark, small_db):
     scores = rng.normal(size=FEATURES).astype(np.float32)
     plan = plan_degraded_scan(FEATURES, 32, [5])
     got = degraded_topk(scores, plan, k=10)
-    want = merge_topk([list(zip(scores.tolist(), range(FEATURES)))], 10)
+    want = topk_select(list(zip(scores.tolist(), range(FEATURES))), 10)
     assert got == want

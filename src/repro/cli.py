@@ -1,25 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Small, self-contained runners over the library for the common questions:
-
-=============  ==========================================================
-``info``       versions, SSD geometry, accelerator placements
-``table1``     the five applications vs their published Table-1 rows
-``breakdown``  GPU+SSD time breakdown at the evaluation batch (Fig. 2)
-``speedup``    per-app, per-level speedup & energy efficiency (Table 4)
-``dse``        PE scaling curves (Fig. 6)
-``cache``      a query-cache simulation (Fig. 13-style point)
-``faults``     fault-injected queries and a reliability report
-``trace``      run one traced query; emit Chrome trace JSON + breakdown
-``profile``    busiest-resource occupancy and idle-gap analysis
-``serve``      open-loop serving: offered-load sweep or perf scorecard
-``cluster``    sharded multi-SSD scatter-gather queries / perf scorecard
-``ingest``     online ingest & data-lifecycle loop / perf scorecard
-``index``      IVF ANN probes: recall/latency Pareto sweep / scorecard
-``chaos``      scripted fault day: crash recovery + cluster hardening
-``tenants``    multi-tenant production day: fairness, autoscaling, SLOs
-``demo``       a real end-to-end query with planted neighbors
-=============  ==========================================================
+Small, self-contained runners over the library for the common
+questions; ``python -m repro --help`` lists the commands.  Each command
+is registered once, next to its ``_cmd_*`` runner, by :func:`command`:
+its help line, its default for each shared flag it takes, its own flags
+and, for a subsystem, the perf-gate leg its ``--scorecard`` prints.
+:func:`build_parser` and :func:`main` both read that one registry.
 """
 
 from __future__ import annotations
@@ -27,14 +13,93 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 #: the five applications every ``--app`` flag chooses from
 APPS = ("reid", "mir", "estp", "tir", "textqa")
 
+#: The flags several commands take, each defined once: type, choices
+#: and help.  A command takes one by giving its default to
+#: :func:`command`.
+SHARED_FLAGS: Dict[str, Dict[str, object]] = {
+    "app": {"choices": APPS, "help": "application (Table 1 short name)"},
+    "features": {"type": int, "help": "database size in feature vectors"},
+    "gigabytes": {"type": float, "help": "database size in GB per app"},
+    "queries": {"type": int, "help": "queries to run (serve: per load point)"},
+    "qps": {"type": float, "help": "target queries per second (serve: one "
+                                   "offered load instead of the sweep)"},
+    "k": {"type": int, "help": "top-K"},
+    "seed": {"type": int, "help": "random seed: the same seed and flags "
+                                  "print the same output, byte for byte"},
+    "intents": {"type": int, "help": "distinct query intents"},
+    "threshold": {"type": float, "help": "query-cache error threshold"},
+    "level": {"choices": ["ssd", "channel", "chip"],
+              "help": "accelerator level"},
+    "fail_accels": {"help": "comma-separated accelerator indices to kill"},
+    "max_pages": {"type": int, "help": "cap pages scanned per channel"},
+    "top": {"type": int, "help": "rows to show, busiest first"},
+    "bins": {"type": int, "help": "timeline resolution"},
+    "out": {"help": "Chrome trace-event JSON output path"},
+    "shards": {"type": int, "help": "dataset partitions (one SSD group each)"},
+    "replicas": {"type": int, "help": "replica SSDs per shard"},
+    "hedge": {"type": float, "help": "hedge fraction (>0 enables hedging)"},
+    "straggler": {"type": float, "help": "replica straggler spread"},
+    "fail_shards": {"help": "dead replicas, e.g. '0,3:1' (shard[:replica])"},
+    "duration": {"type": float, "help": "simulated day length in seconds"},
+    "kills": {"type": int, "help": "replica kills on the availability track"},
+    "json": {"action": "store_true", "help": "print the report as JSON"},
+}
 
+#: shared flags that count rows or bins: checked >= 1 before a command runs
+_AT_LEAST_ONE = ("top", "bins")
+
+
+def flag(*names: str, **kwargs: object):
+    """One command-specific flag, as ``add_argument(*names, **kwargs)``."""
+    return names, kwargs
+
+
+class _Command(NamedTuple):
+    """A registered subcommand (see :func:`command`)."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple
+    shared: Dict[str, object]
+    leg: Optional[str]
+
+
+#: subcommand name -> its registration, in ``--help`` order
+_REGISTRY: Dict[str, _Command] = {}
+
+
+def command(name: str, help: str, *flags, leg: Optional[str] = None,
+            **shared: object):
+    """Register the decorated runner as subcommand ``name``.
+
+    ``flags`` are its own :func:`flag` flags; ``shared`` maps each
+    :data:`SHARED_FLAGS` flag it takes to its default; ``leg`` names the
+    perf-gate leg that ``--scorecard`` prints in place of its output.
+    """
+    def register(run):
+        _REGISTRY[name] = _Command(run, help, flags, shared, leg)
+        return run
+    return register
+
+
+def _print_json(payload: object) -> None:
+    """Print a ``--json`` payload: the CLI's one JSON format."""
+    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+
+
+def _flag_values(args: argparse.Namespace, *names: str) -> Dict[str, object]:
+    """``{name: args.name}``: the flags a ``--json`` payload echoes."""
+    return {name: getattr(args, name) for name in names}
+
+
+@command("info", "versions, geometry, placements")
 def _cmd_info(args: argparse.Namespace) -> int:
     import repro
     from repro.core.placement import LEVELS
@@ -64,6 +129,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("table1", "application characteristics")
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis import Table, format_si
     from repro.workloads import ALL_APPS
@@ -87,6 +153,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("breakdown", "GPU+SSD time breakdown (Fig. 2)")
 def _cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.analysis import Table, format_seconds
     from repro.baseline import GpuSsdSystem
@@ -109,6 +176,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("speedup", "Table-4 speedups", app=None, gigabytes=25.0)
 def _cmd_speedup(args: argparse.Namespace) -> int:
     from repro.analysis import Table, compare_levels
     from repro.ssd import Ssd
@@ -139,6 +207,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("dse", "PE scaling (Fig. 6)")
 def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.analysis import Table
     from repro.core.dse import explore_pe_scaling
@@ -150,6 +219,14 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "cache", "query-cache simulation",
+    flag("--distribution", choices=["uniform", "zipf"], default="zipf"),
+    flag("--alpha", type=float, default=0.7),
+    flag("--entries", type=int, default=512),
+    flag("--scan-ms", type=float, default=30.0),
+    intents=2000, queries=1200, threshold=0.10,
+)
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.core.query_cache import (
         CacheTimingModel,
@@ -185,6 +262,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("plan", "deployment capacity planning",
+         app="tir", features=10_000_000, qps=1.0)
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.capacity import PlanningError, plan_deployment
 
@@ -200,39 +279,43 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0 if plans and plans[0].feasible else 1
 
 
+@command("scorecard", "measured-vs-paper reproduction scorecard",
+         gigabytes=25.0, json=False)
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     from repro.analysis.scorecard import build_scorecard
 
     card = build_scorecard(gigabytes=args.gigabytes)
-    if args.json:
+    if args.json:  # the Scorecard's own format: keys in build order
         print(card.to_json())
     else:
         print(card.render())
     return 0 if card.structural_ok else 1
 
 
+@command(
+    "faults", "fault-injected queries + reliability report",
+    flag("--retry-rate", type=float, default=0.02,
+         help="NAND page read-retry probability"),
+    flag("--crc-rate", type=float, default=0.0,
+         help="channel-bus CRC error probability"),
+    flag("--chip-rate", type=float, default=0.0,
+         help="ambient chip hard-failure probability"),
+    app="tir", features=20_000, queries=5, seed=0, fail_accels="",
+    max_pages=None, json=False,
+)
 def _cmd_faults(args: argparse.Namespace) -> int:
-    """Run fault-injected queries and print a reliability report.
-
-    Deterministic in ``--seed`` and the plan flags: re-running the same
-    command reproduces the report byte for byte.
-    """
+    """Run fault-injected queries and print a reliability report."""
     from repro.analysis.reliability import run_reliability_trial
     from repro.faults import FaultPlan
-    from repro.ssd import Ssd
-    from repro.workloads import get_app
 
-    app = get_app(args.app)
-    ssd = Ssd()
-    meta = ssd.ftl.create_database(app.feature_bytes, args.features)
+    app, meta = _database(args)
     plan = FaultPlan(
         read_retry_rate=args.retry_rate,
         crc_error_rate=args.crc_rate,
         chip_failure_rate=args.chip_rate,
     )
-    if args.fail_accels:
-        for token in args.fail_accels.split(","):
-            plan = plan.fail_accelerator(int(token.strip()))
+    for accel in _parse_fail_accels(args.fail_accels):
+        plan = plan.fail_accelerator(accel)
     report = run_reliability_trial(
         app,
         meta,
@@ -242,22 +325,57 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         max_pages_per_channel=args.max_pages,
     )
     if args.json:
-        print(report.to_json())
+        _print_json(report.as_dict())
     else:
         print(report.render())
     return 0
+
+
+def _database(args: argparse.Namespace):
+    """``(app, meta)``: ``--app`` and a fresh ``--features``-row database."""
+    from repro.ssd import Ssd
+    from repro.workloads import get_app
+
+    app = get_app(args.app)
+    return app, Ssd().ftl.create_database(app.feature_bytes, args.features)
+
+
+def _parse_fail_accels(text: str) -> Tuple[int, ...]:
+    """``"0, 2"`` -> (0, 2): the ``--fail-accels`` indices."""
+    accels = []
+    for token in _tokens(text):
+        try:
+            accels.append(int(token))
+        except ValueError:
+            raise ValueError(
+                f"--fail-accels: {token!r} is not an integer"
+            ) from None
+    return tuple(accels)
+
+
+def _tokens(text: str) -> List[str]:
+    """The non-blank tokens of a comma-separated list flag, stripped."""
+    return [token.strip() for token in text.split(",") if token.strip()]
+
+
+def _parse_fail_shards(text: str):
+    """``"0,3:1"`` -> (0, (3, 1)): shard or shard:replica tokens."""
+    specs = []
+    for token in _tokens(text):
+        if ":" in token:
+            shard, replica = token.split(":", 1)
+            specs.append((int(shard), int(replica)))
+        else:
+            specs.append(int(token))
+    return tuple(specs)
 
 
 def _run_traced_query(args: argparse.Namespace):
     """Shared runner for ``trace``/``profile``: one instrumented query."""
     from repro.core.event_query import EventQuerySimulator
     from repro.obs import MetricsRegistry, Tracer
-    from repro.ssd import Ssd
-    from repro.workloads import get_app
 
-    app = get_app(args.app)
-    ssd = Ssd()
-    meta = ssd.ftl.create_database(app.feature_bytes, args.features)
+    app, meta = _database(args)
     tracer = Tracer()
     metrics = MetricsRegistry()
     result = EventQuerySimulator().run(
@@ -270,6 +388,11 @@ def _run_traced_query(args: argparse.Namespace):
     return app, result, tracer, metrics
 
 
+@command(
+    "trace", "traced query: Chrome trace JSON + latency breakdown",
+    app="tir", features=20_000, max_pages=64, top=8, json=False,
+    out="trace.json", bins=40,
+)
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one event-driven query with tracing; export + explain it."""
     from repro.analysis.reporting import ascii_series
@@ -284,7 +407,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     write_chrome_trace(tracer, args.out)
     breakdown = query_breakdown(result)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "app": app.name,
             "features": args.features,
             "trace_file": args.out,
@@ -293,7 +416,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "sim_events": tracer.count("sim.event"),
             "breakdown": breakdown.as_dict(),
             "metrics": metrics.snapshot(),
-        }, indent=2, sort_keys=True))
+        })
         return 0
     breakdown.table(
         f"Per-query latency breakdown ({app.name}, {result.pages} pages)"
@@ -326,14 +449,8 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
 
     from repro.core.event_query import EventQuerySimulator
     from repro.sim import fastpath
-    from repro.ssd import Ssd
-    from repro.workloads import get_app
 
-    if args.top < 1:  # a slice bound: -1 would drop the last row
-        raise ValueError(f"top must be an integer >= 1, got {args.top}")
-    app = get_app(args.app)
-    ssd = Ssd()
-    meta = ssd.ftl.create_database(app.feature_bytes, args.features)
+    app, meta = _database(args)
     profiler = cProfile.Profile()
     profiler.enable()
     result = EventQuerySimulator().run(
@@ -354,12 +471,12 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
                 "ncalls": nc, "tottime": round(tt, 6),
                 "cumtime": round(ct, 6),
             })
-        print(json.dumps({
+        _print_json({
             "app": app.name,
             "fastpath_stats": dict(fastpath.stats),
             "scan_seconds": result.scan_seconds,
             "hotspots": rows,
-        }, indent=2, sort_keys=True))
+        })
         return 0
     print(
         f"host-CPU hotspots ({app.name}, "
@@ -370,6 +487,16 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "profile", "busiest resources + idle-gap analysis",
+    flag("--hotspots", action="store_true",
+         help="host-CPU cProfile of the query instead of "
+              "simulated-resource usage"),
+    flag("--pstats-out", default="",
+         help="with --hotspots: dump raw pstats here "
+              "(CI uploads it as an artifact)"),
+    app="tir", features=20_000, max_pages=64, top=8, json=False,
+)
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Top-N busiest resources and idle-gap analysis of one query."""
     from repro.analysis import Table, format_seconds
@@ -380,13 +507,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     app, result, tracer, metrics = _run_traced_query(args)
     usages = profile_resources(tracer, end=result.scan_seconds, top=args.top)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "app": app.name,
             "scan_seconds": result.scan_seconds,
             "total_seconds": result.total_seconds,
             "resources": [u.as_dict() for u in usages],
             "metrics": metrics.snapshot(),
-        }, indent=2, sort_keys=True))
+        })
         return 0
     table = Table(
         f"Busiest resources ({app.name}, scan "
@@ -406,13 +533,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "serve", "open-loop serving sweep / perf scorecard",
+    flag("--queue-bound", type=int, default=32,
+         help="admission queue bound"),
+    flag("--policy", default="reject",
+         choices=["reject", "drop-oldest", "deadline"],
+         help="load-shedding policy"),
+    flag("--deadline-ms", type=float, default=None,
+         help="staleness bound for the deadline policy"),
+    flag("--max-batch", type=int, default=8,
+         help="largest shared-scan batch"),
+    flag("--servers", type=int, default=1,
+         help="independent scan backends"),
+    flag("--cache-entries", type=int, default=0,
+         help="query-cache entries (0 = no cache)"),
+    flag("--fidelity", default="analytic", choices=["analytic", "event"],
+         help="batch cost model fidelity"),
+    app="tir", features=400_000, queries=240, qps=None, threshold=0.10,
+    intents=200, fail_accels="", seed=0, bins=40, json=False, leg="serving",
+)
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Serve an open-loop query stream; print the load-latency curve.
-
-    Deterministic in ``--seed`` and the config flags: the same command
-    reproduces the same curve byte for byte.  ``--scorecard`` emits the
-    serving leg of the CI perf gate instead.
-    """
+    """Serve an open-loop query stream; print the load-latency curve."""
     from repro.analysis.reporting import ascii_series
     from repro.obs import MetricsRegistry, Tracer
     from repro.serving import (
@@ -435,9 +577,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         n_servers=args.servers,
         cache_entries=args.cache_entries,
         cache_threshold=args.threshold,
-        failed_accels=tuple(
-            int(token) for token in args.fail_accels.split(",") if token.strip()
-        ),
+        failed_accels=_parse_fail_accels(args.fail_accels),
         fidelity=args.fidelity,
     )
     stream = None
@@ -464,7 +604,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
     if args.json:
-        print(json.dumps({
+        _print_json({
             "config": {
                 "app": config.app,
                 "features": config.features,
@@ -474,12 +614,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "n_servers": config.n_servers,
                 "cache_entries": config.cache_entries,
                 "failed_accels": list(config.failed_accels),
-                "seed": args.seed,
-                "queries": args.queries,
+                **_flag_values(args, "seed", "queries"),
             },
             "curve": curve.as_dict(),
             "metrics": serving_metrics_snapshot(metrics),
-        }, indent=2, sort_keys=True))
+        })
         return 0
     curve_table(curve).print()
     depth = queue_depth_timeline(tracer, bins=args.bins)
@@ -501,21 +640,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"\nno saturation within the sweep "
               f"(saturation ~{curve.saturation_qps:.2f} qps)")
     return 0
-
-
-def _parse_fail_shards(text: str):
-    """``"0,3:1"`` -> ((0, 0), (3, 1)): shard or shard:replica tokens."""
-    specs = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            shard, replica = token.split(":", 1)
-            specs.append((int(shard), int(replica)))
-        else:
-            specs.append(int(token))
-    return tuple(specs)
 
 
 def _cluster_config(args: argparse.Namespace, **extra):
@@ -540,28 +664,51 @@ def _random_features(app, args: argparse.Namespace):
     return rng, rows.astype(np.float32)
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Scatter-gather queries over a sharded, replicated cluster.
+def _planted_features(app, args: argparse.Namespace, k: int, seed: int):
+    """``(rng, intent, rows, planted)``: :func:`_random_features` rows
+    with ``k`` near-copies of one random intent planted among them."""
+    from repro.workloads import plant_neighbors
 
-    Deterministic in ``--seed`` and the config flags: the same command
-    reproduces the same output byte for byte.  ``--scorecard`` emits
-    the cluster leg of the CI perf gate instead.
-    """
+    rng, rows = _random_features(app, args)
+    intent = rng.normal(0, 1, app.feature_floats).astype(np.float32)
+    rows, planted = plant_neighbors(rows, intent, k=k, noise=0.2, seed=seed)
+    return rng, intent, rows, planted
+
+
+def _install(target, app, args: argparse.Namespace, rows):
+    """``(db, model)``: ``rows`` written to a device or cluster, and the
+    app's SCN, trained at ``--seed``, loaded on it."""
+    from repro.workloads import train_scn
+
+    db = target.write_db(rows)
+    return db, target.load_graph(train_scn(app, seed=args.seed))
+
+
+@command(
+    "cluster", "sharded scatter-gather queries / perf scorecard",
+    flag("--placement", default="range",
+         choices=["range", "hash", "locality"],
+         help="shard placement strategy"),
+    flag("--cache-threshold", type=float, default=0.0,
+         help="setQC threshold on every shard (0 = off)"),
+    app="tir", features=20_000, shards=4, replicas=1, hedge=0.0,
+    straggler=0.0, fail_shards="", level="channel", k=10, queries=3,
+    seed=0, json=False, leg="cluster",
+)
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    """Scatter-gather queries over a sharded, replicated cluster."""
     from repro.cluster import DeepStoreCluster, cluster_metrics_snapshot
     from repro.obs import MetricsRegistry
-    from repro.workloads import get_app, plant_neighbors, train_scn
+    from repro.workloads import get_app
 
     app = get_app(args.app)
     config = _cluster_config(args, placement=args.placement, level=args.level)
-    rng, features = _random_features(app, args)
-    intent = rng.normal(0, 1, app.feature_floats).astype(np.float32)
-    features, planted = plant_neighbors(
-        features, intent, k=args.k // 2 or 1, noise=0.2, seed=args.seed + 1
+    rng, intent, features, planted = _planted_features(
+        app, args, k=args.k // 2 or 1, seed=args.seed + 1
     )
     metrics = MetricsRegistry()
     cluster = DeepStoreCluster(config, metrics=metrics)
-    db = cluster.write_db(features)
-    model = cluster.load_graph(train_scn(app, seed=args.seed))
+    db, model = _install(cluster, app, args, features)
     if args.cache_threshold > 0:
         cluster.set_qc(args.cache_threshold)
     results = []
@@ -573,13 +720,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     placement = cluster.placement_of(db)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "config": {
-                "app": args.app,
-                "features": args.features,
-                "k": args.k,
-                "queries": args.queries,
-                "seed": args.seed,
+                **_flag_values(args, "app", "features", "k", "queries", "seed"),
                 "shards": config.n_shards,
                 "replicas": config.n_replicas,
                 "placement": config.placement,
@@ -591,7 +734,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "shard_sizes": list(placement.shard_sizes),
             "queries": [r.to_dict() for r in results],
             "metrics": cluster_metrics_snapshot(metrics),
-        }, indent=2, sort_keys=True))
+        })
         return 0
 
     print(f"cluster: {config.describe()}")
@@ -627,63 +770,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    """IVF ANN probes over the accelerator hierarchy.
-
-    Builds an inverted-file index over a clustered workload (build cost
-    priced through the page-mapped FTL write path), then sweeps
-    ``nprobe`` per accelerator level: recall@K against the exhaustive
-    scan vs the modelled probe latency, with the operating point
-    re-validated on the event-driven timeline.  ``--scorecard`` emits
-    the index leg of the CI perf gate instead.
-    """
-    from repro.index.scorecard import (
-        IndexGateConfig,
-        RECALL_GATE,
-        build_index_scorecard,
-    )
-
-    card = build_index_scorecard(IndexGateConfig(
-        app=args.app,
-        n_features=args.features,
-        n_lists=args.lists,
-        k=args.k,
-        n_queries=args.queries,
-        seed=args.seed,
-    ))
-
-    if args.json:
-        print(json.dumps(card, indent=2, sort_keys=True, default=float))
-        return 0
-
-    build = card["build"]
-    print(f"IVF index: {args.app}, {args.features} rows, "
-          f"{args.lists} lists, seed {args.seed}")
-    print(f"build: {build['total_seconds'] * 1e3:.2f} ms modelled "
-          f"({build['train_seconds'] * 1e3:.2f} train + "
-          f"{build['layout_write_seconds'] * 1e3:.2f} layout, "
-          f"WA {build['write_amplification']:.2f}, "
-          f"{build['region_blocks']} region blocks)")
-    print()
-    print("recall/latency frontier (vs exhaustive scan at the same level):")
-    print("  level    nprobe  recall@k   seconds    speedup")
-    for level, points in card["pareto"].items():
-        for key in sorted(points, key=lambda s: int(s.split("=")[1])):
-            p = points[key]
-            print(f"  {level:8s} {int(key.split('=')[1]):6d}"
-                  f"  {p['recall_at_k']:8.3f}  {p['seconds']:.3e}"
-                  f"  {p['speedup']:8.2f}x")
-    op = card["operating_point"]
-    des = card["des"]
-    print()
-    print(f"operating point (recall >= {RECALL_GATE}): nprobe={op['nprobe']} "
-          f"at {op['level']} level, recall {op['recall_at_k']:.3f}, "
-          f"{op['speedup']:.2f}x analytic")
-    print(f"DES timeline: {des['probed_pages']}/{des['full_pages']} pages "
-          f"scanned, {des['event_speedup']:.2f}x event-time speedup")
-    return 0
-
-
+@command(
+    "ingest", "online ingest & data-lifecycle loop",
+    flag("--base", type=int, default=1024,
+         help="base rows written before mutation begins"),
+    flag("--rounds", type=int, default=3,
+         help="mutation rounds (insert/delete/update batches)"),
+    app="textqa", queries=6, k=10, seed=0, json=False, leg="ingest",
+)
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Online ingest & data lifecycle: mutate a database while querying.
 
@@ -692,7 +786,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     database actually cost: clustered-layout recall drifting as the
     delta region grows, the preemptible compaction that restores it,
     and the measured write-amplification feeding query slowdown.
-    ``--scorecard`` emits the ingest leg of the CI perf gate instead.
     """
     from repro.ingest import LifecycleConfig, run_lifecycle
 
@@ -708,20 +801,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = report.as_dict()
-        payload["config"] = {
-            "app": args.app,
-            "base": args.base,
-            "rounds": args.rounds,
-            "queries": args.queries,
-            "k": args.k,
-            "seed": args.seed,
-        }
+        payload["config"] = _flag_values(
+            args, "app", "base", "rounds", "queries", "k", "seed"
+        )
         payload["metrics"] = {
             key: value
             for key, value in report.metrics.items()
             if key.startswith("ingest.")
         }
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+        _print_json(payload)
         return 0
 
     print(f"Ingest lifecycle: {args.app}, {config.n_base} base rows, "
@@ -755,6 +843,85 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "index", "IVF ANN probes: recall/latency Pareto sweep",
+    flag("--lists", type=int, default=32,
+         help="inverted lists (k-means centroids)"),
+    app="textqa", features=65536, k=10, queries=4, seed=7, json=False,
+    leg="index",
+)
+def _cmd_index(args: argparse.Namespace) -> int:
+    """IVF ANN probes over the accelerator hierarchy.
+
+    Builds an inverted-file index over a clustered workload (build cost
+    priced through the page-mapped FTL write path), then sweeps
+    ``nprobe`` per accelerator level: recall@K against the exhaustive
+    scan vs the modelled probe latency, with the operating point
+    re-validated on the event-driven timeline.
+    """
+    from repro.index.scorecard import (
+        IndexGateConfig,
+        RECALL_GATE,
+        build_index_scorecard,
+    )
+
+    card = build_index_scorecard(IndexGateConfig(
+        app=args.app,
+        n_features=args.features,
+        n_lists=args.lists,
+        k=args.k,
+        n_queries=args.queries,
+        seed=args.seed,
+    ))
+
+    if args.json:
+        _print_json(card)
+        return 0
+
+    build = card["build"]
+    print(f"IVF index: {args.app}, {args.features} rows, "
+          f"{args.lists} lists, seed {args.seed}")
+    print(f"build: {build['total_seconds'] * 1e3:.2f} ms modelled "
+          f"({build['train_seconds'] * 1e3:.2f} train + "
+          f"{build['layout_write_seconds'] * 1e3:.2f} layout, "
+          f"WA {build['write_amplification']:.2f}, "
+          f"{build['region_blocks']} region blocks)")
+    print()
+    print("recall/latency frontier (vs exhaustive scan at the same level):")
+    print("  level    nprobe  recall@k   seconds    speedup")
+    for level, points in card["pareto"].items():
+        for key in sorted(points, key=lambda s: int(s.split("=")[1])):
+            p = points[key]
+            print(f"  {level:8s} {int(key.split('=')[1]):6d}"
+                  f"  {p['recall_at_k']:8.3f}  {p['seconds']:.3e}"
+                  f"  {p['speedup']:8.2f}x")
+    op = card["operating_point"]
+    des = card["des"]
+    print()
+    print(f"operating point (recall >= {RECALL_GATE}): nprobe={op['nprobe']} "
+          f"at {op['level']} level, recall {op['recall_at_k']:.3f}, "
+          f"{op['speedup']:.2f}x analytic")
+    print(f"DES timeline: {des['probed_pages']}/{des['full_pages']} pages "
+          f"scanned, {des['event_speedup']:.2f}x event-time speedup")
+    return 0
+
+
+def _chaos_config(args: argparse.Namespace, **extra):
+    """The ``ChaosConfig`` of the shared chaos-day flags plus ``extra``."""
+    from repro.chaos import ChaosConfig
+
+    return ChaosConfig(seed=args.seed, duration_s=args.duration,
+                       kills=args.kills, queries=args.queries, **extra)
+
+
+@command(
+    "chaos", "scripted fault day: crashes, kills, recovery",
+    flag("--crashes", type=int, default=3,
+         help="whole-store crashes on the durability track"),
+    flag("--track", default="both",
+         choices=["durability", "cluster", "both"]),
+    seed=0, duration=1.0, kills=4, queries=24, json=False, leg="recovery",
+)
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """A scripted production day of correlated failures.
 
@@ -762,22 +929,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     recovery path, :func:`repro.chaos.run_durability_chaos`) and the
     availability track (replica kill storms, retry ladders, breakers,
     brownout, :func:`repro.chaos.run_cluster_chaos`) and reports the
-    MTTR / durability / recall-under-chaos scorecard.  ``--scorecard``
-    emits the recovery leg of the CI perf gate instead.
+    MTTR / durability / recall-under-chaos scorecard.
     """
-    from repro.chaos import (
-        ChaosConfig,
-        run_cluster_chaos,
-        run_durability_chaos,
-    )
+    from repro.chaos import run_cluster_chaos, run_durability_chaos
 
-    config = ChaosConfig(
-        seed=args.seed,
-        duration_s=args.duration,
-        crashes=args.crashes,
-        kills=args.kills,
-        queries=args.queries,
-    )
+    config = _chaos_config(args, crashes=args.crashes)
     durability = (
         run_durability_chaos(config)
         if args.track in ("durability", "both") else None
@@ -793,7 +949,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             payload["durability"] = durability.to_dict()
         if availability is not None:
             payload["availability"] = availability.to_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
 
     print(f"chaos day: seed {config.seed}, "
@@ -835,6 +991,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "explain", "critical-path attribution for one traced query",
+    flag("query_id", type=int, nargs="?", default=0,
+         help="which query of the traced run to explain"),
+    app="tir", features=2_000, shards=3, replicas=2, hedge=0.3,
+    straggler=0.5, fail_shards="1:0", k=5, queries=8, seed=0, out="",
+    json=False,
+)
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Critical-path attribution for one clustered query.
 
@@ -852,7 +1016,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         cluster_critical_path,
         write_dtrace,
     )
-    from repro.workloads import get_app, train_scn
+    from repro.workloads import get_app
 
     app = get_app(args.app)
     config = _cluster_config(args, retry_policy=RetryPolicy())
@@ -865,8 +1029,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     rng, features = _random_features(app, args)
     dtrace = TraceCollector()
     cluster = DeepStoreCluster(config)
-    db = cluster.write_db(features)
-    model = cluster.load_graph(train_scn(app, seed=args.seed))
+    db, model = _install(cluster, app, args, features)
     results = []
     for q in range(args.queries):
         qfv = rng.normal(0, 1, app.feature_floats).astype(np.float32)
@@ -882,7 +1045,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.out:
         write_dtrace(dtrace, args.out)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "query_id": args.query_id,
             "seconds": result.seconds,
             "bit_exact": path.bit_exact,
@@ -892,7 +1055,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "spans": dtrace.span_count,
                 "traces": len(dtrace.trace_ids()),
             },
-        }, indent=2, sort_keys=True))
+        })
         return 0
 
     print(f"query {args.query_id}: {result.seconds * 1e3:.3f} ms "
@@ -909,6 +1072,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("slo", "SLO burn-rate monitoring over a chaos day",
+         seed=0, duration=1.0, kills=4, queries=24, json=False)
 def _cmd_slo(args: argparse.Namespace) -> int:
     """SLO burn-rate monitoring over a chaos day.
 
@@ -919,14 +1084,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     alert fired.  ``--json`` emits the machine-readable report CI
     archives.
     """
-    from repro.chaos import ChaosConfig, run_cluster_chaos
+    from repro.chaos import run_cluster_chaos
 
-    config = ChaosConfig(
-        seed=args.seed,
-        duration_s=args.duration,
-        kills=args.kills,
-        queries=args.queries,
-    )
+    config = _chaos_config(args)
     report = run_cluster_chaos(config)
 
     payload = {
@@ -941,7 +1101,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         "slo": report.slo,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
 
     print(f"slo monitor: seed {config.seed}, "
@@ -969,6 +1129,16 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "tenants", "multi-tenant production day on the shared plane",
+    flag("--day", type=float, default=86_400.0,
+         help="simulated day length in seconds"),
+    flag("--trace", action="store_true",
+         help="summarize the generated day trace only"),
+    flag("--no-isolation", action="store_true",
+         help="skip the paired noisy-neighbor runs"),
+    seed=0, features=32_000_000, json=False, leg="tenancy",
+)
 def _cmd_tenants(args: argparse.Namespace) -> int:
     """Multi-tenant production day on the shared serving plane.
 
@@ -976,8 +1146,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
     flash crowd, scripted shard failure, skewed live ingest — through
     weighted-fair admission and the burn-rate autoscaler, and reports
     each tenant's day plus the noisy-neighbor isolation ratios.
-    ``--trace`` summarizes the generated trace without running it;
-    ``--scorecard`` emits the tenancy leg of the CI perf gate instead.
+    ``--trace`` summarizes the generated trace without running it.
     """
     from repro.tenancy import (
         default_production_config,
@@ -1002,7 +1171,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
             "tenants": summary,
         }
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json(payload)
             return 0
         print(f"trace: {len(arrivals)} arrivals over "
               f"{config.day_s / 3600.0:.1f} h (seed {config.seed}), "
@@ -1015,7 +1184,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
 
     report = run_production_day(config, isolation=not args.no_isolation)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        _print_json(report.as_dict())
         return 0
 
     day = report.result
@@ -1053,21 +1222,20 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
     return 0
 
 
+@command("demo", "end-to-end functional query",
+         app="tir", level="channel", features=10_000, seed=0)
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import DeepStoreDevice
     from repro.analysis import format_seconds
-    from repro.workloads import get_app, plant_neighbors, train_scn
+    from repro.workloads import get_app
 
     app = get_app(args.app)
-    rng, features = _random_features(app, args)
-    intent = rng.normal(0, 1, app.feature_floats).astype(np.float32)
-    features, planted = plant_neighbors(features, intent, k=5, noise=0.2, seed=2)
+    rng, intent, features, planted = _planted_features(app, args, k=5, seed=2)
     qfv = intent + rng.normal(0, 0.2, app.feature_floats).astype(np.float32)
 
     device = DeepStoreDevice(level=args.level)
-    db = device.write_db(features)
     print(f"Training {app.name} SCN...")
-    model = device.load_graph(train_scn(app, seed=args.seed))
+    db, model = _install(device, app, args, features)
     result = device.get_results(device.query(qfv, 10, model, db))
     recall = len(set(result.feature_ids.tolist()) & set(planted.tolist()))
     print(f"top-10: {result.feature_ids.tolist()}")
@@ -1077,306 +1245,28 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_scorecard(parser: argparse.ArgumentParser, leg: str) -> None:
-    """Add ``--scorecard``, which prints perf-gate leg ``leg`` instead."""
-    parser.add_argument(
-        "--scorecard", action="store_true",
-        help=f"print the {leg} leg of the CI perf gate (JSON): its fixed "
-             f"gate scenario, whatever the other flags say",
-    )
-    parser.set_defaults(leg=leg)
-
-
-def _add_cluster_args(
-    parser: argparse.ArgumentParser, shards: int, replicas: int,
-    hedge: float, straggler: float, fail_shards: str,
-) -> None:
-    """Add the cluster-shape flags :func:`_cluster_config` reads."""
-    parser.add_argument("--shards", type=int, default=shards,
-                        help="dataset partitions (one SSD group each)")
-    parser.add_argument("--replicas", type=int, default=replicas,
-                        help="replica SSDs per shard")
-    parser.add_argument("--hedge", type=float, default=hedge,
-                        help="hedge fraction (>0 enables hedged requests)")
-    parser.add_argument("--straggler", type=float, default=straggler,
-                        help="deterministic replica straggler spread")
-    parser.add_argument("--fail-shards", default=fail_shards,
-                        help="dead replicas: comma-separated shard or "
-                             "shard:replica tokens (e.g. '0,3:1')")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse command tree."""
+    """Construct the argparse command tree from the command registry."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DeepStore reproduction command-line interface",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("info", help="versions, geometry, placements")
-    sub.add_parser("table1", help="application characteristics")
-    sub.add_parser("breakdown", help="GPU+SSD time breakdown (Fig. 2)")
-
-    speedup = sub.add_parser("speedup", help="Table-4 speedups")
-    speedup.add_argument("--app", choices=APPS)
-    speedup.add_argument("--gigabytes", type=float, default=25.0)
-
-    sub.add_parser("dse", help="PE scaling (Fig. 6)")
-
-    cache = sub.add_parser("cache", help="query-cache simulation")
-    cache.add_argument("--distribution", choices=["uniform", "zipf"], default="zipf")
-    cache.add_argument("--alpha", type=float, default=0.7)
-    cache.add_argument("--entries", type=int, default=512)
-    cache.add_argument("--intents", type=int, default=2000)
-    cache.add_argument("--queries", type=int, default=1200)
-    cache.add_argument("--threshold", type=float, default=0.10)
-    cache.add_argument("--scan-ms", type=float, default=30.0)
-
-    plan = sub.add_parser("plan", help="deployment capacity planning")
-    plan.add_argument("--app", default="tir", choices=APPS)
-    plan.add_argument("--features", type=int, default=10_000_000)
-    plan.add_argument("--qps", type=float, default=1.0)
-
-    scorecard = sub.add_parser(
-        "scorecard", help="measured-vs-paper reproduction scorecard"
-    )
-    scorecard.add_argument("--gigabytes", type=float, default=25.0)
-    scorecard.add_argument("--json", action="store_true")
-
-    faults = sub.add_parser(
-        "faults", help="fault-injected queries + reliability report"
-    )
-    faults.add_argument("--app", default="tir", choices=APPS)
-    faults.add_argument("--features", type=int, default=20_000,
-                        help="database size in feature vectors")
-    faults.add_argument("--queries", type=int, default=5)
-    faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument("--retry-rate", type=float, default=0.02,
-                        help="NAND page read-retry probability")
-    faults.add_argument("--crc-rate", type=float, default=0.0,
-                        help="channel-bus CRC error probability")
-    faults.add_argument("--chip-rate", type=float, default=0.0,
-                        help="ambient chip hard-failure probability")
-    faults.add_argument("--fail-accels", default="",
-                        help="comma-separated accelerator indices to kill")
-    faults.add_argument("--max-pages", type=int, default=None,
-                        help="cap pages scanned per channel")
-    faults.add_argument("--json", action="store_true")
-
-    def add_obs_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--app", default="tir", choices=APPS)
-        p.add_argument("--features", type=int, default=20_000,
-                       help="database size in feature vectors")
-        p.add_argument("--max-pages", type=int, default=64,
-                       help="cap pages scanned per channel")
-        p.add_argument("--top", type=int, default=8,
-                       help="resources to show, busiest first")
-        p.add_argument("--json", action="store_true")
-
-    trace = sub.add_parser(
-        "trace", help="traced query: Chrome trace JSON + latency breakdown"
-    )
-    add_obs_args(trace)
-    trace.add_argument("--out", default="trace.json",
-                       help="Chrome trace-event JSON output path")
-    trace.add_argument("--bins", type=int, default=40,
-                       help="utilization timeline resolution")
-
-    profile = sub.add_parser(
-        "profile", help="busiest resources + idle-gap analysis"
-    )
-    add_obs_args(profile)
-    profile.add_argument("--hotspots", action="store_true",
-                         help="host-CPU cProfile of the query instead of "
-                              "simulated-resource usage")
-    profile.add_argument("--pstats-out", default="",
-                         help="with --hotspots: dump raw pstats here "
-                              "(CI uploads it as an artifact)")
-
-    serve = sub.add_parser(
-        "serve", help="open-loop serving sweep / perf scorecard"
-    )
-    serve.add_argument("--app", default="tir", choices=APPS)
-    serve.add_argument("--features", type=int, default=400_000,
-                       help="database size in feature vectors")
-    serve.add_argument("--queries", type=int, default=240,
-                       help="queries per sweep point")
-    serve.add_argument("--qps", type=float, default=None,
-                       help="one offered load instead of the sweep "
-                            "around saturation")
-    serve.add_argument("--queue-bound", type=int, default=32,
-                       help="admission queue bound")
-    serve.add_argument("--policy", default="reject",
-                       choices=["reject", "drop-oldest", "deadline"],
-                       help="load-shedding policy")
-    serve.add_argument("--deadline-ms", type=float, default=None,
-                       help="staleness bound for the deadline policy")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="largest shared-scan batch")
-    serve.add_argument("--servers", type=int, default=1,
-                       help="independent scan backends")
-    serve.add_argument("--cache-entries", type=int, default=0,
-                       help="query-cache entries (0 = no cache)")
-    serve.add_argument("--threshold", type=float, default=0.10,
-                       help="query-cache error threshold")
-    serve.add_argument("--intents", type=int, default=200,
-                       help="distinct query intents (cache streams)")
-    serve.add_argument("--fail-accels", default="",
-                       help="comma-separated accelerator indices to kill")
-    serve.add_argument("--fidelity", default="analytic",
-                       choices=["analytic", "event"],
-                       help="batch cost model fidelity")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--bins", type=int, default=40,
-                       help="timeline resolution")
-    _add_scorecard(serve, "serving")
-    serve.add_argument("--json", action="store_true")
-
-    cluster = sub.add_parser(
-        "cluster", help="sharded scatter-gather queries / perf scorecard"
-    )
-    cluster.add_argument("--app", default="tir", choices=APPS)
-    cluster.add_argument("--features", type=int, default=20_000,
-                         help="total dataset size in feature vectors")
-    _add_cluster_args(cluster, shards=4, replicas=1, hedge=0.0,
-                      straggler=0.0, fail_shards="")
-    cluster.add_argument("--placement", default="range",
-                         choices=["range", "hash", "locality"],
-                         help="shard placement strategy")
-    cluster.add_argument("--level", default="channel",
-                         choices=["ssd", "channel", "chip"],
-                         help="accelerator level inside every shard SSD")
-    cluster.add_argument("--k", type=int, default=10, help="global top-K")
-    cluster.add_argument("--queries", type=int, default=3)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--cache-threshold", type=float, default=0.0,
-                         help="setQC threshold on every shard (0 = off)")
-    _add_scorecard(cluster, "cluster")
-    cluster.add_argument("--json", action="store_true")
-
-    ingest = sub.add_parser(
-        "ingest", help="online ingest & data-lifecycle loop"
-    )
-    ingest.add_argument("--app", default="textqa", choices=APPS)
-    ingest.add_argument("--base", type=int, default=1024,
-                        help="base rows written before mutation begins")
-    ingest.add_argument("--rounds", type=int, default=3,
-                        help="mutation rounds (insert/delete/update batches)")
-    ingest.add_argument("--queries", type=int, default=6,
-                        help="probe queries per staleness measurement")
-    ingest.add_argument("--k", type=int, default=10)
-    ingest.add_argument("--seed", type=int, default=0)
-    _add_scorecard(ingest, "ingest")
-    ingest.add_argument("--json", action="store_true")
-
-    index = sub.add_parser(
-        "index", help="IVF ANN probes: recall/latency Pareto sweep"
-    )
-    index.add_argument("--app", default="textqa", choices=APPS)
-    index.add_argument("--features", type=int, default=65536,
-                       help="database rows in the clustered workload")
-    index.add_argument("--lists", type=int, default=32,
-                       help="inverted lists (k-means centroids)")
-    index.add_argument("--k", type=int, default=10)
-    index.add_argument("--queries", type=int, default=4,
-                       help="probe queries averaged per sweep point")
-    index.add_argument("--seed", type=int, default=7)
-    _add_scorecard(index, "index")
-    index.add_argument("--json", action="store_true")
-
-    chaos = sub.add_parser(
-        "chaos", help="scripted fault day: crashes, kills, recovery"
-    )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--duration", type=float, default=1.0,
-                       help="simulated day length in seconds")
-    chaos.add_argument("--crashes", type=int, default=3,
-                       help="whole-store crashes on the durability track")
-    chaos.add_argument("--kills", type=int, default=4,
-                       help="replica kills on the availability track")
-    chaos.add_argument("--queries", type=int, default=24,
-                       help="probe queries on the availability track")
-    chaos.add_argument("--track", default="both",
-                       choices=["durability", "cluster", "both"])
-    _add_scorecard(chaos, "recovery")
-    chaos.add_argument("--json", action="store_true")
-
-    explain = sub.add_parser(
-        "explain", help="critical-path attribution for one traced query"
-    )
-    explain.add_argument("query_id", type=int, nargs="?", default=0,
-                         help="which query of the traced run to explain")
-    explain.add_argument("--app", default="tir", choices=APPS)
-    explain.add_argument("--features", type=int, default=2_000,
-                         help="total dataset size in feature vectors")
-    _add_cluster_args(explain, shards=3, replicas=2, hedge=0.3,
-                      straggler=0.5, fail_shards="1:0")
-    explain.add_argument("--k", type=int, default=5)
-    explain.add_argument("--queries", type=int, default=8,
-                         help="queries in the traced run")
-    explain.add_argument("--seed", type=int, default=0)
-    explain.add_argument("--out", default="",
-                         help="write the Chrome trace-event JSON here")
-    explain.add_argument("--json", action="store_true")
-
-    slo = sub.add_parser(
-        "slo", help="SLO burn-rate monitoring over a chaos day"
-    )
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--duration", type=float, default=1.0,
-                     help="simulated day length in seconds")
-    slo.add_argument("--kills", type=int, default=4,
-                     help="replica kills on the availability track")
-    slo.add_argument("--queries", type=int, default=24)
-    slo.add_argument("--json", action="store_true",
-                     help="emit the machine-readable SLO report")
-
-    tenants = sub.add_parser(
-        "tenants", help="multi-tenant production day on the shared plane"
-    )
-    tenants.add_argument("--seed", type=int, default=0)
-    tenants.add_argument("--day", type=float, default=86_400.0,
-                         help="simulated day length in seconds")
-    tenants.add_argument("--features", type=int, default=32_000_000,
-                         help="database rows behind the shared plane")
-    tenants.add_argument("--trace", action="store_true",
-                         help="summarize the generated day trace only")
-    tenants.add_argument("--no-isolation", action="store_true",
-                         help="skip the paired noisy-neighbor runs")
-    _add_scorecard(tenants, "tenancy")
-    tenants.add_argument("--json", action="store_true")
-
-    demo = sub.add_parser("demo", help="end-to-end functional query")
-    demo.add_argument("--app", default="tir", choices=APPS)
-    demo.add_argument("--level", default="channel",
-                      choices=["ssd", "channel", "chip"])
-    demo.add_argument("--features", type=int, default=10_000)
-    demo.add_argument("--seed", type=int, default=0)
+    for name, cmd in _REGISTRY.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for shared, default in cmd.shared.items():
+            p.add_argument("--" + shared.replace("_", "-"), default=default,
+                           **SHARED_FLAGS[shared])
+        for names, kwargs in cmd.flags:
+            p.add_argument(*names, **kwargs)
+        if cmd.leg is not None:
+            p.add_argument(
+                "--scorecard", action="store_true",
+                help=f"print the {cmd.leg} leg of the CI perf gate (JSON): "
+                     f"its fixed gate scenario, whatever the other flags say",
+            )
+            p.set_defaults(leg=cmd.leg)
     return parser
-
-
-COMMANDS = {
-    "info": _cmd_info,
-    "table1": _cmd_table1,
-    "breakdown": _cmd_breakdown,
-    "speedup": _cmd_speedup,
-    "dse": _cmd_dse,
-    "cache": _cmd_cache,
-    "plan": _cmd_plan,
-    "scorecard": _cmd_scorecard,
-    "faults": _cmd_faults,
-    "trace": _cmd_trace,
-    "profile": _cmd_profile,
-    "serve": _cmd_serve,
-    "cluster": _cmd_cluster,
-    "ingest": _cmd_ingest,
-    "index": _cmd_index,
-    "chaos": _cmd_chaos,
-    "explain": _cmd_explain,
-    "slo": _cmd_slo,
-    "tenants": _cmd_tenants,
-    "demo": _cmd_demo,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1392,10 +1282,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.analysis.scorecard import scorecard_legs
 
             # always machine-readable: this is the artifact CI gates on
-            card = scorecard_legs()[args.leg]()
-            print(json.dumps(card, indent=2, sort_keys=True))
+            _print_json(scorecard_legs()[args.leg]())
             return 0
-        return COMMANDS[args.command](args)
+        for name in _AT_LEAST_ONE:  # before any output or file is written
+            value = getattr(args, name, 1)
+            if value < 1:
+                raise ValueError(f"--{name} must be an integer >= 1, "
+                                 f"got {value}")
+        return _REGISTRY[args.command].run(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.deepstore import DeepStoreSystem
-from repro.core.topk import merge_topk
+from repro.core.topk import topk_select
 from repro.nn.graph import Graph
 from repro.ssd.ftl import DatabaseMetadata
 from repro.workloads.apps import AppSpec
@@ -252,14 +252,15 @@ def degraded_topk(
     """Functional degraded reduce: per-survivor partial top-K, merged.
 
     Each survivor scans its assigned ranges and keeps a local top-K;
-    the engine merges the partials (same tie-breaking as
-    :func:`~repro.core.topk.merge_topk`, so results are bit-identical
+    the engine merges the partials (the canonical tie-break of
+    :func:`~repro.core.topk.topk_select`, so results are bit-identical
     to a healthy scan over the whole score array).
     """
     if k <= 0:
         raise ValueError("K must be positive")
     scores = np.asarray(scores)
-    partials: List[List[Tuple[float, int]]] = []
+    # every survivor's partial top-K, concatenated
+    partials: List[Tuple[float, int]] = []
     for accel in plan.survivors:
         local: List[Tuple[float, int]] = []
         for start, end in plan.assignments[accel]:
@@ -268,11 +269,11 @@ def degraded_topk(
                 continue
             take = min(k, window.size)
             # lexsort by (score desc, index asc): ties must resolve the
-            # same way merge_topk does, or a remapped range could keep a
+            # same way topk_select does, or a remapped range could keep a
             # different tied candidate than the healthy scan would
             top = np.lexsort((np.arange(window.size), -window))[:take]
             local.extend(
                 (float(window[i]), int(start + i)) for i in top
             )
-        partials.append(merge_topk([local], k))
-    return merge_topk(partials, k)
+        partials.extend(topk_select(local, k))
+    return topk_select(partials, k)

@@ -110,20 +110,6 @@ class TopKSorter:
         return 1.0 + min(1.0, expected_inserts / n) * insert_cost
 
 
-def merge_topk(partials: List[List[Tuple[float, int]]], k: int) -> List[Tuple[float, int]]:
-    """Merge per-accelerator top-K lists into the final top-K.
-
-    This is the reduce step of the query engine's map-reduce execution
-    (paper §4.7.1): each accelerator writes its top-K to SSD DRAM and the
-    engine merges them.
-    """
-    if k <= 0:
-        raise ValueError("K must be positive")
-    merged = [item for partial in partials for item in partial]
-    merged.sort(key=lambda pair: (-pair[0], pair[1]))
-    return merged[:k]
-
-
 def topk_select(
     pairs: Sequence[Tuple[float, int]], k: int
 ) -> List[Tuple[float, int]]:
@@ -194,9 +180,9 @@ def kway_merge_topk(
     ties — :func:`topk_select` produces exactly that), and the merge
     then consumes at most ``k`` entries head-first from a ``len(
     partials)``-way heap instead of materializing and sorting the
-    concatenation.  The result is identical to
-    ``merge_topk(partials, k)`` for canonical inputs; the stats power
-    the coordinator's gather cost model.
+    concatenation.  The result is identical to :func:`topk_select` over
+    the concatenated partials for canonical inputs; the stats power the
+    coordinator's gather cost model.
     """
     if k <= 0:
         raise ValueError("K must be positive")

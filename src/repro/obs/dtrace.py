@@ -116,8 +116,8 @@ class TraceCollector:
         self,
         name: str,
         at_s: float,
-        kind: str = "query",
-        track: str = "serving",
+        kind: str,
+        track: str,
         **args: object,
     ) -> QueryTraceContext:
         """Open a new trace's root span; returns its context."""
@@ -213,19 +213,6 @@ class TraceCollector:
     def trace_ids(self) -> List[int]:
         """Distinct trace ids with at least one closed span, sorted."""
         return sorted({s.trace_id for s in self.spans})
-
-    def root(self, trace_id: int) -> Optional[QuerySpan]:
-        """The trace's parentless span (None while still open)."""
-        for span in self.spans:
-            if span.trace_id == trace_id and span.parent_span_id is None:
-                return span
-        return None
-
-    def children(self, span_id: int) -> List[QuerySpan]:
-        """Direct children of one span, ordered by (start, span id)."""
-        kids = [s for s in self.spans if s.parent_span_id == span_id]
-        kids.sort(key=lambda s: (s.start_s, s.span_id))
-        return kids
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,12 @@ The heap stores plain ``(time, seq, event)`` tuples rather than the
 :class:`Event` dataclasses themselves, so every sift comparison runs in
 C on the leading float/int pair (``seq`` is unique, so the event is
 never compared).  :meth:`Simulator.schedule_bulk` adds homogeneous
-event batches with one heapify, and an inlined loop drains the heap
-when no tracer is attached.  Cancelled events stay in the heap as
-corpses until popped or compacted away.  ``tests/test_sim_fastpath.py``
-checks fire order, clock and cancellation/compaction accounting
-against an in-test reference heap of :class:`Event` dataclasses.
+event batches with one heapify, and :meth:`Simulator.run` drains the
+heap in one inlined loop, traced or not.  Cancelled events stay in the
+heap as corpses until popped or compacted away.
+``tests/test_sim_fastpath.py`` checks fire order, clock and
+cancellation/compaction accounting against an in-test reference heap
+of :class:`Event` dataclasses.
 """
 
 from __future__ import annotations
@@ -279,41 +280,17 @@ class Simulator:
         ``until`` is inclusive: events at exactly ``until`` still execute.
         ``stop_when`` is checked after every event; it allows callers to
         stop a steady-state window simulation once enough work finished.
-        """
-        if self.tracer is None:
-            self._run_untraced(until, max_events, stop_when)
-            return
-        executed = 0
-        while True:
-            next_time = self.peek()
-            if next_time is None:
-                return
-            if until is not None and next_time > until:
-                self._now = until
-                return
-            self.step()
-            executed += 1
-            if stop_when is not None and stop_when():
-                return
-            if max_events is not None and executed >= max_events:
-                return
 
-    def _run_untraced(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> None:
-        """Inlined drain loop over (time, seq, event) heap entries.
-
-        Dispatch order, clock updates, and cancellation accounting are
-        exactly :meth:`peek` + :meth:`step`; the win is skipping two
-        method calls and re-validations per event, which at hundreds of
-        thousands of flash-page events per scan is the difference
-        between the heap loop and the model dominating the profile.
+        The drain loop is :meth:`peek` + :meth:`step` inlined: the same
+        dispatch order, clock updates, cancellation accounting and
+        ``sim.event`` instants, without two method calls and
+        re-validations per event, which at hundreds of thousands of
+        flash-page events per scan is the difference between the heap
+        loop and the model dominating the profile.
         """
         heap = self._heap
         pop = heapq.heappop
+        tracer = self.tracer
         executed = 0
         while heap:
             time, _, event = heap[0]
@@ -327,6 +304,12 @@ class Simulator:
             pop(heap)
             self._now = time
             self._events_processed += 1
+            if tracer is not None:
+                # one `sim.event` instant per dispatched callback: the
+                # exported trace reconciles this count against
+                # `events_processed` exactly
+                tracer.instant(self._event_track, event.label or "event",
+                               time, cat="sim.event")
             # identical release protocol to step(): the heap no longer
             # owns the event, late cancels must not skew accounting, and
             # the closure must not outlive its dispatch

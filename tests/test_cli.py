@@ -621,6 +621,60 @@ class TestErrorBoundary:
         assert "Traceback" not in err
 
 
+class TestCountFlagsCheckedFirst:
+    """``--bins`` / ``--top`` below 1 fail before any output or file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--bins", "0"],
+        ["trace", "--bins", "0", "--json"],
+        ["trace", "--top", "0"],
+        ["trace", "--top", "-1", "--json"],
+    ], ids=" ".join)
+    def test_trace(self, capsys, tmp_path, argv):
+        out = tmp_path / "t.json"
+        assert main(argv + ["--features", "2000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_serve(self, capsys, extra):
+        argv = ["serve", "--features", "50000", "--queries", "40",
+                "--bins", "0"] + extra
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --bins must be an integer >= 1, got 0\n"
+
+
+class TestFailAccelsFlag:
+    """``faults`` and ``serve`` parse ``--fail-accels`` the same way."""
+
+    FAULTS = ["faults", "--features", "2000", "--queries", "1"]
+    SERVE = ["serve", "--features", "50000", "--queries", "40", "--qps", "1"]
+
+    def test_faults_skips_blank_tokens(self, capsys):
+        assert main(self.FAULTS + ["--fail-accels", "0,"]) == 0
+        assert "failed accels   [0]" in capsys.readouterr().out
+
+    def test_serve_skips_blank_tokens(self, capsys):
+        import json
+
+        assert main(self.SERVE + ["--fail-accels", "0,", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["failed_accels"] == [0]
+
+    @pytest.mark.parametrize("command", ["FAULTS", "SERVE"])
+    def test_non_integer_token_is_named(self, capsys, command):
+        argv = getattr(self, command) + ["--fail-accels", "0, x"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --fail-accels: 'x' is not an integer\n"
+
+
 class TestScorecardDispatch:
     """``--scorecard`` prints its command's leg of the registry."""
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CHANNEL_LEVEL, CHIP_LEVEL, LEVELS, SSD_LEVEL
 from repro.core.engine import EngineCosts, QueryEngine
-from repro.core.topk import merge_topk
+from repro.core.topk import topk_select
 from repro.core.placement import AcceleratorPlacement, UnsupportedModelError
 from repro.systolic import SystolicConfig
 from repro.workloads import get_app
@@ -125,7 +125,8 @@ class TestQueryEngine:
             engine.energy_j(-1)
 
     def test_functional_merge(self):
-        merged = merge_topk([[(0.9, 1)], [(0.95, 2)]], 1)
+        # the engine's reduce: the canonical top-K of every partial
+        merged = topk_select([(0.9, 1)] + [(0.95, 2)], 1)
         assert merged == [(0.95, 2)]
 
     def test_validation(self, ssd_config):

@@ -7,9 +7,13 @@ from repro.core.topk import (
     KWayMergeStats,
     TopKSorter,
     kway_merge_topk,
-    merge_topk,
     topk_select,
 )
+
+
+def merge(partials, k):
+    """The reduce step: the canonical top-K of every partial's pairs."""
+    return topk_select([pair for partial in partials for pair in partial], k)
 
 
 class TestTopKSorter:
@@ -72,24 +76,29 @@ class TestTopKSorter:
 
 
 class TestMergeTopK:
+    """Per-accelerator top-Ks reduce to the global one (paper §4.7.1)."""
+
     def test_merges_partials(self):
         partials = [
             [(0.9, 1), (0.5, 2)],
             [(0.8, 3), (0.7, 4)],
         ]
-        merged = merge_topk(partials, 3)
+        merged = merge(partials, 3)
         assert merged == [(0.9, 1), (0.8, 3), (0.7, 4)]
+        assert kway_merge_topk(partials, 3)[0] == merged
 
     def test_handles_empty_partials(self):
-        assert merge_topk([[], [(0.5, 1)]], 2) == [(0.5, 1)]
+        assert merge([[], [(0.5, 1)]], 2) == [(0.5, 1)]
+        assert kway_merge_topk([[], [(0.5, 1)]], 2)[0] == [(0.5, 1)]
 
     def test_ties_break_by_feature_id(self):
-        merged = merge_topk([[(0.5, 9)], [(0.5, 1)]], 2)
+        merged = merge([[(0.5, 9)], [(0.5, 1)]], 2)
         assert merged == [(0.5, 1), (0.5, 9)]
+        assert kway_merge_topk([[(0.5, 9)], [(0.5, 1)]], 2)[0] == merged
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            merge_topk([], 0)
+            merge([], 0)
 
     @given(
         st.lists(
@@ -101,7 +110,7 @@ class TestMergeTopK:
     )
     @settings(max_examples=50, deadline=None)
     def test_merge_equals_global_sort(self, partials, k):
-        merged = merge_topk(partials, k)
+        merged = merge(partials, k)
         everything = sorted(
             (item for p in partials for item in p),
             key=lambda pair: (-pair[0], pair[1]),
@@ -130,7 +139,7 @@ class TestKWayMergeTopK:
             [],
         ]
         merged, _ = kway_merge_topk(partials, 3)
-        assert merged == merge_topk(partials, 3)
+        assert merged == merge(partials, 3)
 
     def test_single_list_costs_zero_comparisons(self):
         # the degenerate one-shard cluster must add zero hidden cost

@@ -13,7 +13,7 @@ from repro.core.scheduler import (
     partition_feature_ranges,
     plan_degraded_scan,
 )
-from repro.core.topk import merge_topk
+from repro.core.topk import topk_select
 from repro.faults import (
     ComponentFailure,
     FaultInjector,
@@ -277,9 +277,7 @@ class TestDegradedScanPlan:
         scores = rng.integers(0, 5, size=n_features).astype(np.float32)
         plan = plan_degraded_scan(n_features, n_accels, failed)
         k = data.draw(st.integers(min_value=1, max_value=20))
-        healthy = merge_topk(
-            [list(zip(scores.tolist(), range(n_features)))], k
-        )
+        healthy = topk_select(list(zip(scores.tolist(), range(n_features))), k)
         assert degraded_topk(scores, plan, k) == healthy
 
 
