@@ -100,16 +100,17 @@ class Scorecard:
     def structural_ok(self) -> bool:
         return all(self.structural.values())
 
+    def to_dict(self) -> dict:
+        """Cells, structural checks and counts as a JSON-ready dict."""
+        return {
+            "cells": [c.to_dict() for c in self.cells],
+            "structural": self.structural,
+            "counts": self.counts,
+        }
+
     def to_json(self, indent: int = 2) -> str:
-        """Serialize cells, structural checks and counts to JSON."""
-        return json.dumps(
-            {
-                "cells": [c.to_dict() for c in self.cells],
-                "structural": self.structural,
-                "counts": self.counts,
-            },
-            indent=indent,
-        )
+        """Serialize :meth:`to_dict` to JSON."""
+        return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
         """Render the scorecard as an aligned text report."""
@@ -214,7 +215,7 @@ def scorecard_legs() -> Dict[str, Callable[[], Dict[str, object]]]:
     from repro.tenancy.scorecard import build_tenancy_scorecard
 
     return {
-        "repro": lambda: json.loads(build_scorecard().to_json()),
+        "repro": lambda: build_scorecard().to_dict(),
         "serving": build_serving_scorecard,
         "cluster": build_cluster_scorecard,
         "ingest": build_ingest_scorecard,

@@ -362,11 +362,16 @@ def _parse_fail_shards(text: str):
     """``"0,3:1"`` -> (0, (3, 1)): shard or shard:replica tokens."""
     specs = []
     for token in _tokens(text):
-        if ":" in token:
-            shard, replica = token.split(":", 1)
-            specs.append((int(shard), int(replica)))
-        else:
-            specs.append(int(token))
+        try:
+            if ":" in token:
+                shard, replica = token.split(":", 1)
+                specs.append((int(shard), int(replica)))
+            else:
+                specs.append(int(token))
+        except ValueError:
+            raise ValueError(
+                f"--fail-shards: {token!r} is not shard or shard:replica"
+            ) from None
     return tuple(specs)
 
 
@@ -727,7 +732,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 "replicas": config.n_replicas,
                 "placement": config.placement,
                 "level": config.level,
-                "dead_replicas": [list(d) for d in config.dead_replicas()],
+                "dead_replicas": [list(d) for d in config.fail_shards],
                 "hedge_fraction": config.hedge_fraction,
                 "straggler_spread": config.straggler_spread,
             },

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 from repro.core.api import check_counts, is_count, is_real
 from repro.core.engine import DispatchPolicy
 from repro.core.placement import LEVELS
-from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # imported lazily to avoid a module cycle
     from repro.cluster.breaker import BreakerConfig
@@ -124,15 +123,13 @@ class ClusterConfig:
     #: replica runs at ``1 + straggler_spread * u(seed, shard, replica)``
     #: times its healthy latency (0 = every replica healthy)
     straggler_spread: float = 0.0
-    #: dead replicas: bare shard ids (replica 0) or (shard, replica)
+    #: dead replicas: bare shard ids (replica 0) or (shard, replica);
+    #: normalized to sorted, distinct (shard, replica) pairs
     fail_shards: Tuple = ()
     #: detection ladder paid per dead replica before failing over
     dispatch_policy: DispatchPolicy = field(default_factory=DispatchPolicy)
     #: host-side serial costs
     costs: CoordinatorCosts = field(default_factory=CoordinatorCosts)
-    #: device-level fault plan; ``kind="shard"`` failures add to
-    #: ``fail_shards``, the rest apply inside every shard SSD
-    fault_plan: FaultPlan = field(default_factory=FaultPlan)
     #: failover retry ladder (capped backoff + seeded jitter + per-query
     #: budget); ``None`` keeps the legacy unlimited zero-pause walk
     #: bit-identical
@@ -185,15 +182,9 @@ class ClusterConfig:
         )
 
     # ------------------------------------------------------------------
-    def dead_replicas(self) -> Tuple[Tuple[int, int], ...]:
-        """All dead (shard, replica) pairs: config + fault plan."""
-        dead = set(self.fail_shards)
-        dead.update(self.fault_plan.dead_shard_replicas())
-        return tuple(sorted(dead))
-
     def live_replicas(self, shard: int) -> Tuple[int, ...]:
         """Replica indices of ``shard`` still in service."""
-        dead = set(self.dead_replicas())
+        dead = set(self.fail_shards)
         return tuple(
             r for r in range(self.n_replicas) if (shard, r) not in dead
         )
@@ -219,9 +210,8 @@ class ClusterConfig:
             f"{self.placement} placement",
             f"{self.level}-level accelerators",
         ]
-        dead = self.dead_replicas()
-        if dead:
-            parts.append(f"{len(dead)} dead replica(s)")
+        if self.fail_shards:
+            parts.append(f"{len(self.fail_shards)} dead replica(s)")
         if self.hedge_fraction is not None:
             parts.append(f"hedge @ {self.hedge_fraction:g}x")
         if self.straggler_spread:

@@ -582,7 +582,7 @@ class DeepStoreCluster:
         order = [
             (primary + j) % cfg.n_replicas for j in range(cfg.n_replicas)
         ]
-        dead = set(cfg.dead_replicas())
+        dead = set(cfg.fail_shards)
         dead.update(self._down)
         rejected: List[Tuple[int, str]] = []
         if self.breakers:

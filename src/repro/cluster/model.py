@@ -167,7 +167,7 @@ class ClusterModel:
             )
             sizes = [len(ids) for ids in placement.owners]
             shards = placement.non_empty_shards()
-        dead = set(cfg.dead_replicas())
+        dead = set(cfg.fail_shards)
         detect = cfg.dispatch_policy.give_up_seconds()
 
         jobs: List[ShardJob] = []

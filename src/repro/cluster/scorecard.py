@@ -77,7 +77,7 @@ def build_cluster_scorecard(
     failover = ClusterModel(failover_cfg).estimate(app, n_features, k=k)
     healthy = ClusterModel(healthy_cfg).estimate(app, n_features, k=k)
     failover_block = {
-        "dead_replicas": len(failover_cfg.dead_replicas()),
+        "dead_replicas": len(failover_cfg.fail_shards),
         "query_ms": failover.seconds * 1e3,
         "healthy_query_ms": healthy.seconds * 1e3,
         "slowdown": (

@@ -406,7 +406,7 @@ class DeepStoreDevice:
                 feature_bytes=meta.feature_bytes,
                 failed_accels=bad,
                 name=graph.name,
-            ).degraded
+            )
         else:
             latency = system.latency_for(
                 graph, sliced, feature_bytes=meta.feature_bytes, name=graph.name

@@ -20,13 +20,10 @@ feed rate and the accelerator's compute/weight-stream rate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.accelerator import InStorageAccelerator
 from repro.core.engine import DispatchPolicy, EngineCosts, QueryEngine
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.scheduler import DegradedScanPlan
 from repro.core.placement import LEVELS, AcceleratorPlacement, CHANNEL_LEVEL
 from repro.energy import EnergyBreakdown, EnergyModel
 from repro.nn.graph import Graph
@@ -89,28 +86,6 @@ class QueryLatency:
     def power_w(self) -> float:
         """Whole-device power: dynamic accelerator energy + SSD base."""
         return self.accelerator_power_w + self.base_power_w
-
-
-@dataclass
-class DegradedQuery:
-    """A query's cost healthy vs. with failed accelerators remapped."""
-
-    healthy: QueryLatency
-    degraded: QueryLatency
-    plan: "DegradedScanPlan"
-    policy: DispatchPolicy
-
-    @property
-    def slowdown(self) -> float:
-        """Degraded over healthy query latency (>= 1.0)."""
-        if self.healthy.total_seconds <= 0:
-            return 1.0
-        return self.degraded.total_seconds / self.healthy.total_seconds
-
-    @property
-    def survivors(self) -> int:
-        """Accelerators still serving the query."""
-        return len(self.plan.assignments)
 
 
 class DeepStoreSystem:
@@ -304,14 +279,15 @@ class DeepStoreSystem:
     # ------------------------------------------------------------------
     # degraded mode
     # ------------------------------------------------------------------
-    def degraded_query_latency(
+    def degraded_latency_for(
         self,
-        app: AppSpec,
+        graph: Graph,
         meta: DatabaseMetadata,
+        feature_bytes: int,
         failed_accels: Sequence[int],
-        graph: Optional[Graph] = None,
+        name: str = "",
         policy: Optional[DispatchPolicy] = None,
-    ) -> DegradedQuery:
+    ) -> QueryLatency:
         """Query cost with ``failed_accels`` dead and their work remapped.
 
         The surviving accelerators adopt the failed stripes
@@ -321,26 +297,6 @@ class DeepStoreSystem:
         accelerator before it can remap.  Top-K results are unchanged —
         only time degrades.
         """
-        graph = graph or app.build_scn()
-        return self.degraded_latency_for(
-            graph,
-            meta,
-            feature_bytes=app.feature_bytes,
-            failed_accels=failed_accels,
-            name=app.name,
-            policy=policy,
-        )
-
-    def degraded_latency_for(
-        self,
-        graph: Graph,
-        meta: DatabaseMetadata,
-        feature_bytes: int,
-        failed_accels: Sequence[int],
-        name: str = "",
-        policy: Optional[DispatchPolicy] = None,
-    ) -> DegradedQuery:
-        """Like :meth:`degraded_query_latency` without an AppSpec."""
         import dataclasses
 
         from repro.core.scheduler import plan_degraded_scan
@@ -350,7 +306,7 @@ class DeepStoreSystem:
         plan = plan_degraded_scan(meta.feature_count, count, failed_accels)
         healthy = self.latency_for(graph, meta, feature_bytes, name=name)
         survivors = len(plan.assignments)
-        degraded = dataclasses.replace(
+        return dataclasses.replace(
             healthy,
             accel_count=survivors,
             scan_seconds=healthy.scan_seconds * plan.load_factor,
@@ -358,9 +314,6 @@ class DeepStoreSystem:
                 count, count - survivors, policy
             ),
             merge_seconds=self.engine.merge_seconds(survivors, self.k),
-        )
-        return DegradedQuery(
-            healthy=healthy, degraded=degraded, plan=plan, policy=policy
         )
 
     def _query_energy(

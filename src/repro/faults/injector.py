@@ -207,8 +207,6 @@ class FaultInjector:
                     self._dead_accels.get(failure.index, failure.at_s),
                     failure.at_s,
                 )
-            # "shard" failures are cluster-level: the coordinator, not
-            # the per-device injector, consumes them (replica failover)
 
     # ------------------------------------------------------------------
     # epochs

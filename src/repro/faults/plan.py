@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from repro.core.api import check_counts, is_count, is_real
 
 #: component kinds a :class:`ComponentFailure` may name
-FAILURE_KINDS = ("chip", "plane", "accelerator", "shard")
+FAILURE_KINDS = ("chip", "plane", "accelerator")
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,7 @@ class ComponentFailure:
     not apply are left ``None`` (an accelerator failure uses ``index``
     — for channel-level placements that is the channel number).  The
     component is considered dead at every simulated time ``>= at_s``.
-
-    ``kind="shard"`` names one replica SSD of one cluster shard
-    (``index`` is the shard, ``replica`` the copy, default 0 — the
-    primary).  Shard failures are consumed by the cluster coordinator,
-    not the per-device injector: the coordinator fails over to a
-    surviving replica, so the query stays *correct* and only pays the
-    detection ladder.
+    A dead cluster replica is named by ``ClusterConfig.fail_shards``.
     """
 
     kind: str
@@ -49,14 +43,13 @@ class ComponentFailure:
     chip: Optional[int] = None
     plane: Optional[int] = None
     index: Optional[int] = None
-    replica: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAILURE_KINDS:
             raise ValueError(f"unknown failure kind {self.kind!r}")
         if not (is_real(self.at_s) and self.at_s >= 0):
             raise ValueError(f"at_s must be a real number >= 0, got {self.at_s!r}")
-        for name in ("channel", "chip", "plane", "index", "replica"):
+        for name in ("channel", "chip", "plane", "index"):
             value = getattr(self, name)
             if value is not None and not is_count(value):
                 raise ValueError(f"{name} must be an integer >= 0 (or None), got {value!r}")
@@ -68,11 +61,6 @@ class ComponentFailure:
             raise ValueError("plane failures need channel, chip and plane")
         if self.kind == "accelerator" and self.index is None:
             raise ValueError("accelerator failures need an index")
-        if self.kind == "shard":
-            if self.index is None:
-                raise ValueError("shard failures need an index (the shard)")
-            if self.replica is None:
-                object.__setattr__(self, "replica", 0)
 
 
 @dataclass(frozen=True)
@@ -164,20 +152,6 @@ class FaultPlan:
         """Copy with accelerator ``index`` hard-failed at ``at_s``."""
         return self.with_failure(
             ComponentFailure(kind="accelerator", index=index, at_s=at_s)
-        )
-
-    def dead_shard_replicas(self) -> Tuple[Tuple[int, int], ...]:
-        """(shard, replica) pairs this plan hard-fails, sorted."""
-        return tuple(
-            sorted(
-                {
-                    (f.index, f.replica)
-                    for f in self.failures
-                    if f.kind == "shard"
-                    and f.index is not None
-                    and f.replica is not None
-                }
-            )
         )
 
     def describe(self) -> str:

@@ -34,7 +34,6 @@ from repro.serving.admission import (
 from repro.serving.arrivals import (
     INGEST_COMPAT,
     ArrivalEvent,
-    mixed_arrivals,
     offered_qps_of,
     poisson_arrivals,
     trace_arrivals,
@@ -59,7 +58,6 @@ __all__ = [
     "ArrivalEvent",
     "INGEST_COMPAT",
     "poisson_arrivals",
-    "mixed_arrivals",
     "trace_arrivals",
     "offered_qps_of",
     "AdmissionQueue",

@@ -15,8 +15,11 @@ politely self-throttle and hide both):
   methodology), optionally rescaled to a target offered rate so one
   trace sweeps a whole load axis.
 
-Both return plain :class:`ArrivalEvent` lists: timestamp, query vector,
-ground-truth intent, and a priority class for the admission queue.
+Both return plain :class:`ArrivalEvent` lists of read queries:
+timestamp, query vector, ground-truth intent, and a priority class for
+the admission queue.  Write arrivals come from the multi-tenant day
+trace (:mod:`repro.tenancy.trace`), batched under the reserved
+:data:`INGEST_COMPAT` key.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 from repro.workloads.queries import QueryStream
 from repro.workloads.traces import QueryTrace
 
-#: batch-compatibility key reserved for ingest operations — writes never
-#: share a scan batch with queries
+#: batch-compatibility key reserved for the tenancy plane's ingest
+#: writes — writes never share a scan batch with queries
 INGEST_COMPAT = "__ingest__"
 
 
@@ -41,9 +44,7 @@ class ArrivalEvent:
     ``priority`` is an integer class: **0 is the most important**;
     larger numbers are served after smaller ones.  ``compat`` is the
     batch-compatibility key (app/SCN identity) — only queries with equal
-    keys may share a scan.  ``kind`` separates read traffic
-    (``"query"``) from write traffic (``"ingest"``); ingest arrivals
-    bypass the query cache and are serviced by the write path.
+    keys may share a scan.
     """
 
     time_s: float
@@ -51,7 +52,6 @@ class ArrivalEvent:
     intent: int = -1
     priority: int = 0
     compat: str = ""
-    kind: str = "query"
 
 
 def poisson_arrivals(
@@ -128,51 +128,6 @@ def trace_arrivals(
             )
         )
     return events
-
-
-def mixed_arrivals(
-    n_events: int,
-    offered_qps: float,
-    write_fraction: float,
-    seed: int = 0,
-    stream: Optional[QueryStream] = None,
-    compat: str = "",
-    write_priority: int = 1,
-) -> List[ArrivalEvent]:
-    """A merged open-loop read/write arrival process.
-
-    One Poisson process at ``offered_qps`` carries both classes; each
-    arrival is independently a write with probability
-    ``write_fraction`` (a thinned Poisson split, so each class is
-    itself Poisson at its share of the rate).  Writes arrive with
-    ``kind="ingest"``, the reserved :data:`INGEST_COMPAT` batch key
-    (they never share a scan with queries), no QFV (they skip the query
-    cache), and ``write_priority`` — default 1, i.e. admitted behind
-    class-0 queries, the paper's query-first admission split.
-    """
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ValueError("write_fraction must be in [0, 1]")
-    events = poisson_arrivals(
-        n_events, offered_qps, seed=seed, stream=stream, compat=compat
-    )
-    rng = np.random.default_rng([seed, 7919])
-    is_write = rng.random(n_events) < write_fraction
-    out: List[ArrivalEvent] = []
-    for event, write in zip(events, is_write):
-        if write:
-            out.append(
-                ArrivalEvent(
-                    time_s=event.time_s,
-                    qfv=None,
-                    intent=-1,
-                    priority=write_priority,
-                    compat=INGEST_COMPAT,
-                    kind="ingest",
-                )
-            )
-        else:
-            out.append(event)
-    return out
 
 
 def offered_qps_of(events: List[ArrivalEvent]) -> float:

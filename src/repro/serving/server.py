@@ -22,6 +22,13 @@ a query:
 5. **complete** — per-query latency is arrival-to-completion; the
    result is inserted into the cache so later similar queries hit.
 
+The server prices read queries only, each batch one exhaustive shared
+scan on a device or one scatter-gather round on a cluster.  Write
+traffic reaches the same :class:`~repro.serving.plane.BatchPlane`
+through :class:`~repro.tenancy.server.MultiTenantServer`, which prices
+its write ops itself; IVF-routed scans are priced in
+:mod:`repro.index`.
+
 An optional :class:`~repro.obs.Tracer` records queue depth and sheds as
 instants and backend occupancy as spans; an optional
 :class:`~repro.obs.MetricsRegistry` gets the run's ``serving.*``
@@ -97,14 +104,6 @@ class ServingConfig:
     shard_placement: str = "range"
     #: dead cluster replicas: shard ids or (shard, replica) pairs
     fail_shards: Tuple = ()
-    #: rows one ingest arrival writes (sizes the write service time)
-    ingest_rows_per_op: int = 32
-    #: IVF index over the database: 0 disables (exhaustive scans, the
-    #: pre-index behaviour, byte for byte); > 0 prices each scan over
-    #: the probed fraction ``index_nprobe / index_lists`` of the rows
-    #: plus a per-query SSD-level centroid-routing pass
-    index_lists: int = 0
-    index_nprobe: int = 0
 
     def __post_init__(self) -> None:
         # every knob combination is validated here, up front, so a bad
@@ -114,8 +113,7 @@ class ServingConfig:
         check_counts(self, (
             ("features", 1), ("queue_bound", 1), ("max_batch", 1),
             ("n_servers", 1), ("cache_entries", 0), ("n_shards", 1),
-            ("n_replicas", 1), ("ingest_rows_per_op", 1),
-            ("index_lists", 0), ("index_nprobe", 0),
+            ("n_replicas", 1),
         ))
         # lazy import: repro.cluster imports this package's batcher
         from repro.cluster.config import normalize_fail_shards
@@ -133,12 +131,6 @@ class ServingConfig:
             raise ValueError(
                 f"unknown app {self.app!r}; expected one of {APP_NAMES}"
             )
-        if self.index_lists > 0 and not 0 < self.index_nprobe <= self.index_lists:
-            raise ValueError(
-                "index_nprobe must be in [1, index_lists] when indexed"
-            )
-        if self.index_lists == 0 and self.index_nprobe != 0:
-            raise ValueError("index_nprobe needs index_lists > 0")
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"
@@ -173,11 +165,6 @@ class ServingConfig:
         """Whether batches are priced against a sharded deployment."""
         return self.n_shards > 1 or self.n_replicas > 1 or bool(self.fail_shards)
 
-    @property
-    def indexed(self) -> bool:
-        """Whether scans are priced over an IVF probe."""
-        return self.index_lists > 0
-
 
 @dataclass
 class ServingResult:
@@ -203,12 +190,6 @@ class ServingResult:
     mean_batch: float
     utilization: float
     queue_peak: int
-    #: write-class traffic (mixed read/write workloads; zero otherwise).
-    #: Deliberately absent from :meth:`as_dict` so read-only scorecards
-    #: stay byte-stable.
-    ingest_arrived: int = 0
-    ingest_completed: int = 0
-    ingest_mean_latency_s: float = 0.0
 
     @property
     def shed(self) -> int:
@@ -273,39 +254,9 @@ class QueryServer:
         self.system = system or DeepStoreSystem.at_level("channel")
         self.metrics = metrics
         self.tracer = tracer
-        ssd = Ssd(self.system.ssd)
-        self.meta = ssd.ftl.create_database(
+        self.meta = Ssd(self.system.ssd).ftl.create_database(
             self.app.feature_bytes, config.features
         )
-        # IVF serving: scans are priced over the probed fraction of the
-        # rows, and every query pays one SSD-level routing pass over the
-        # centroid table before its batch is formed
-        self.routing_seconds_per_query = 0.0
-        scan_meta = self.meta
-        if config.indexed:
-            probed = max(
-                1, -(-config.features * config.index_nprobe // config.index_lists)
-            )
-            scan_meta = ssd.ftl.create_database(self.app.feature_bytes, probed)
-            ssd_system = DeepStoreSystem.at_level("ssd", ssd=self.system.ssd)
-            centroid_meta = ssd.ftl.create_database(
-                self.app.feature_bytes, config.index_lists
-            )
-            graph = fastpath.scn_graph(self.app)
-            if config.index_nprobe < config.index_lists:
-                self.routing_seconds_per_query = ssd_system.latency_for(
-                    graph,
-                    centroid_meta,
-                    feature_bytes=self.app.feature_bytes,
-                    name=graph.name,
-                ).total_seconds
-        # ingest service time: one write op streams ingest_rows_per_op
-        # rows through the host-write path; writes never batch with
-        # queries (INGEST_COMPAT) and serialize on a backend like a scan
-        write_meta = ssd.ftl.create_database(
-            self.app.feature_bytes, config.ingest_rows_per_op
-        )
-        self.ingest_op_seconds = ssd.database_write_seconds(write_meta)
         # sweeps construct one server per point; the SCN build (and the
         # graph-keyed accelerator profile) is identical every time
         self.graph = fastpath.scn_graph(self.app)
@@ -317,7 +268,7 @@ class QueryServer:
 
             self.cost = ClusterBatchCostModel(
                 self.app,
-                scan_meta,
+                self.meta,
                 cluster=ClusterConfig(
                     n_shards=config.n_shards,
                     n_replicas=config.n_replicas,
@@ -334,7 +285,7 @@ class QueryServer:
         else:
             self.cost = BatchCostModel(
                 self.app,
-                scan_meta,
+                self.meta,
                 system=self.system,
                 policy=BatchPolicy(config.max_batch),
                 graph=self.graph,
@@ -367,16 +318,8 @@ class QueryServer:
 
     # ------------------------------------------------------------------
     def _service(self, tenant: str, batch: List[QueuedQuery]) -> float:
-        """Price one batch on a backend."""
-        if batch[0].compat == INGEST_COMPAT:
-            # a write batch occupies a backend for the measured
-            # host-write time of each op, serially
-            return self.ingest_op_seconds * len(batch)
-        service = self.cost.service_seconds(len(batch))
-        if self.routing_seconds_per_query > 0.0:
-            # each member routed independently before the shared probe scan
-            service += self.routing_seconds_per_query * len(batch)
-        return service
+        """Price one read batch on a backend (one shared scan)."""
+        return self.cost.service_seconds(len(batch))
 
     def _cache_results(self, batch: List[QueuedQuery]) -> None:
         """Insert a completed read batch's results so similar queries hit."""
@@ -402,6 +345,11 @@ class QueryServer:
         """
         if not arrivals:
             raise ValueError("empty arrival schedule")
+        if any(event.compat == INGEST_COMPAT for event in arrivals):
+            # the plane would ledger them as writes, never as completions
+            raise ValueError(
+                f"compat {INGEST_COMPAT!r} is reserved for ingest writes"
+            )
         config = self.config
         tracer = tracer if tracer is not None else self.tracer
         sim = Simulator(tracer=tracer)
@@ -436,8 +384,7 @@ class QueryServer:
                 plane.dispatch()
 
         def arrive(event: ArrivalEvent, qid: int) -> None:
-            # writes never consult the query cache
-            if event.kind == "ingest" or self.cache is None or event.qfv is None:
+            if self.cache is None or event.qfv is None:
                 admit(event, qid, 0.0)
                 return
             lookup = self.cache.lookup(event.qfv)
@@ -472,8 +419,7 @@ class QueryServer:
         )
         sim.run()
 
-        reads, writes = plane.reads[TENANT], plane.writes[TENANT]
-        completed = len(reads) + len(writes)
+        completed = len(plane.reads[TENANT])
         span = max(plane.last_completion - arrivals[0].time_s, 0.0)
         counters = wfq.counters(TENANT)
         result = ServingResult(
@@ -494,11 +440,6 @@ class QueryServer:
                 plane.busy_s / (config.n_servers * span) if span > 0 else 0.0
             ),
             queue_peak=queue_peak,
-            ingest_arrived=sum(1 for e in arrivals if e.kind == "ingest"),
-            ingest_completed=len(writes),
-            ingest_mean_latency_s=(
-                sum(writes) / len(writes) if writes else 0.0
-            ),
         )
         if self.metrics is not None:
             _record_metrics(self.metrics, plane, result)
@@ -515,14 +456,12 @@ def _record_metrics(
     the histograms' float totals match per-event recording bit for bit;
     an instrument is only created once it has something to count.
     """
-    reads, writes = plane.reads[TENANT], plane.writes[TENANT]
+    reads = plane.reads[TENANT]
     for name, count in (
         ("arrived", result.arrived),
-        ("ingest_arrived", result.ingest_arrived),
         ("admitted", result.admitted),
         ("cache_hits", result.cache_hits),
-        ("completed", len(reads)),
-        ("ingest_completed", len(writes)),
+        ("completed", result.completed),
         ("shed", result.shed),
         ("shed_rejected", result.rejected),
         ("shed_evicted", result.evicted),
@@ -532,7 +471,6 @@ def _record_metrics(
             metrics.counter(f"serving.{name}").inc(count)
     for name, values, bounds in (
         ("latency_s", reads, None),
-        ("ingest_latency_s", writes, None),
         ("wait_s", plane.waits[TENANT], None),
         ("batch_size", plane.batch_sizes, list(range(1, plane.max_batch + 1))),
     ):

@@ -225,83 +225,30 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule(self._now + delay, callback, label=label)
 
-    def _head(self) -> Optional[Event]:
-        """Event at the heap head with cancelled corpses drained."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        return heap[0][2] if heap else None
+    def run(self, stop_when: Optional[Callable[[], bool]] = None) -> None:
+        """Run events until the heap is exhausted or ``stop_when`` holds.
 
-    def peek(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) event, or ``None``."""
-        head = self._head()
-        return head.time if head is not None else None
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False when none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            if self.tracer is not None:
-                # one `sim.event` instant per dispatched callback: the
-                # exported trace reconciles this count against
-                # `events_processed` exactly
-                self.tracer.instant(
-                    self._event_track,
-                    event.label or "event",
-                    event.time,
-                    cat="sim.event",
-                )
-            # the event left the heap: a late cancel() must not skew
-            # the cancelled-pending accounting
-            event.sim = None
-            callback = event.callback
-            # release the closure before running it — callers holding
-            # the Event handle (hedging keeps completion events around
-            # to cancel losers) must not pin the payload it closes over
-            event.callback = _released_callback
-            callback()
-            return True
-        return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """Run events until exhaustion, ``until`` time, or a predicate.
-
-        ``until`` is inclusive: events at exactly ``until`` still execute.
         ``stop_when`` is checked after every event; it allows callers to
         stop a steady-state window simulation once enough work finished.
 
-        The drain loop is :meth:`peek` + :meth:`step` inlined: the same
-        dispatch order, clock updates, cancellation accounting and
-        ``sim.event`` instants, without two method calls and
-        re-validations per event, which at hundreds of thousands of
-        flash-page events per scan is the difference between the heap
-        loop and the model dominating the profile.
+        Each dispatch advances the clock to the event's time, emits one
+        ``sim.event`` instant when traced, and releases the event before
+        its callback runs: the heap no longer owns it, so a late
+        ``cancel()`` must not skew the cancelled-pending accounting, and
+        the closure must not outlive its dispatch (callers holding the
+        handle — hedging keeps completion events around to cancel
+        losers — must not pin the payload it closes over).  The loop is
+        inlined because at hundreds of thousands of flash-page events
+        per scan the heap loop would otherwise dominate the profile.
         """
         heap = self._heap
         pop = heapq.heappop
         tracer = self.tracer
-        executed = 0
         while heap:
-            time, _, event = heap[0]
+            time, _, event = pop(heap)
             if event.cancelled:
-                pop(heap)
                 self._cancelled_pending -= 1
                 continue
-            if until is not None and time > until:
-                self._now = until
-                return
-            pop(heap)
             self._now = time
             self._events_processed += 1
             if tracer is not None:
@@ -310,15 +257,9 @@ class Simulator:
                 # `events_processed` exactly
                 tracer.instant(self._event_track, event.label or "event",
                                time, cat="sim.event")
-            # identical release protocol to step(): the heap no longer
-            # owns the event, late cancels must not skew accounting, and
-            # the closure must not outlive its dispatch
             event.sim = None
             callback = event.callback
             event.callback = _released_callback
             callback()
-            executed += 1
             if stop_when is not None and stop_when():
-                return
-            if max_events is not None and executed >= max_events:
                 return

@@ -13,8 +13,10 @@ plans are priced as maintenance jobs that occupy a backend.
 
 The batch-service loop is :class:`~repro.serving.plane.BatchPlane`,
 the one :class:`~repro.serving.server.QueryServer` drives too, and the
-cost models *are* ``QueryServer``'s (one per SCN app, built through the
-same ``ServingConfig`` path).  With one tenant, no bursts, no failure
+read cost models *are* ``QueryServer``'s (one per SCN app, built through
+the same ``ServingConfig`` path).  Write ops are priced here, the one
+place they are served: each holds a backend for the host-write time of
+:data:`WRITE_ROWS_PER_OP` rows.  With one tenant, no bursts, no failure
 and the autoscaler off, the plane is the single-tenant server batch for
 batch: the parity test pins every aggregate of
 :class:`~repro.serving.server.ServingResult` against it.
@@ -33,6 +35,7 @@ from repro.serving.arrivals import INGEST_COMPAT
 from repro.serving.plane import BatchPlane
 from repro.serving.server import QueryServer, ServingConfig
 from repro.sim import Simulator
+from repro.ssd import Ssd
 from repro.tenancy.admission import TenantQueueSpec, WeightedFairQueue
 from repro.tenancy.autoscale import Autoscaler, ScalingAction
 from repro.tenancy.spec import TenancyConfig, TenantSpec
@@ -46,6 +49,10 @@ SAMPLE_BOUNDARIES_PER_DAY = 288
 #: a window needs ~100 events before one unlucky tail query stops
 #: looking like a 10x burn — below this the signal is noise.
 BURN_MIN_EVENTS = 100
+
+#: rows one ingest write op streams through the host-write path (sizes
+#: the op's service time)
+WRITE_ROWS_PER_OP = 32
 
 
 @dataclass
@@ -156,6 +163,9 @@ class MultiTenantServer:
         #: tenancy plane prices batches through the identical path
         self._healthy: Dict[str, QueryServer] = {}
         self._degraded: Dict[str, QueryServer] = {}
+        #: per-app service seconds of one write op: the measured
+        #: host-write time of WRITE_ROWS_PER_OP rows on the app's SSD
+        self._write_op_seconds: Dict[str, float] = {}
         for app in config.distinct_apps():
             # placement "range" prices scatter-gather over equal shard
             # sizes in O(1); "hash" would materialize a per-row owner
@@ -170,7 +180,13 @@ class MultiTenantServer:
                 n_replicas=config.n_replicas,
                 shard_placement="range",
             )
-            self._healthy[app] = QueryServer(ServingConfig(**base))
+            healthy = self._healthy[app] = QueryServer(ServingConfig(**base))
+            ssd = Ssd(healthy.system.ssd)
+            self._write_op_seconds[app] = ssd.database_write_seconds(
+                ssd.ftl.create_database(
+                    healthy.app.feature_bytes, WRITE_ROWS_PER_OP
+                )
+            )
             if config.failure is not None:
                 self._degraded[app] = QueryServer(ServingConfig(
                     **base,
@@ -255,15 +271,15 @@ class MultiTenantServer:
             min_inserts=config.min_inserts,
             seed=config.seed,
         )
-        rows_per_op = ServingConfig().ingest_rows_per_op
         degraded = False
         rebalance_rows = 0
         writes_offered = dict.fromkeys(specs, 0)
 
         def service_seconds(tenant: str, batch: List[QueuedQuery]) -> float:
             if batch[0].compat == INGEST_COMPAT:
+                # a write batch holds a backend for each op, serially
                 app = specs[tenant].apps[0][0]
-                return self._healthy[app].ingest_op_seconds * len(batch)
+                return self._write_op_seconds[app] * len(batch)
             models = self._degraded if degraded else self._healthy
             return models[batch[0].compat].cost.service_seconds(len(batch))
 
@@ -294,7 +310,7 @@ class MultiTenantServer:
             if is_write:
                 writes_offered[a.tenant] += 1
                 if admitted:
-                    tracker.record_routed(a.key, rows=rows_per_op)
+                    tracker.record_routed(a.key, rows=WRITE_ROWS_PER_OP)
             plane.note_queue()
             if admitted:
                 plane.dispatch()

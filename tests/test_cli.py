@@ -675,6 +675,22 @@ class TestFailAccelsFlag:
         assert captured.err == "error: --fail-accels: 'x' is not an integer\n"
 
 
+class TestFailShardsFlag:
+    """A bad ``--fail-shards`` token is named whole, with the flag."""
+
+    @pytest.mark.parametrize("spec, token", [
+        ("x", "x"), ("0:1:2", "0:1:2"), ("0, 1:y", "1:y"),
+    ])
+    def test_bad_token_is_named(self, capsys, spec, token):
+        argv = ["cluster", "--features", "2000", "--fail-shards", spec]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --fail-shards: {token!r} is not shard or shard:replica\n"
+        )
+
+
 class TestScorecardDispatch:
     """``--scorecard`` prints its command's leg of the registry."""
 

@@ -15,7 +15,6 @@ from repro.cluster import (
     cluster_metrics_snapshot,
     normalize_fail_shards,
 )
-from repro.faults import ComponentFailure, FaultPlan
 from repro.obs import MetricsRegistry, TraceCollector
 from repro.serving import QueryServer, ServingConfig
 from repro.serving.batcher import BatchCostModel, BatchPolicy
@@ -76,17 +75,7 @@ class TestClusterConfig:
         cfg = ClusterConfig(n_shards=4, n_replicas=3, fail_shards=(0, (0, 2)))
         assert cfg.live_replicas(0) == (1,)
         assert cfg.live_replicas(1) == (0, 1, 2)
-        assert (0, 0) in cfg.dead_replicas()
-        assert (1, 0) not in cfg.dead_replicas()
-
-    def test_fault_plan_shard_failures_merge_in(self):
-        plan = FaultPlan().with_failure(
-            ComponentFailure(kind="shard", index=2, replica=1)
-        )
-        cfg = ClusterConfig(
-            n_shards=4, n_replicas=2, fail_shards=(0,), fault_plan=plan
-        )
-        assert cfg.dead_replicas() == ((0, 0), (2, 1))
+        assert cfg.fail_shards == ((0, 0), (0, 2))
 
     def test_replica_slowdown_deterministic_and_bounded(self):
         cfg = ClusterConfig(n_shards=2, n_replicas=2, straggler_spread=0.5,

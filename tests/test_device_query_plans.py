@@ -129,7 +129,7 @@ class TestEveryPlan:
             feature_bytes=meta.feature_bytes,
             failed_accels={0},
             name=GRAPH.name,
-        ).degraded
+        )
         expected = dataclasses.replace(
             expected,
             engine_seconds=expected.engine_seconds + degraded.routing_seconds,

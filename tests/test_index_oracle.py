@@ -16,7 +16,6 @@ import pytest
 from repro.index import IndexedDevice
 from repro.index.device import query_exhaustive
 from repro.ingest import LifecycleDevice
-from repro.serving import QueryServer, ServingConfig
 from repro.workloads import get_app
 
 APP = get_app("textqa")
@@ -122,40 +121,3 @@ class TestOffModeParity:
         assert result.routing_seconds == 0.0
         assert result.nprobe == 0
         assert result.probed_rows == 0
-
-
-class TestServingIndexKnob:
-    """ServingConfig grows index knobs; the default is byte-inert."""
-
-    def _config(self, **kw):
-        kw.setdefault("app", "tir")
-        kw.setdefault("features", 50_000)
-        kw.setdefault("queue_bound", 16)
-        return ServingConfig(**kw)
-
-    def test_default_config_is_unindexed(self):
-        server = QueryServer(self._config())
-        assert not server.config.indexed
-        assert server.routing_seconds_per_query == 0.0
-
-    def test_indexed_serving_raises_saturation_qps(self):
-        base = QueryServer(self._config()).saturation_qps()
-        indexed = QueryServer(
-            self._config(index_lists=32, index_nprobe=4)
-        ).saturation_qps()
-        assert indexed > base
-
-    def test_full_probe_serving_adds_no_routing(self):
-        server = QueryServer(self._config(index_lists=8, index_nprobe=8))
-        assert server.config.indexed
-        assert server.routing_seconds_per_query == 0.0
-
-    def test_index_knob_validation(self):
-        with pytest.raises(ValueError, match="index_nprobe"):
-            self._config(index_lists=8, index_nprobe=9)
-        with pytest.raises(ValueError, match="index_nprobe"):
-            self._config(index_lists=8, index_nprobe=0)
-        with pytest.raises(ValueError, match="index_nprobe"):
-            self._config(index_lists=0, index_nprobe=2)
-        with pytest.raises(ValueError, match="index_lists"):
-            self._config(index_lists=-1)

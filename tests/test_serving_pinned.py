@@ -16,8 +16,7 @@ and the deadline sweep must still expire exactly the over-age ones.
 The traced runs pin what a metered, traced ``QueryServer`` emits
 besides its result: every ``serving.*`` instrument and every tracer
 span and instant (queue depth, sheds, backend occupancy, one instant
-per simulator event), with an IVF-priced scan, two backends, cache
-hits and a read/write mix.
+per simulator event), with two backends and cache hits.
 """
 
 import dataclasses
@@ -27,12 +26,7 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry, Tracer
-from repro.serving import (
-    QueryServer,
-    ServingConfig,
-    mixed_arrivals,
-    poisson_arrivals,
-)
+from repro.serving import QueryServer, ServingConfig, poisson_arrivals
 from repro.tenancy.day import default_production_config
 from repro.tenancy.server import MultiTenantServer
 from repro.tenancy.trace import generate_day
@@ -68,21 +62,22 @@ def test_deadline_serving_run_digest_pinned():
     result = server.run(arrivals)
     # misses pay a lookup before admission; every shedding path fires
     assert result.cache_hits and result.rejected and result.expired
-    assert _sha256(dataclasses.asdict(result)).startswith("3ada4ea7")
+    assert _sha256(dataclasses.asdict(result)).startswith("d7e14fa2")
 
 
 @pytest.mark.parametrize(
     "policy, deadline_s, counts, prefix",
     [
-        ("deadline", 0.008, (137, 169, 0, 25), "24b34221b99078cc"),
-        ("drop-oldest", None, (128, 46, 170, 0), "11227e01c54cabef"),
+        ("deadline", 0.008, (159, 80, 0, 92), "395901206d31e258"),
+        ("drop-oldest", None, (169, 0, 158, 0), "ec815c438560a668"),
     ],
 )
-def test_traced_metered_serving_run_pinned(policy, deadline_s, counts, prefix):
+def test_traced_metered_read_serving_run_pinned(
+    policy, deadline_s, counts, prefix
+):
     config = ServingConfig(
         app="tir", features=50_000, queue_bound=6, max_batch=4, n_servers=2,
-        cache_entries=32, index_lists=16, index_nprobe=4,
-        policy=policy, deadline_s=deadline_s,
+        cache_entries=32, policy=policy, deadline_s=deadline_s,
     )
     metrics, tracer = MetricsRegistry(), Tracer()
     server = QueryServer(config, metrics=metrics, tracer=tracer)
@@ -90,9 +85,8 @@ def test_traced_metered_serving_run_pinned(policy, deadline_s, counts, prefix):
         dim=32, n_intents=300, distribution="zipf", alpha=0.9,
         paraphrase_noise=0.05, seed=4,
     )
-    arrivals = mixed_arrivals(
-        500, 3 * server.saturation_qps(), 0.2, seed=9, stream=stream,
-        compat="tir",
+    arrivals = poisson_arrivals(
+        500, 3 * server.saturation_qps(), seed=9, stream=stream, compat="tir",
     )
     result = server.run(arrivals)
     assert (

@@ -23,7 +23,8 @@ from repro.index.kmeans import IndexError_
 from repro.ingest.compaction import CompactionPolicy
 from repro.ingest.lifecycle import LifecycleConfig
 from repro.ingest.store import IngestError
-from repro.serving.server import ServingConfig
+from repro.serving.arrivals import INGEST_COMPAT, ArrivalEvent
+from repro.serving.server import QueryServer, ServingConfig
 from repro.serving.sweep import sweep_offered_load
 from repro.tenancy.spec import TenancyConfig, TenantSpec
 from repro.workloads.apps import APP_NAMES
@@ -72,12 +73,6 @@ class TestServingConfigValidation:
         {"n_shards": 0},
         {"n_replicas": 0},
         {"cache_entries": -1},
-        {"ingest_rows_per_op": 0},
-        # index knob combinations (pre-existing, still enforced)
-        {"index_lists": -1},
-        {"index_lists": 8, "index_nprobe": 0},
-        {"index_lists": 8, "index_nprobe": 9},
-        {"index_nprobe": 4},
     ])
     def test_bad_combination_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -90,16 +85,27 @@ class TestServingConfigValidation:
             ServingConfig(policy="reject", deadline_s=1.0)
         with pytest.raises(ValueError, match="fidelity"):
             ServingConfig(fidelity="nope")
-        with pytest.raises(ValueError, match="index_nprobe"):
-            ServingConfig(index_lists=4, index_nprobe=5)
 
     def test_valid_combinations_still_construct(self):
         ServingConfig(policy="deadline", deadline_s=0.5)
         ServingConfig(policy="drop-oldest")
         ServingConfig(cache_entries=16, cache_threshold=0.10)
         ServingConfig(cache_entries=0, cache_threshold=0.10)
-        ServingConfig(index_lists=8, index_nprobe=8)
         ServingConfig(n_shards=4, n_replicas=2, shard_placement="hash")
+
+
+class TestRunValidation:
+    def test_reserved_ingest_key_rejected(self):
+        # QueryServer serves reads only: an arrival under the tenancy
+        # plane's write key would be ledgered as a write and never
+        # counted as completed
+        server = QueryServer(ServingConfig(app="tir", features=50_000))
+        arrivals = [
+            ArrivalEvent(time_s=0.0, compat="tir"),
+            ArrivalEvent(time_s=0.01, compat=INGEST_COMPAT),
+        ]
+        with pytest.raises(ValueError, match="reserved"):
+            server.run(arrivals)
 
 
 class TestSweepValidation:
@@ -141,7 +147,7 @@ class TestConfigConstructorFuzz:
     SERVING_COUNTS = (
         ("features", 1), ("queue_bound", 1), ("max_batch", 1),
         ("n_servers", 1), ("cache_entries", 0), ("n_shards", 1),
-        ("n_replicas", 1), ("ingest_rows_per_op", 1),
+        ("n_replicas", 1),
     )
     TENANCY_COUNTS = (
         ("seed", 0), ("features", 1), ("n_shards", 1), ("n_replicas", 1),
@@ -269,7 +275,7 @@ class TestConfigConstructorFuzz:
             _rejects_naming(serving, "fail_shards", (spec,))
             _rejects_naming(cluster, "fail_shards", (spec,), ClusterError)
 
-    FAILURE_COORDINATES = ("channel", "chip", "plane", "index", "replica")
+    FAILURE_COORDINATES = ("channel", "chip", "plane", "index")
 
     @given(st.sampled_from(FAILURE_COORDINATES), ANY_VALUE)
     def test_component_failure_coordinates(self, field, value):
@@ -277,7 +283,7 @@ class TestConfigConstructorFuzz:
         plane = functools.partial(
             ComponentFailure, "plane", **dict.fromkeys(self.FAILURE_COORDINATES, 0)
         )
-        if is_count(value) or (value is None and field in ("index", "replica")):
+        if is_count(value) or (value is None and field == "index"):
             assert getattr(plane(**{field: value}), field) == value
         else:
             _rejects_naming(plane, field, value)

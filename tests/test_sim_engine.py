@@ -7,6 +7,11 @@ from repro.sim import BoundedQueue, Resource, Simulator
 from repro.sim.engine import SimulationError
 
 
+def _step(sim):
+    """Run exactly the next live event."""
+    sim.run(stop_when=lambda: True)
+
+
 class TestSimulator:
     def test_runs_events_in_time_order(self):
         sim = Simulator()
@@ -57,24 +62,6 @@ class TestSimulator:
         assert fired == []
         assert sim.events_processed == 0
 
-    def test_run_until_stops_clock_at_bound(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(5.0, lambda: fired.append(5))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
-        sim.run()
-        assert fired == [1, 5]
-
-    def test_run_until_is_inclusive(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run(until=2.0)
-        assert fired == [2]
-
     def test_stop_when_predicate(self):
         sim = Simulator()
         count = []
@@ -82,24 +69,9 @@ class TestSimulator:
             sim.schedule(float(i), lambda i=i: count.append(i))
         sim.run(stop_when=lambda: len(count) >= 4)
         assert len(count) == 4
-
-    def test_max_events(self):
-        sim = Simulator()
-        count = []
-        for i in range(10):
-            sim.schedule(float(i), lambda i=i: count.append(i))
-        sim.run(max_events=3)
-        assert len(count) == 3
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e1.cancel()
-        assert sim.peek() == 2.0
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+        assert sim.now == 3.0
+        sim.run()  # a stopped run resumes where it left off
+        assert count == list(range(10))
 
     def test_heap_compaction_purges_cancelled_majority(self):
         # timeout-heavy workloads cancel most of what they schedule; the
@@ -134,35 +106,26 @@ class TestSimulator:
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.step()
+        _step(sim)
         event.cancel()  # already executed; must not count as pending
         assert sim.cancelled_pending == 0
         assert sim.pending_events == 1
 
-    def test_peek_drains_cancelled_prefix_accounting(self):
-        # peek lazily pops cancelled heap heads; the cancelled-pending
+    def test_step_skips_cancelled_and_decrements_counter(self):
+        # a run lazily pops cancelled heap heads; the cancelled-pending
         # counter must track every one of those pops
         sim = Simulator()
         doomed = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
-        live = sim.schedule(10.0, lambda: None)
+        fired = []
+        sim.schedule(10.0, lambda: fired.append(sim.now))
+        sim.schedule(11.0, lambda: None)
         for event in doomed:
             event.cancel()
         assert sim.cancelled_pending == 3
-        assert sim.peek() == 10.0
+        _step(sim)  # pops the corpses, runs the first live event
+        assert fired == [10.0]
         assert sim.cancelled_pending == 0
         assert sim.pending_events == 1
-        assert live.cancelled is False
-
-    def test_step_skips_cancelled_and_decrements_counter(self):
-        sim = Simulator()
-        doomed = sim.schedule(1.0, lambda: None)
-        fired = []
-        sim.schedule(2.0, lambda: fired.append(sim.now))
-        doomed.cancel()
-        assert sim.cancelled_pending == 1
-        assert sim.step() is True  # pops the corpse, runs the live event
-        assert fired == [2.0]
-        assert sim.cancelled_pending == 0
         assert sim.events_processed == 1
 
     def test_double_cancel_counts_once(self):
@@ -174,7 +137,7 @@ class TestSimulator:
         assert sim.pending_events == 0
 
     def test_compaction_resets_counter_then_peek_stays_consistent(self):
-        # after a compaction rebuilt the heap, lazy peek/step pops must
+        # after a compaction rebuilt the heap, a run's lazy pops must
         # not drive the cancelled counter negative
         sim = Simulator()
         keep = [sim.schedule(100.0 + i, lambda: None) for i in range(5)]
@@ -183,21 +146,22 @@ class TestSimulator:
             event.cancel()
         assert sim.compactions >= 1
         assert sim.cancelled_pending == 0
-        assert sim.peek() == 100.0
+        _step(sim)
+        assert sim.now == 100.0
         assert sim.cancelled_pending == 0
         sim.run()
         assert sim.events_processed == len(keep)
         assert sim.cancelled_pending == 0
 
     def test_cancel_between_steps_keeps_invariant(self):
-        # interleave step() with cancellations: pending + cancelled must
+        # interleave steps with cancellations: pending + cancelled must
         # always equal the heap size, and live events all still fire
         sim = Simulator()
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(9)]
         cancelled = 0
         for i, event in enumerate(events):
             if i % 3 == 0:
-                sim.step()
+                _step(sim)
             if i % 2 == 1 and not event.cancelled and event.time > sim.now:
                 event.cancel()
                 cancelled += 1

@@ -100,9 +100,11 @@ class ReferenceHeap:
             return True
         return False
 
-    def run(self):
+    def run(self, stop_when=None):
         while self.peek() is not None:
             self.step()
+            if stop_when is not None and stop_when():
+                return
 
 
 #: one scripted scheduler operation: (kind, argument)
@@ -119,7 +121,6 @@ heap_ops = st.lists(
         st.tuples(st.just("cancel"),
                   st.integers(min_value=0, max_value=40)),
         st.tuples(st.just("step"), st.none()),
-        st.tuples(st.just("peek"), st.none()),
     ),
     min_size=0, max_size=40,
 )
@@ -151,9 +152,10 @@ def _drive(sim, ops):
             if scheduled:
                 scheduled[arg % len(scheduled)].cancel()
         elif kind == "step":
-            observations.append(("step", sim.step(), sim.now))
-        elif kind == "peek":
-            observations.append(("peek", sim.peek()))
+            sim.run(stop_when=lambda: True)
+            observations.append(
+                ("step", sim.now, sim.events_processed, sim.cancelled_pending)
+            )
     sim.run()
     return (
         log,

@@ -81,8 +81,7 @@ class TestSingleTenantParity:
         ))
         result = server.run([
             ArrivalEvent(
-                time_s=a.time_s, intent=a.intent, priority=0,
-                compat="tir", kind="query",
+                time_s=a.time_s, intent=a.intent, priority=0, compat="tir",
             )
             for a in trace
         ])
