@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.config import ClusterConfig, ClusterError
-from repro.cluster.placement import make_placement, range_shard_sizes
+from repro.cluster.placement import placement_sizes
 from repro.cluster.scatter import (
     ReplicaAttempt,
     ScatterResult,
@@ -155,18 +155,12 @@ class ClusterModel:
         if k <= 0:
             raise ClusterError("K must be positive")
         cfg = self.config
-        if cfg.placement == "range":
-            # the analytic model consumes only shard *sizes*; skip
-            # materializing one arange of ids per shard (hundreds of MB
-            # at sweep scale) and take the counts straight off the cuts
-            sizes = range_shard_sizes(n_features, cfg.n_shards)
-            shards = [s for s, size in enumerate(sizes) if size > 0]
-        else:
-            placement = make_placement(
-                cfg.placement, n_features, cfg.n_shards, seed=cfg.seed
-            )
-            sizes = [len(ids) for ids in placement.owners]
-            shards = placement.non_empty_shards()
+        # the analytic model consumes only shard *sizes*; for range
+        # placement they come off the cuts, with no per-feature id array
+        sizes = placement_sizes(
+            cfg.placement, n_features, cfg.n_shards, seed=cfg.seed
+        )
+        shards = [s for s, size in enumerate(sizes) if size > 0]
         dead = set(cfg.fail_shards)
         detect = cfg.dispatch_policy.give_up_seconds()
 

@@ -83,34 +83,23 @@ def _owners_from_assignment(
     )
 
 
-def range_placement(n_features: int, n_shards: int) -> ShardPlacement:
-    """Contiguous slices, sized to within one feature of each other."""
+def _range_cuts(n_features: int, n_shards: int) -> np.ndarray:
+    """Range placement's cuts: shard ``s`` owns ids ``cuts[s]:cuts[s + 1]``."""
     if n_features < 0:
         raise ValueError("n_features cannot be negative")
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
-    cuts = np.linspace(0, n_features, n_shards + 1).astype(np.int64)
+    return np.linspace(0, n_features, n_shards + 1).astype(np.int64)
+
+
+def range_placement(n_features: int, n_shards: int) -> ShardPlacement:
+    """Contiguous slices, sized to within one feature of each other."""
+    cuts = _range_cuts(n_features, n_shards)
     owners = tuple(
         np.arange(cuts[s], cuts[s + 1], dtype=np.int64)
         for s in range(n_shards)
     )
     return ShardPlacement("range", n_features, owners)
-
-
-def range_shard_sizes(n_features: int, n_shards: int) -> List[int]:
-    """Per-shard feature counts of :func:`range_placement`, sizes only.
-
-    Exactly ``[len(ids) for ids in range_placement(...).owners]`` — same
-    linspace cuts — without materializing the id arrays.  The analytic
-    cluster model needs only the counts, and at tens of millions of
-    features per estimate the aranges are the dominant allocation.
-    """
-    if n_features < 0:
-        raise ValueError("n_features cannot be negative")
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    cuts = np.linspace(0, n_features, n_shards + 1).astype(np.int64)
-    return [int(cuts[s + 1] - cuts[s]) for s in range(n_shards)]
 
 
 def hash_placement(
@@ -199,3 +188,20 @@ def make_placement(
             n_features, n_shards, features=features, seed=seed
         )
     raise ValueError(f"unknown placement strategy {strategy!r}")
+
+
+def placement_sizes(
+    strategy: str, n_features: int, n_shards: int, seed: int = 0
+) -> List[int]:
+    """Per-shard feature counts of :func:`make_placement`.
+
+    Exactly ``list(make_placement(strategy, n_features, n_shards,
+    seed=seed).shard_sizes)``.  The cost models need only the counts:
+    ``range`` takes them straight off its cuts in O(shards), with no
+    per-feature id array (hundreds of MB at tens of millions of
+    features); ``hash`` and ``locality`` still build the placement.
+    """
+    if strategy == "range":
+        return np.diff(_range_cuts(n_features, n_shards)).tolist()
+    placement = make_placement(strategy, n_features, n_shards, seed=seed)
+    return list(placement.shard_sizes)

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig, ClusterError
 from repro.cluster.model import steady_merge_stats
-from repro.cluster.placement import make_placement
+from repro.cluster.placement import placement_sizes
 from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
 from repro.serving.batcher import BatchCostModel, BatchPolicy
@@ -56,11 +56,10 @@ class ClusterBatchCostModel:
         self.system = system or DeepStoreSystem.at_level(self.cluster.level)
         self.policy = policy or BatchPolicy()
         cfg = self.cluster
-        placement = make_placement(
+        sizes = placement_sizes(
             cfg.placement, meta.feature_count, cfg.n_shards, seed=cfg.seed
         )
-        self.placement = placement
-        shards = placement.non_empty_shards()
+        shards = [s for s, size in enumerate(sizes) if size > 0]
         if not shards:
             raise ClusterError("cluster database has no populated shard")
         self.n_contacted = len(shards)
@@ -73,7 +72,7 @@ class ClusterBatchCostModel:
         # per-leg (straggle factor, failover ladder seconds, table)
         legs: List[Tuple[float, float, BatchCostModel]] = []
         for shard in shards:
-            size = len(placement.owners[shard])
+            size = sizes[shard]
             table = tables.get(size)
             if table is None:
                 shard_meta = DatabaseMetadata(

@@ -26,6 +26,7 @@ from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
 from repro.core.scheduler import MultiQueryScheduler, plan_degraded_scan
 from repro.nn.graph import Graph
+from repro.sim import fastpath
 from repro.ssd.ftl import DatabaseMetadata
 from repro.workloads.apps import AppSpec
 
@@ -69,7 +70,9 @@ class BatchCostModel:
         self.meta = meta
         self.system = system or DeepStoreSystem.at_level("channel")
         self.policy = policy or BatchPolicy()
-        self.graph = graph or app.build_scn()
+        # the shared seed-0 SCN: per-shard tables across servers reuse
+        # one build and hit one graph-keyed profile memo
+        self.graph = graph or fastpath.scn_graph(app)
         self.failed_accels = tuple(sorted(set(failed_accels)))
         scheduler = MultiQueryScheduler(self.system)
 

@@ -116,7 +116,10 @@ class ServingConfig:
             ("n_replicas", 1),
         ))
         # lazy import: repro.cluster imports this package's batcher
-        from repro.cluster.config import normalize_fail_shards
+        from repro.cluster.config import (
+            PLACEMENT_STRATEGIES,
+            normalize_fail_shards,
+        )
 
         normalize_fail_shards(self.fail_shards, self.n_shards, self.n_replicas, ValueError)
         if not (
@@ -154,7 +157,7 @@ class ServingConfig:
                 f"unknown fidelity {self.fidelity!r}; "
                 f"expected 'analytic' or 'event'"
             )
-        if self.shard_placement not in ("range", "hash", "locality"):
+        if self.shard_placement not in PLACEMENT_STRATEGIES:
             raise ValueError(
                 f"unknown shard_placement {self.shard_placement!r}; "
                 f"expected 'range', 'hash', or 'locality'"

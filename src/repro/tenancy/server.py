@@ -167,11 +167,11 @@ class MultiTenantServer:
         #: host-write time of WRITE_ROWS_PER_OP rows on the app's SSD
         self._write_op_seconds: Dict[str, float] = {}
         for app in config.distinct_apps():
-            # placement "range" prices scatter-gather over equal shard
-            # sizes in O(1); "hash" would materialize a per-row owner
-            # table (O(features) argsort — minutes at 64M rows) to reach
-            # the same near-even sizes.  Ingest routing still hashes,
-            # via the ShardIngestTracker.
+            # reads are priced over range placement's near-even shard
+            # sizes, which come straight off its cuts: O(shards), no
+            # per-feature id array (placement_sizes; hash would build
+            # one).  Ingest routing still hashes, via the
+            # ShardIngestTracker.
             base = dict(
                 app=app,
                 features=config.features,

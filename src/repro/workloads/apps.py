@@ -41,7 +41,8 @@ class AppSpec:
     modality: str
     description: str
     feature_shape: Tuple[int, ...]
-    scn_builder: Callable[[], Graph]
+    #: builds the SCN topology and initializes its weights at a seed
+    scn_builder: Callable[[int], Graph]
     table1: Table1Row
     #: Fig. 2 batch-size sweep for the GPU+SSD characterization
     fig2_batches: Tuple[int, ...]
@@ -65,9 +66,7 @@ class AppSpec:
 
     def build_scn(self, seed: int = 0) -> Graph:
         """A freshly initialized similarity comparison network."""
-        graph = self.scn_builder()
-        graph.initialize(seed=seed)
-        return graph
+        return self.scn_builder(seed)
 
     def build_qcn(self, seed: int = 0) -> Graph:
         """Query comparison network for the query cache.
@@ -76,16 +75,15 @@ class AppSpec:
         — it compares two *query* feature vectors instead of a query and a
         database vector, so the same two-branch topology applies.
         """
-        graph = self.scn_builder()
+        graph = self.scn_builder(seed + 1)
         graph.name = f"{self.name}-qcn"
-        graph.initialize(seed=seed + 1)
         return graph
 
 
 # ----------------------------------------------------------------------
 # SCN builders
 # ----------------------------------------------------------------------
-def _build_reid() -> Graph:
+def _build_reid(seed: int) -> Graph:
     """Person re-identification (Ahmed et al. CVPR'15 comparison stage).
 
     Cross-input difference over 44 KB spatial features, two convolutional
@@ -101,10 +99,10 @@ def _build_reid() -> Graph:
     h = b.dense(h, 640, activation="relu", name="fc1")
     h = b.dense(h, 2, name="fc2")
     out = b.score_head(h, "sigmoid_diff")
-    return b.build(out)
+    return b.build(out, seed=seed)
 
 
-def _build_mir() -> Graph:
+def _build_mir(seed: int) -> Graph:
     """Music information retrieval (Lu et al. triplet MatchNet)."""
     b = GraphBuilder("mir-scn")
     q = b.input((512,), "qfv")
@@ -114,10 +112,10 @@ def _build_mir() -> Graph:
     h = b.dense(h, 280, activation="relu", name="fc2")
     h = b.dense(h, 2, name="fc3")
     out = b.score_head(h, "sigmoid_diff")
-    return b.build(out)
+    return b.build(out, seed=seed)
 
 
-def _build_estp() -> Graph:
+def _build_estp(seed: int) -> Graph:
     """Exact Street-to-Shop garment matching (Kiapour et al. ICCV'15)."""
     b = GraphBuilder("estp-scn")
     q = b.input((4096,), "qfv")
@@ -127,10 +125,10 @@ def _build_estp() -> Graph:
     h = b.dense(h, 1176, activation="relu", name="fc2")
     h = b.dense(h, 2, name="fc3")
     out = b.score_head(h, "sigmoid_diff")
-    return b.build(out)
+    return b.build(out, seed=seed)
 
 
-def _build_tir() -> Graph:
+def _build_tir(seed: int) -> Graph:
     """Text-based image retrieval (Wang et al. two-branch network).
 
     Element-wise product of the embedded branches followed by FC layers of
@@ -144,10 +142,10 @@ def _build_tir() -> Graph:
     h = b.dense(h, 256, activation="relu", name="fc2")
     h = b.dense(h, 2, name="fc3")
     out = b.score_head(h, "sigmoid_diff")
-    return b.build(out)
+    return b.build(out, seed=seed)
 
 
-def _build_textqa() -> Graph:
+def _build_textqa(seed: int) -> Graph:
     """Short-text QA reranking (Severyn & Moschitti SIGIR'15).
 
     Bilinear similarity ``q^T M d``: one 200x200 FC applied to the answer
@@ -159,7 +157,7 @@ def _build_textqa() -> Graph:
     h = b.dense(d, 200, bias=False, name="bilinear")
     h = b.dot(q, h, name="match")
     out = b.score_head(h, "sigmoid", affine=True)
-    return b.build(out)
+    return b.build(out, seed=seed)
 
 
 # ----------------------------------------------------------------------

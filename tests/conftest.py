@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,18 @@ def make_db(ssd: Ssd, feature_bytes: int, gigabytes: float = 25.0):
     """A paper-scale feature database (25 GB by default, §6.1)."""
     count = int(gigabytes * 1e9 / feature_bytes)
     return ssd.ftl.create_database(feature_bytes, count)
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak Python-heap MB (numpy buffers included) while ``fn()`` runs."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not outer:
+            tracemalloc.stop()

@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import (
+    ClusterConfig,
+    ClusterModel,
     ShardPlacement,
     hash_placement,
     locality_placement,
     make_placement,
     range_placement,
 )
+from repro.cluster.config import PLACEMENT_STRATEGIES
+from repro.cluster.placement import placement_sizes
+from repro.workloads import get_app
+from tests.conftest import traced_peak_mb
 
 
 class TestRangePlacement:
@@ -104,3 +111,38 @@ class TestShardPlacement:
             hash_placement(10, 0)
         with pytest.raises(ValueError):
             locality_placement(10, 0)
+
+
+class TestPlacementSizes:
+    """``placement_sizes`` is ``make_placement``'s sizes, minus the ids."""
+
+    @given(
+        strategy=st.sampled_from(PLACEMENT_STRATEGIES),
+        n_features=st.integers(min_value=0, max_value=400),
+        n_shards=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(strategy="hash", n_features=0, n_shards=3, seed=0)
+    @example(strategy="range", n_features=2, n_shards=9, seed=1)
+    @example(strategy="locality", n_features=5, n_shards=7, seed=2)
+    @example(strategy="range", n_features=101, n_shards=4, seed=3)
+    def test_equals_make_placement(self, strategy, n_features, n_shards, seed):
+        sizes = placement_sizes(strategy, n_features, n_shards, seed=seed)
+        expected = make_placement(strategy, n_features, n_shards, seed=seed)
+        assert sizes == list(expected.shard_sizes)
+        assert all(type(size) is int for size in sizes)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            placement_sizes("alphabetical", 10, 2)
+        with pytest.raises(ValueError):
+            placement_sizes("hash", -1, 2)
+        with pytest.raises(ValueError):
+            placement_sizes("range", 10, 0)
+
+    def test_range_estimate_builds_no_id_array(self):
+        # 32M ids as int64 would be 244 MB; the estimate prices sizes only
+        model = ClusterModel(ClusterConfig(n_shards=4, placement="range"))
+        app = get_app("tir")
+        assert traced_peak_mb(lambda: model.estimate(app, 32_000_000)) < 64

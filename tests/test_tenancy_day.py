@@ -29,6 +29,7 @@ from repro.tenancy.spec import (
     TenantSpec,
 )
 from repro.tenancy.trace import generate_day
+from tests.conftest import traced_peak_mb
 
 #: a compressed day: long enough for diurnal shape + a burst window,
 #: short enough for test wall-clock
@@ -166,6 +167,13 @@ class TestProductionDay:
     def test_determinism(self, report):
         again = run_production_day(small_production_config())
         assert again.as_dict() == report.as_dict()
+
+
+def test_server_build_prices_sizes_not_ids():
+    # four clustered servers over 32M rows: per-feature id arrays would
+    # be ~1 GB, shard sizes are a handful of integers
+    config = default_production_config()
+    assert traced_peak_mb(lambda: MultiTenantServer(config)) < 64
 
 
 class TestDegradedWindow:

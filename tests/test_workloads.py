@@ -1,5 +1,7 @@
 """Tests for the application catalog, feature DBs, and query streams."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,42 @@ class TestTable1Calibration:
 
     def test_catalog_complete(self):
         assert set(ALL_APPS) == {"reid", "mir", "estp", "tir", "textqa"}
+
+
+#: (app, seed) -> (SCN, QCN) parameter digests; weights are a function
+#: of the app and seed alone, however the builder initializes them
+PARAMETER_DIGESTS = {
+    ("estp", 0): ("bba860a60b7f73f0", "7b1a8023be8ea8e9"),
+    ("estp", 3): ("17d4ff90523a435e", "8a9fe8bcd0802aef"),
+    ("mir", 0): ("0b4c44232dea97af", "0adcc4bb2406a698"),
+    ("mir", 3): ("13676bfdabc1e42c", "3d7b41525ac258fc"),
+    ("reid", 0): ("90ccb14073e7d51a", "b4b59d221ca7f4fb"),
+    ("reid", 3): ("568d75365fd9f107", "0c579556afac1e26"),
+    ("textqa", 0): ("e735277fe61a42b4", "93e04ab76431f551"),
+    ("textqa", 3): ("31dc1d15327d7245", "33fa78135e51ab59"),
+    ("tir", 0): ("eb2a165be7c306eb", "5ca1e2ada144e5a6"),
+    ("tir", 3): ("beadc61f13d67a49", "7f91442f1d1448b0"),
+}
+
+
+def _parameter_digest(graph) -> str:
+    h = hashlib.sha256(graph.name.encode())
+    for nid in sorted(graph.params):
+        for key in sorted(graph.params[nid]):
+            a = graph.params[nid][key]
+            h.update(f"{nid}:{key}:{a.dtype}:{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PARAMETER_DIGESTS))
+def test_parameter_digests_pinned(name, seed):
+    app = get_app(name)
+    got = (
+        _parameter_digest(app.build_scn(seed=seed)),
+        _parameter_digest(app.build_qcn(seed=seed)),
+    )
+    assert got == PARAMETER_DIGESTS[(name, seed)]
 
 
 class TestFeatureDatasets:
