@@ -74,13 +74,14 @@ class ShardPlacement:
 def _owners_from_assignment(
     assignment: np.ndarray, n_shards: int
 ) -> Tuple[np.ndarray, ...]:
-    """Per-shard ascending global-id arrays from an assignment vector."""
-    order = np.argsort(assignment, kind="stable")
+    """Per-shard ascending global-id arrays from an assignment vector.
+
+    The argsort is stable, so each shard's slice of ``order`` already
+    lists its ids in ascending order; the shards are views of one array.
+    """
+    order = np.argsort(assignment, kind="stable").astype(np.int64, copy=False)
     bounds = np.searchsorted(assignment[order], np.arange(n_shards + 1))
-    return tuple(
-        np.sort(order[bounds[s] : bounds[s + 1]]).astype(np.int64)
-        for s in range(n_shards)
-    )
+    return tuple(order[bounds[s] : bounds[s + 1]] for s in range(n_shards))
 
 
 def _range_cuts(n_features: int, n_shards: int) -> np.ndarray:

@@ -159,18 +159,25 @@ class SloMonitor:
                 window = sample_interval_s
             self._rule_window_s[rule.name] = window
         self.alerts: List[Alert] = []
-        #: per-SLO event log as parallel arrays in nondecreasing time
-        #: order, with a cumulative bad count — windowed (bad, total)
-        #: queries are then two bisects + a prefix-sum difference
-        #: instead of a scan over the whole run (24 h diurnal traces
-        #: evaluate thousands of boundaries over tens of thousands of
-        #: events; the scan was quadratic in the day length)
-        self._times: Dict[str, List[float]] = {name: [] for name in self.specs}
-        self._bad_prefix: Dict[str, List[int]] = {
-            name: [] for name in self.specs
+        #: per-SLO ``(latency threshold, times, bad prefix)``: the event
+        #: log as parallel arrays in nondecreasing time order, with a
+        #: cumulative bad count — windowed (bad, total) queries are then
+        #: two bisects + a prefix-sum difference instead of a scan over
+        #: the whole run (24 h diurnal traces evaluate thousands of
+        #: boundaries over tens of thousands of events; the scan was
+        #: quadratic in the day length).  The threshold rides along so
+        #: ``record`` needs one lookup per event
+        self._logs: Dict[
+            str, Tuple[Optional[float], List[float], List[int]]
+        ] = {
+            name: (spec.latency_threshold_s, [], [])
+            for name, spec in self.specs.items()
         }
         self._active: Dict[str, bool] = {rule.name: False for rule in rules}
         self._boundaries_done = 0
+        #: the first boundary not yet evaluated, as ``_advance`` computes
+        #: it; a record at or before it has no boundary to evaluate
+        self._next_boundary_s = sample_interval_s
         self._last_t = 0.0
 
     # ------------------------------------------------------------------
@@ -187,25 +194,27 @@ class SloMonitor:
         classes unconditionally while the monitor's owner decides which
         ones carry objectives.
         """
-        spec = self.specs.get(slo)
-        if spec is None:
+        log = self._logs.get(slo)
+        if log is None:
             return
-        if good is None:
-            if spec.latency_threshold_s is not None and latency_s is not None:
-                good = latency_s <= spec.latency_threshold_s
-            else:
-                good = True
-        # evaluate every boundary strictly before this event's time:
-        # events arrive in DES order, so those windows are complete
-        self._advance(at_s)
-        self._last_t = max(self._last_t, at_s)
-        times = self._times[slo]
+        threshold, times, prefix = log
         if times and at_s < times[-1]:
             raise ValueError(
                 f"SLO events must arrive in nondecreasing time order: "
                 f"got {at_s} after {times[-1]}"
             )
-        prefix = self._bad_prefix[slo]
+        if good is None:
+            good = (
+                threshold is None
+                or latency_s is None
+                or latency_s <= threshold
+            )
+        # evaluate every boundary strictly before this event's time:
+        # events arrive in DES order, so those windows are complete
+        if self._next_boundary_s < at_s:
+            self._advance(at_s)
+        if at_s > self._last_t:
+            self._last_t = at_s
         times.append(at_s)
         prefix.append((prefix[-1] if prefix else 0) + (0 if good else 1))
 
@@ -222,6 +231,7 @@ class SloMonitor:
         while (self._boundaries_done + 1) * interval < now_s:
             self._boundaries_done += 1
             self._evaluate(self._boundaries_done * interval)
+        self._next_boundary_s = (self._boundaries_done + 1) * interval
 
     def window_counts(
         self, slo: str, at_s: float, window_s: float
@@ -236,12 +246,11 @@ class SloMonitor:
             raise ValueError("window_s must be positive")
         if slo not in self.specs:
             raise ValueError(f"unknown SLO {slo!r}")
-        times = self._times[slo]
+        _, times, prefix = self._logs[slo]
         lo = bisect_right(times, at_s - window_s)
         hi = bisect_right(times, at_s)
         if hi <= lo:
             return 0, 0
-        prefix = self._bad_prefix[slo]
         bad = prefix[hi - 1] - (prefix[lo - 1] if lo > 0 else 0)
         return bad, hi - lo
 
@@ -296,7 +305,7 @@ class SloMonitor:
     def error_budget(self, slo: str) -> Dict[str, object]:
         """Whole-run budget accounting for one SLO."""
         spec = self.specs[slo]
-        prefix = self._bad_prefix[slo]
+        prefix = self._logs[slo][2]
         total = len(prefix)
         bad = prefix[-1] if prefix else 0
         bad_fraction = bad / total if total else 0.0

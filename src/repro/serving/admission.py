@@ -50,9 +50,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 POLICIES = ("reject", "drop-oldest", "deadline")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueuedQuery:
-    """One admitted query waiting for a scan slot."""
+    """One admitted query waiting for a scan slot.
+
+    Slotted, one per arrival; never hashed, and never changed once
+    built.
+    """
 
     qid: int
     arrival_s: float
@@ -154,11 +158,11 @@ class AdmissionQueue:
     def _expire(self, now: float) -> None:
         """Deadline policy: lazily drop over-age queries (any position).
 
-        Constant work unless the oldest-arrival bound says a query may
-        be over age; only then are the class deques rebuilt.
+        Callers test ``deadline_s``, which is set for the ``deadline``
+        policy only.  Constant work unless the oldest-arrival bound
+        says a query may be over age; only then are the class deques
+        rebuilt.
         """
-        if self.policy != "deadline":
-            return
         assert self.deadline_s is not None
         if now - self._oldest <= self.deadline_s:
             return
@@ -199,7 +203,8 @@ class AdmissionQueue:
     def offer(self, query: QueuedQuery, now: float) -> bool:
         """Try to admit ``query`` at time ``now``; True iff admitted."""
         self.counters.offered += 1
-        self._expire(now)
+        if self.deadline_s is not None:
+            self._expire(now)
         if self._depth >= self.bound:
             if self.policy == "drop-oldest" and self._evict_for(query):
                 pass  # room was made
@@ -222,7 +227,8 @@ class AdmissionQueue:
 
     def pop(self, now: float) -> Optional[QueuedQuery]:
         """Dequeue the FIFO head of the most important nonempty class."""
-        self._expire(now)
+        if self.deadline_s is not None:
+            self._expire(now)
         for priority in self._priorities:
             queue = self._classes[priority]
             if queue:
@@ -307,6 +313,10 @@ class WeightedFairQueue:
         #: live depth across every tenant, kept by the difference each
         #: per-tenant ``offer``/``pop_batch``/sweep makes to its queue
         self._depth = 0
+        #: entries in the tenant shed logs not yet drained by
+        #: ``take_shed``, so a drain with nothing shed is one test;
+        #: recounted only after a queue operation that shed
+        self._shed_pending = 0
         self._deficit: Dict[str, float] = {name: 0.0 for name in names}
         self._cursor = 0
         # True while the cursor's tenant has already been granted this
@@ -336,13 +346,27 @@ class WeightedFairQueue:
             raise KeyError(f"unknown tenant {tenant!r}")
         before = queue._depth
         admitted = queue.offer(query, now)
-        self._depth += queue._depth - before
+        grown = queue._depth - before
+        self._depth += grown
+        if grown != 1:
+            # only a shed (rejection, eviction, expiry) keeps an offer
+            # from growing the queue by exactly the newcomer
+            self._count_shed()
         return admitted
+
+    def _count_shed(self) -> None:
+        """Recount the entries waiting in the tenant shed logs."""
+        self._shed_pending = sum(
+            len(queue._shed_log) for queue in self._queues.values()
+        )
 
     def take_shed(self) -> List[Tuple[str, QueuedQuery, str]]:
         """Drain ``(tenant, query, reason)`` for every shed since last
         call, in tenant declaration order."""
         out: List[Tuple[str, QueuedQuery, str]] = []
+        if not self._shed_pending:
+            return out
+        self._shed_pending = 0
         for name in self._order:
             queue = self._queues[name]
             if queue._shed_log:
@@ -358,7 +382,9 @@ class WeightedFairQueue:
         for queue in self._deadline_queues:
             before = queue._depth
             queue._expire(now)
-            self._depth += queue._depth - before
+            if queue._depth != before:
+                self._depth += queue._depth - before
+                self._count_shed()
 
     def pop_batch(
         self, now: float, max_batch: int
@@ -393,6 +419,9 @@ class WeightedFairQueue:
             before = queue._depth
             batch = queue.pop_batch(now, max_batch)
             self._depth += queue._depth - before
+            if before - queue._depth != len(batch):
+                # the pop's own deadline sweep shed what it did not return
+                self._count_shed()
             if not batch:
                 # everything expired during the pop's deadline sweep
                 self._deficit[name] = 0.0

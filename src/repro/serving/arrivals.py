@@ -37,14 +37,15 @@ from repro.workloads.traces import QueryTrace
 INGEST_COMPAT = "__ingest__"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrivalEvent:
     """One request arriving at the device, with its admission priority.
 
     ``priority`` is an integer class: **0 is the most important**;
     larger numbers are served after smaller ones.  ``compat`` is the
     batch-compatibility key (app/SCN identity) — only queries with equal
-    keys may share a scan.
+    keys may share a scan.  Slotted, one per generated arrival; never
+    hashed, and never changed once built.
     """
 
     time_s: float

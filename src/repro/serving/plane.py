@@ -81,17 +81,22 @@ class BatchPlane:
     # ------------------------------------------------------------------
     def note_queue(self) -> None:
         """Drain the shed log; call after every offer and pop.  A shed
-        read is a bad SLO event."""
-        for tenant, query, reason in self.wfq.take_shed():
-            if self.monitor is not None and query.compat != INGEST_COMPAT:
-                self.monitor.record(
-                    self.slo_names[tenant], self.sim.now, good=False
-                )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    self._shed_track, reason, self.sim.now,
-                    cat="serving.shed", args={"qid": query.qid},
-                )
+        read is a bad SLO event.  Nothing shed is the common case: one
+        test of the scheduler's pending-shed count."""
+        if self.wfq._shed_pending:
+            for tenant, query, reason in self.wfq.take_shed():
+                if (
+                    self.monitor is not None
+                    and query.compat != INGEST_COMPAT
+                ):
+                    self.monitor.record(
+                        self.slo_names[tenant], self.sim.now, good=False
+                    )
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        self._shed_track, reason, self.sim.now,
+                        cat="serving.shed", args={"qid": query.qid},
+                    )
         if self.tracer is not None:
             self.tracer.instant(
                 self._queue_track, "depth", self.sim.now,

@@ -35,13 +35,15 @@ def _released_callback() -> None:  # pragma: no cover - defensive
     raise SimulationError("a released (cancelled or fired) event ran")
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A scheduled callback.
 
     Events order by ``(time, seq)``; ``seq`` is a tie-breaking insertion
     counter so same-time events run in FIFO order, which makes simulations
-    deterministic.
+    deterministic.  Slotted: one is built per scheduled callback, and a
+    record without a per-instance ``__dict__`` is smaller and quicker to
+    build.
     """
 
     time: float

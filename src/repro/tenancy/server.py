@@ -341,10 +341,7 @@ class MultiTenantServer:
         # -- schedule the day ----------------------------------------------
         sim.schedule_bulk(
             [a.time_s for a in arrivals],
-            [
-                (lambda a=a, qid=qid: arrive(a, qid))
-                for qid, a in enumerate(arrivals)
-            ],
+            [partial(arrive, a, qid) for qid, a in enumerate(arrivals)],
             label="arrival",
         )
         failure = config.failure

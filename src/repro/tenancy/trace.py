@@ -40,9 +40,13 @@ _DOMAIN_BASE = 0
 _DOMAIN_BURST = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TenantArrival:
-    """One request in a multi-tenant day trace."""
+    """One request in a multi-tenant day trace.
+
+    Slotted, one per generated arrival; never hashed, and never changed
+    once built.
+    """
 
     time_s: float
     tenant: str

@@ -4,18 +4,23 @@
 skips the deadline sweep while that bound proves nothing is over age;
 it keeps its class priorities sorted at insert.  ``WeightedFairQueue``
 keeps its depth as a running count, sweeps only ``deadline`` queues and
-skips empty shed logs.  The reference classes below are the earlier
+keeps a count of pending sheds, so a drain with nothing shed is one
+test.  The reference classes below are the earlier
 implementations, kept verbatim: they rebuild every class deque on every
 ``offer`` and ``pop``, sort the classes on every ``pop``, and sum the
 per-tenant depths on every call.
 
 Hypothesis drives a reference and a live instance through one random
-sequence of ``offer``/``pop``/``pop_batch``/``take_shed`` calls, with
+sequence of ``offer``/``pop``/``pop_batch``/``take_shed`` calls and
+deadline sweeps, with
 out-of-order arrivals (``arrival_s`` before, at or after ``now``, or
 not finite), a clock that may step back, and bounds small enough that
 ``drop-oldest`` evicts and ``reject`` refuses.  After every step the two must agree on
 the returned value, the counters, the shed log in order, the queued
-contents and the depth.
+contents and the depth; ``take_shed`` must drain exactly the reference's
+logs, in order.  The live scheduler's pending-shed count must equal the
+entries in its tenants' shed logs after every step, so its shortcut
+never skips a shed.
 """
 
 import math
@@ -341,8 +346,9 @@ OFFER = st.tuples(
 POP = st.tuples(st.just("pop"), CLOCK_STEP)
 POP_BATCH = st.tuples(st.just("pop_batch"), CLOCK_STEP, st.integers(1, 4))
 TAKE_SHED = st.tuples(st.just("take_shed"))
+EXPIRE = st.tuples(st.just("expire"), CLOCK_STEP)
 OPS = st.lists(
-    st.one_of(OFFER, OFFER, POP, POP_BATCH, TAKE_SHED), max_size=80
+    st.one_of(OFFER, OFFER, POP, POP_BATCH, TAKE_SHED, EXPIRE), max_size=80
 )
 
 
@@ -373,6 +379,12 @@ def _apply_queue(queue, op, query, now: float):
         return queue.pop(now)
     if kind == "pop_batch":
         return queue.pop_batch(now, op[2])
+    if kind == "expire":
+        # the live queue's callers test the policy; the reference's
+        # ``_expire`` tests it itself
+        if queue.deadline_s is not None:
+            queue._expire(now)
+        return None
     return queue.take_shed()
 
 
@@ -461,12 +473,31 @@ def _apply_wfq(wfq, op, query, now: float):
         return wfq.pop_batch(now, 1)
     if kind == "pop_batch":
         return wfq.pop_batch(now, op[2])
+    if kind == "expire":
+        wfq._sweep(now)
+        return None
     return wfq.take_shed()
 
 
+def _pending_matches_logs(wfq) -> bool:
+    """The pending-shed count is exactly what the tenant logs hold."""
+    return wfq._shed_pending == sum(
+        len(queue._shed_log) for queue in wfq._queues.values()
+    )
+
+
 def drive_wfqs(reference, live, ops) -> None:
-    """:func:`drive` for two ``WeightedFairQueue``-shaped schedulers."""
-    drive(reference, live, ops, _apply_wfq, _wfq_state)
+    """:func:`drive` for two ``WeightedFairQueue``-shaped schedulers,
+    checking the live pending-shed count after every step."""
+
+    def apply(wfq, op, query, now):
+        got = _apply_wfq(wfq, op, query, now)
+        if wfq is live:
+            assert _pending_matches_logs(live), f"{op}: pending count"
+        return got
+
+    drive(reference, live, ops, apply, _wfq_state)
+    assert live._shed_pending == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -500,8 +531,10 @@ def test_long_sequences_shed_every_way():
                 ))
             elif roll < 0.75:
                 ops.append(("pop", step))
-            elif roll < 0.95:
+            elif roll < 0.9:
                 ops.append(("pop_batch", step, rng.randint(1, 4)))
+            elif roll < 0.95:
+                ops.append(("expire", step))
             else:
                 ops.append(("take_shed",))
         live = AdmissionQueue(4, policy, deadline)

@@ -14,7 +14,7 @@ from repro.cluster import (
     range_placement,
 )
 from repro.cluster.config import PLACEMENT_STRATEGIES
-from repro.cluster.placement import placement_sizes
+from repro.cluster.placement import _owners_from_assignment, placement_sizes
 from repro.workloads import get_app
 from tests.conftest import traced_peak_mb
 
@@ -146,3 +146,68 @@ class TestPlacementSizes:
         model = ClusterModel(ClusterConfig(n_shards=4, placement="range"))
         app = get_app("tir")
         assert traced_peak_mb(lambda: model.estimate(app, 32_000_000)) < 64
+
+
+def _sorted_owners(assignment, n_shards):
+    """Per-shard ids by an explicit sort of each shard's members."""
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[order], np.arange(n_shards + 1))
+    return [
+        np.sort(order[bounds[s] : bounds[s + 1]]).astype(np.int64)
+        for s in range(n_shards)
+    ]
+
+
+def _assignment(strategy, n_features, n_shards, seed):
+    """The per-id shard formulas of hash and block-cyclic locality."""
+    if strategy == "hash":
+        ids = np.arange(n_features, dtype=np.uint64)
+        mixed = (ids + np.uint64(seed * 2 + 1)) * np.uint64(0x9E3779B97F4A7C15)
+        return (mixed % np.uint64(n_shards)).astype(np.int64)
+    block = max(1, n_features // (n_shards * 8) or 1)
+    return (np.arange(n_features, dtype=np.int64) // block) % n_shards
+
+
+def _assert_same_owners(got, expected):
+    assert len(got) == len(expected)
+    for ids, want in zip(got, expected):
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, want)
+
+
+class TestOwnersFromAssignment:
+    """The stable argsort's slices are the sorted per-shard ids."""
+
+    @given(
+        strategy=st.sampled_from(["hash", "locality"]),
+        n_features=st.integers(min_value=0, max_value=400),
+        n_shards=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(strategy="hash", n_features=0, n_shards=3, seed=0)
+    @example(strategy="hash", n_features=2, n_shards=9, seed=1)
+    @example(strategy="locality", n_features=5, n_shards=7, seed=2)
+    def test_placements_match_sorted_formula(
+        self, strategy, n_features, n_shards, seed
+    ):
+        placement = make_placement(strategy, n_features, n_shards, seed=seed)
+        assignment = _assignment(strategy, n_features, n_shards, seed)
+        _assert_same_owners(
+            placement.owners, _sorted_owners(assignment, n_shards)
+        )
+
+    @given(
+        n_shards=st.integers(min_value=1, max_value=9),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_assignment_matches_sorted_formula(self, n_shards, data):
+        assignment = np.array(
+            data.draw(st.lists(st.integers(0, n_shards - 1), max_size=300)),
+            dtype=np.int64,
+        )
+        _assert_same_owners(
+            _owners_from_assignment(assignment, n_shards),
+            _sorted_owners(assignment, n_shards),
+        )
